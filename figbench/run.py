@@ -22,17 +22,21 @@ RUN_TIMEOUT_S = 170
 
 
 def build(bench_dir, build_dir):
-    """Configure (once) and build the figbench target; exit on failure."""
+    """Configure (once) and build the figbench target; raise on failure."""
+    # Keep the compiler's temporary files inside the build directory.
+    tmp = os.path.join(build_dir, "tmp")
+    os.makedirs(tmp, exist_ok=True)
+    env = dict(os.environ, TMPDIR=tmp)
     gen = ["-G", "Ninja"] if shutil.which("ninja") else []
     if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
         subprocess.run(
             ["cmake", "-S", bench_dir, "-B", build_dir,
              "-DCMAKE_BUILD_TYPE=Release"] + gen,
-            stdout=sys.stderr, check=True)
+            stdout=sys.stderr, env=env, check=True)
     jobs = str(min(4, os.cpu_count() or 1))
     subprocess.run(
         ["cmake", "--build", build_dir, "--target", "figbench", "-j", jobs],
-        stdout=sys.stderr, check=True)
+        stdout=sys.stderr, env=env, check=True)
 
 
 def main(argv):
