@@ -1,10 +1,14 @@
 /**
  * @file
- * Golden-file tests for the IR printer: two small example apps are
- * compiled by the frontend and their printed module text must match
- * the checked-in fixtures under tests/golden/. Any intentional change
- * to the frontend lowering or the printer format is re-blessed by
- * rerunning with STOS_UPDATE_GOLDEN=1 and reviewing the fixture diff.
+ * Golden-file tests. Two small example apps are compiled by the
+ * frontend and their printed module text must match the checked-in
+ * fixtures under tests/golden/. A frozen whole-matrix manifest pins
+ * the behaviour of the whole toolchain: for every corpus app under
+ * every matrix column it records hashes of the final IR text and of
+ * the linked image, the code/RAM/ROM sizes and the surviving check
+ * branches.
+ * Any intentional change is re-blessed by rerunning with
+ * STOS_UPDATE_GOLDEN=1 and reviewing the fixture diff.
  */
 #include <gtest/gtest.h>
 
@@ -12,8 +16,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "backend/serialize.h"
+#include "core/experiment.h"
 #include "frontend/frontend.h"
 #include "ir/printer.h"
+#include "support/binio.h"
+#include "support/util.h"
 
 #ifndef STOS_GOLDEN_DIR
 #define STOS_GOLDEN_DIR "tests/golden"
@@ -120,10 +128,10 @@ readFile(const std::string &path)
     return ss.str();
 }
 
+/** Compare `printed` with fixture `name`, or bless it on request. */
 void
-checkGolden(const std::string &name, const char *src)
+checkGoldenText(const std::string &name, const std::string &printed)
 {
-    std::string printed = printApp(name, src);
     ASSERT_FALSE(printed.empty());
     std::string path = goldenPath(name);
 
@@ -163,6 +171,54 @@ checkGolden(const std::string &name, const char *src)
     }
 }
 
+void
+checkGolden(const std::string &name, const char *src)
+{
+    checkGoldenText(name, printApp(name, src));
+}
+
+/**
+ * The whole-matrix behaviour manifest: the full corpus under all 11
+ * columns (Baseline, the seven Figure-3 columns, the three CFI
+ * columns), one tab-separated line per (app, config) cell.
+ */
+std::string
+matrixManifest()
+{
+    core::ExperimentOptions opts;
+    opts.jobs = 2;
+    opts.simulate = false;
+    core::Experiment exp(opts);
+    exp.addAllApps();
+    exp.addConfig(core::ConfigId::Baseline);
+    exp.addConfigs(core::figure3Configs());
+    exp.addConfigs(core::cfiConfigs());
+    core::ExperimentReport rep = exp.run();
+
+    std::string out =
+        "app\tconfig\tir_fnv1a\timage_fnv1a\tcode\tram\trom\t"
+        "check_branches\n";
+    for (const auto &r : rep.builds.records) {
+        if (!r.ok) {
+            out += strfmt("%s\t%s\tFAILED\n", r.app.c_str(),
+                          r.config.c_str());
+            continue;
+        }
+        const core::BuildResult &b = *r.result;
+        support::BinWriter w;
+        backend::writeProgram(w, b.image);
+        out += strfmt(
+            "%s\t%s\t%016llx\t%016llx\t%u\t%u\t%u\t%u\n",
+            r.app.c_str(), r.config.c_str(),
+            static_cast<unsigned long long>(
+                support::fnv1a64(moduleToString(b.module))),
+            static_cast<unsigned long long>(support::fnv1a64(w.data())),
+            b.codeBytes, b.ramBytes, b.romDataBytes,
+            b.image.survivingCheckBranches());
+    }
+    return out;
+}
+
 TEST(GoldenPrinter, CounterApp)
 {
     checkGolden("counter", kCounterApp);
@@ -171,6 +227,15 @@ TEST(GoldenPrinter, CounterApp)
 TEST(GoldenPrinter, FilterApp)
 {
     checkGolden("sample_filter", kFilterApp);
+}
+
+/**
+ * Any change to what the toolchain produces for any cell, however a
+ * refactor or optimization arrives at it, shows up here.
+ */
+TEST(GoldenManifest, WholeMatrix)
+{
+    checkGoldenText("matrix_manifest", matrixManifest());
 }
 
 /** The printer must be a pure function of the module. */
