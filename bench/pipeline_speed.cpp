@@ -11,7 +11,10 @@
  *                               content keys (the stage-cache win),
  *                               then rebuild cold+serial and require
  *                               cell-for-cell byte-identity,
- *                               reporting the speedup.
+ *                               reporting the speedup. Prints
+ *                               the summed cXprop fixpoint counters
+ *                               and fails if fewer than 30% of the
+ *                               function analyses were skipped.
  *   pipeline_speed --matrix [J] --cache-dir DIR
  *                               the artifact-store gate: run the same
  *                               matrix cold into DIR, re-run it warm
@@ -21,6 +24,14 @@
  *                               then corrupt one artifact and require
  *                               it to degrade to a miss with exactly
  *                               one correct rebuild.
+ *   pipeline_speed --stages DIR [--json PATH]
+ *                               the per-stage probe: build the same
+ *                               matrix serially, one execution per
+ *                               distinct stage key, timing frontend,
+ *                               safety, opt, backend and the store
+ *                               write-back (cold) and then the store
+ *                               load of every build (warm). Prints
+ *                               one JSON object (to PATH if given).
  *
  * These are not a paper figure; they keep the whole-program approach
  * honest ("small system size means whole-program optimization is
@@ -28,10 +39,13 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -39,6 +53,8 @@
 #include "core/stagecache.h"
 #include "frontend/frontend.h"
 #include "sim/machine.h"
+#include "support/binio.h"
+#include "support/util.h"
 
 using namespace stos;
 using namespace stos::core;
@@ -166,6 +182,69 @@ figure3Keys()
     return keys;
 }
 
+/** cXprop fixpoint counters summed over the cells that run cXprop. */
+struct CxpropTotals {
+    uint64_t runs = 0, rounds = 0, fixpointRounds = 0;
+    uint64_t funcAnalyses = 0, funcAnalysesSkipped = 0, blockVisits = 0;
+
+    void
+    add(const opt::CxpropReport &r)
+    {
+        if (r.rounds == 0)
+            return;
+        ++runs;
+        rounds += r.rounds;
+        fixpointRounds += r.fixpointRounds;
+        funcAnalyses += r.funcAnalyses;
+        funcAnalysesSkipped += r.funcAnalysesSkipped;
+        blockVisits += r.blockVisits;
+    }
+
+    double
+    skipRatio() const
+    {
+        return funcAnalyses ? static_cast<double>(funcAnalysesSkipped) /
+                                  static_cast<double>(funcAnalyses)
+                            : 0.0;
+    }
+};
+
+/**
+ * The skip ratio is a deterministic function of the corpus and the
+ * analysis, so a fixed floor cannot flake: falling below it means the
+ * incremental fixpoint stopped skipping clean functions.
+ */
+constexpr double kMinCxpropSkipRatio = 0.3;
+
+/** Print the summed counters; false if the skip ratio is too low. */
+bool
+checkCxpropCounters(const BuildReport &rep)
+{
+    CxpropTotals t;
+    for (const auto &r : rep.records) {
+        if (r.ok)
+            t.add(r.result->cxpropReport);
+    }
+    printf("cXprop counters over %llu runs: %llu rounds, %llu fixpoint "
+           "rounds, %llu function analyses (%llu skipped, %.1f%%), "
+           "%llu block visits\n",
+           static_cast<unsigned long long>(t.runs),
+           static_cast<unsigned long long>(t.rounds),
+           static_cast<unsigned long long>(t.fixpointRounds),
+           static_cast<unsigned long long>(t.funcAnalyses),
+           static_cast<unsigned long long>(t.funcAnalysesSkipped),
+           100.0 * t.skipRatio(),
+           static_cast<unsigned long long>(t.blockVisits));
+    if (t.skipRatio() < kMinCxpropSkipRatio) {
+        fprintf(stderr,
+                "FAIL: cXprop skipped %.1f%% of function analyses, "
+                "below the %.0f%% floor\n",
+                100.0 * t.skipRatio(), 100.0 * kMinCxpropSkipRatio);
+        return false;
+    }
+    return true;
+}
+
 int
 runMatrixComparison(unsigned jobs)
 {
@@ -217,6 +296,8 @@ runMatrixComparison(unsigned jobs)
                 par.builds.safetyRuns, cells);
         return 1;
     }
+    if (!checkCxpropCounters(par.builds))
+        return 1;
 
     printf("Figure-3 matrix, cold serial compilation "
            "(1 job, no memoization)...\n");
@@ -281,6 +362,8 @@ runCacheGate(unsigned jobs, const std::string &dir)
         fprintf(stderr, "cold builds failed\n");
         return 1;
     }
+    if (!checkCxpropCounters(cold.builds))
+        return 1;
 
     printf("Figure-3 matrix, warm re-run from the store...\n");
     ExperimentReport warm = exp.run();
@@ -369,6 +452,119 @@ runCacheGate(unsigned jobs, const std::string &dir)
     return 0;
 }
 
+double
+millisSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/**
+ * The per-stage probe (see the file comment). Serial and one process,
+ * so each figure is the time of that layer alone.
+ */
+int
+runStageProbe(const std::string &dir, const std::string &jsonPath)
+{
+    using Clock = std::chrono::steady_clock;
+    std::filesystem::remove_all(dir);
+    double feMs = 0, safetyMs = 0, optMs = 0, backendMs = 0;
+    double storeMs = 0, loadMs = 0;
+    CxpropTotals cx;
+    std::vector<std::string> buildKeys;
+    {
+        ArtifactStore store(CacheOptions{dir, false, 0});
+        auto put = [&](Stage stage, const std::string &key,
+                       const auto &product) {
+            auto t0 = Clock::now();
+            support::BinWriter w;
+            product.serialize(w);
+            store.store(stage, key, w.data());
+            storeMs += millisSince(t0);
+        };
+        std::vector<ConfigId> columns{ConfigId::Baseline};
+        for (ConfigId id : figure3Configs())
+            columns.push_back(id);
+        for (const auto &app : tinyos::allApps()) {
+            auto t0 = Clock::now();
+            FrontendProduct fe = runFrontend(app.name, app.source);
+            feMs += millisSince(t0);
+            put(Stage::Frontend, StageCache::appKey(app), fe);
+            std::map<std::string, SafetyProduct> safeties;
+            std::map<std::string, OptProduct> opts;
+            for (ConfigId id : columns) {
+                PipelineConfig cfg = configFor(id, app.platform);
+                std::string sk = StageCache::safetyKey(app, cfg);
+                if (!safeties.count(sk)) {
+                    t0 = Clock::now();
+                    safeties[sk] = runSafetyStage(
+                        fe.module.clone(), fe.sourceManager.get(), cfg);
+                    safetyMs += millisSince(t0);
+                    put(Stage::Safety, sk, safeties[sk]);
+                }
+                std::string ok = StageCache::optKey(app, cfg);
+                if (!opts.count(ok)) {
+                    t0 = Clock::now();
+                    opts[ok] = runOptStage(safeties[sk], cfg);
+                    optMs += millisSince(t0);
+                    put(Stage::Opt, ok, opts[ok]);
+                    cx.add(opts[ok].report);
+                }
+                std::string bk = StageCache::buildKey(app, cfg);
+                if (std::find(buildKeys.begin(), buildKeys.end(), bk) ==
+                    buildKeys.end()) {
+                    t0 = Clock::now();
+                    BuildResult r = runBackendStage(opts[ok], cfg);
+                    backendMs += millisSince(t0);
+                    put(Stage::Backend, bk, r);
+                    buildKeys.push_back(bk);
+                }
+            }
+        }
+    }
+    {
+        ArtifactStore store(CacheOptions{dir, true, 0});
+        for (const auto &bk : buildKeys) {
+            auto t0 = Clock::now();
+            std::string blob;
+            if (!store.load(Stage::Backend, bk, &blob)) {
+                fprintf(stderr, "FAIL: warm load missed %s\n",
+                        bk.c_str());
+                return 1;
+            }
+            support::BinReader r(blob);
+            BuildResult b = BuildResult::deserialize(r);
+            loadMs += millisSince(t0);
+        }
+    }
+    std::filesystem::remove_all(dir);
+
+    std::string json = strfmt(
+        "{\"matrix\": \"%zu apps x 8 Figure-3 columns, serial\", "
+        "\"cold\": {\"frontend_ms\": %.1f, \"safety_ms\": %.1f, "
+        "\"opt_ms\": %.1f, \"backend_ms\": %.1f, "
+        "\"store_write_ms\": %.1f, \"total_ms\": %.1f}, "
+        "\"warm\": {\"builds\": %zu, \"store_load_ms\": %.1f, "
+        "\"total_ms\": %.1f}, "
+        "\"cxprop\": {\"runs\": %llu, \"rounds\": %llu, "
+        "\"fixpoint_rounds\": %llu, \"func_analyses\": %llu, "
+        "\"func_analyses_skipped\": %llu, \"block_visits\": %llu}}\n",
+        tinyos::allApps().size(), feMs, safetyMs, optMs, backendMs,
+        storeMs, feMs + safetyMs + optMs + backendMs + storeMs,
+        buildKeys.size(), loadMs, loadMs,
+        static_cast<unsigned long long>(cx.runs),
+        static_cast<unsigned long long>(cx.rounds),
+        static_cast<unsigned long long>(cx.fixpointRounds),
+        static_cast<unsigned long long>(cx.funcAnalyses),
+        static_cast<unsigned long long>(cx.funcAnalysesSkipped),
+        static_cast<unsigned long long>(cx.blockVisits));
+    printf("%s", json.c_str());
+    if (!jsonPath.empty())
+        std::ofstream(jsonPath) << json;
+    return 0;
+}
+
 } // namespace
 
 int
@@ -376,7 +572,7 @@ main(int argc, char **argv)
 {
     bool matrix = false;
     unsigned jobs = 0;
-    std::string cacheDir;
+    std::string cacheDir, stagesDir, jsonPath;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--matrix") == 0) {
             matrix = true;
@@ -385,8 +581,15 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--cache-dir") == 0 &&
                    i + 1 < argc) {
             cacheDir = argv[++i];
+        } else if (std::strcmp(argv[i], "--stages") == 0 &&
+                   i + 1 < argc) {
+            stagesDir = argv[++i];
+        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+            jsonPath = argv[++i];
         }
     }
+    if (!stagesDir.empty())
+        return runStageProbe(stagesDir, jsonPath);
     if (matrix)
         return cacheDir.empty() ? runMatrixComparison(jobs)
                                 : runCacheGate(jobs, cacheDir);

@@ -136,6 +136,8 @@ main(int argc, char **argv)
                r.safetyReport.racyGlobals,
                r.safetyReport.locksInserted);
     }
+    if (r.cxpropReport.rounds > 0)
+        printf("  %s\n", cxpropReportString(r.cxpropReport).c_str());
     if (dumpIr)
         printf("%s", ir::moduleToString(r.module).c_str());
     if (!flidOut.empty()) {

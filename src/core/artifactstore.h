@@ -47,7 +47,7 @@ const char *stageName(Stage s);
  * (ir/serialize.cpp, backend/serialize.cpp, core/serialize.cpp)
  * changes shape.
  */
-inline constexpr uint32_t kStoreFormatVersion = 2;
+inline constexpr uint32_t kStoreFormatVersion = 3;
 
 /** How an Experiment (or bench --cache-dir) binds to a store. */
 struct CacheOptions {

@@ -204,6 +204,15 @@ BuildDriver::resultsEquivalent(const BuildResult &a, const BuildResult &b,
         return fail("cxpropReport.atomicSavesDowngraded differs");
     if (a.cxpropReport.rounds != b.cxpropReport.rounds)
         return fail("cxpropReport.rounds differs");
+    if (a.cxpropReport.fixpointRounds != b.cxpropReport.fixpointRounds)
+        return fail("cxpropReport.fixpointRounds differs");
+    if (a.cxpropReport.funcAnalyses != b.cxpropReport.funcAnalyses)
+        return fail("cxpropReport.funcAnalyses differs");
+    if (a.cxpropReport.funcAnalysesSkipped !=
+        b.cxpropReport.funcAnalysesSkipped)
+        return fail("cxpropReport.funcAnalysesSkipped differs");
+    if (a.cxpropReport.blockVisits != b.cxpropReport.blockVisits)
+        return fail("cxpropReport.blockVisits differs");
     if (ir::moduleToString(a.module) != ir::moduleToString(b.module))
         return fail("final IR text differs");
     return true;

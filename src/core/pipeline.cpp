@@ -214,6 +214,19 @@ runOptStage(SafetyProduct sp, const PipelineConfig &cfg)
     return op;
 }
 
+std::string
+cxpropReportString(const opt::CxpropReport &rep)
+{
+    return strfmt("cXprop: %u checks removed, %u constants and %u "
+                  "branches folded, %u functions inlined; %d rounds, "
+                  "%u fixpoint rounds, %u function analyses "
+                  "(%u skipped), %u block visits",
+                  rep.checksRemoved, rep.instrsConstFolded,
+                  rep.branchesFolded, rep.funcsInlined, rep.rounds,
+                  rep.fixpointRounds, rep.funcAnalyses,
+                  rep.funcAnalysesSkipped, rep.blockVisits);
+}
+
 BuildResult
 runBackendStage(OptProduct op, const PipelineConfig &cfg)
 {

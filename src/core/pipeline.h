@@ -172,6 +172,13 @@ SafetyProduct runSafetyStage(ir::Module m, const SourceManager *sm,
 OptProduct runOptStage(SafetyProduct sp, const PipelineConfig &cfg);
 
 /**
+ * One-line report of what the opt stage did: the cXprop rewrite
+ * counts and its fixpoint counters (outer rounds, interprocedural
+ * rounds, function analyses requested and skipped, block visits).
+ */
+std::string cxpropReportString(const opt::CxpropReport &rep);
+
+/**
  * Backend stage: late opts, isel, link. Clones the shared input
  * module (the backend's late optimizations mutate it into the final
  * IR the BuildResult carries).

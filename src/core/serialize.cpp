@@ -89,6 +89,10 @@ writeCxpropReport(BinWriter &w, const opt::CxpropReport &rep)
     w.u32(rep.atomicsRemoved);
     w.u32(rep.atomicSavesDowngraded);
     w.i32(rep.rounds);
+    w.u32(rep.fixpointRounds);
+    w.u32(rep.funcAnalyses);
+    w.u32(rep.funcAnalysesSkipped);
+    w.u32(rep.blockVisits);
 }
 
 opt::CxpropReport
@@ -107,6 +111,10 @@ readCxpropReport(BinReader &r)
     rep.atomicsRemoved = r.u32();
     rep.atomicSavesDowngraded = r.u32();
     rep.rounds = r.i32();
+    rep.fixpointRounds = r.u32();
+    rep.funcAnalyses = r.u32();
+    rep.funcAnalysesSkipped = r.u32();
+    rep.blockVisits = r.u32();
     return rep;
 }
 

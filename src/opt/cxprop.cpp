@@ -61,17 +61,40 @@ isScalar(const TypeTable &tt, TypeId t)
     return tt.isScalarInt(t);
 }
 
+/**
+ * One interprocedural analysis of a module. The whole-program state is
+ * a flat array of summary *slots*: one per global invariant, one per
+ * function return summary, one per function parameter. Every slot
+ * records the tick at which it last changed, and every analysis of a
+ * function records its *read set*: the slots it read (entry params,
+ * global loads, callee return summaries) and every slot it joined
+ * into (a join reads its target). A function's analysis is a
+ * deterministic function of its IR, the engine's constant analyses,
+ * the widening flags and the slot values it reads; so when the flags
+ * are unchanged and no slot of its read set changed since its last
+ * analysis began, re-running it would repeat the same joins with the
+ * same operands and change nothing. Such functions are skipped, and
+ * their converged block-entry states are kept for the transform.
+ */
 class Engine {
   public:
-    Engine(Module &m, const CxpropOptions &opts, CxpropReport &rep)
+    Engine(Module &m, const CxpropOptions &opts, CxpropReport &rep,
+           bool debugChecks)
         : mod_(m), opts_(opts), rep_(rep), cg_(m), pts_(m),
-          conc_(m, cg_, pts_, opts.concurrency)
+          conc_(m, cg_, pts_, opts.concurrency), debugChecks_(debugChecks)
     {
         size_t nf = m.funcs().size();
-        paramSummary_.resize(nf);
-        retSummary_.assign(nf, AbsVal::bottom());
-        for (const auto &f : m.funcs())
-            paramSummary_[f.id].assign(f.params.size(), AbsVal::bottom());
+        size_t ng = m.globals().size();
+        paramBase_.resize(nf);
+        size_t nslots = ng + nf;
+        for (const auto &f : m.funcs()) {
+            paramBase_[f.id] = static_cast<uint32_t>(nslots);
+            nslots += f.params.size();
+        }
+        slots_.assign(nslots, AbsVal::bottom());
+        slotTick_.assign(nslots, 0);
+        readMark_.assign(nslots, 0);
+        memo_.resize(nf);
         seedGlobals();
         seedRoots();
         // Threshold widening seeded from the program's own constants
@@ -106,9 +129,10 @@ class Engine {
             widening_ = round >= 8;
             fullWidening_ = round >= 18;
             changed_ = false;
+            ++rep_.fixpointRounds;
             for (auto &f : mod_.funcs()) {
-                if (!f.dead)
-                    analyzeFunction(f, nullptr);
+                if (!f.dead && !skipIfClean(f))
+                    analyzeFunction(f);
             }
             if (!changed_)
                 return;
@@ -119,9 +143,15 @@ class Engine {
     void
     transformAll()
     {
+        // A transform may still join into a slot (an unreachable block
+        // storing through an unknown pointer), so each function's
+        // kept entry states are replayed only while it is clean.
         for (auto &f : mod_.funcs()) {
-            if (!f.dead)
-                analyzeFunction(f, &rep_);
+            if (f.dead)
+                continue;
+            if (!skipIfClean(f))
+                analyzeFunction(f);
+            transformFunction(f);
         }
     }
 
@@ -146,17 +176,78 @@ class Engine {
         std::map<MemObj, FwdSlot> mem;  ///< block-local store forwarding
     };
 
+    /** What the last analysis of one function read and produced. */
+    struct FuncMemo {
+        bool valid = false;
+        uint64_t startTick = 0;
+        bool widening = false;
+        bool fullWidening = false;
+        std::vector<uint32_t> reads;  ///< slot ids, each once
+        std::vector<std::vector<AbsVal>> blockIn;
+    };
+
+    uint32_t globalSlot(uint32_t g) const { return g; }
+    uint32_t
+    retSlot(uint32_t f) const
+    {
+        return static_cast<uint32_t>(mod_.globals().size()) + f;
+    }
+    uint32_t
+    paramSlot(uint32_t f, size_t i) const
+    {
+        return paramBase_[f] + static_cast<uint32_t>(i);
+    }
+
+    /** Read a slot, adding it to the running analysis' read set. */
+    const AbsVal &
+    readSlot(uint32_t s)
+    {
+        noteRead(s);
+        return slots_[s];
+    }
+
+    void
+    noteRead(uint32_t s)
+    {
+        if (reads_ && readMark_[s] != tick_) {
+            readMark_[s] = tick_;
+            reads_->push_back(s);
+        }
+    }
+
+    /**
+     * Count one analysis request for `f` and return true when it can
+     * be skipped because re-analyzing could change nothing: same
+     * widening flags as its last analysis and no slot of its read set
+     * changed since that analysis started.
+     */
+    bool
+    skipIfClean(const Function &f)
+    {
+        ++rep_.funcAnalyses;
+        const FuncMemo &m = memo_[f.id];
+        if (!m.valid || m.widening != widening_ ||
+            m.fullWidening != fullWidening_)
+            return false;
+        for (uint32_t s : m.reads) {
+            if (slotTick_[s] >= m.startTick)
+                return false;
+        }
+        ++rep_.funcAnalysesSkipped;
+        return true;
+    }
+
     void
     seedGlobals()
     {
-        globalInv_.assign(mod_.globals().size(), AbsVal::bottom());
         for (const auto &g : mod_.globals()) {
             if (g.dead)
                 continue;
             if (isScalar(mod_.types(), g.type))
-                globalInv_[g.id] = AbsVal::constant(initValueOf(mod_, g));
+                slots_[globalSlot(g.id)] =
+                    AbsVal::constant(initValueOf(mod_, g));
             else
-                globalInv_[g.id] = AbsVal::top();
+                slots_[globalSlot(g.id)] = AbsVal::top();
         }
     }
 
@@ -172,8 +263,8 @@ class Engine {
                         f.attrs.usedFromStart ||
                         cg_.isAddressTaken(f.id);
             if (root) {
-                for (auto &p : paramSummary_[f.id])
-                    p = AbsVal::top();
+                for (size_t i = 0; i < f.params.size(); ++i)
+                    slots_[paramSlot(f.id, i)] = AbsVal::top();
             }
         }
     }
@@ -205,12 +296,15 @@ class Engine {
     }
 
     void
-    joinInto(AbsVal &slot, const AbsVal &v, bool widenNow)
+    joinInto(uint32_t s, const AbsVal &v, bool widenNow)
     {
+        noteRead(s);
+        AbsVal &slot = slots_[s];
         AbsVal nv = widenNow ? widen(slot, v, widenTs_, fullWidening_)
                              : join(slot, v, opts_.domains);
         if (!(nv == slot)) {
             slot = nv;
+            slotTick_[s] = tick_;
             changed_ = true;
         }
     }
@@ -227,9 +321,8 @@ class Engine {
     recordCall(const Function &f, const State &st, const Instr &in)
     {
         const Function &callee = mod_.funcAt(in.callee);
-        auto &summ = paramSummary_[in.callee];
         for (size_t i = 0;
-             i < in.args.size() && i < summ.size(); ++i) {
+             i < in.args.size() && i < callee.params.size(); ++i) {
             AbsVal v = evalOperand(f, st, in.args[i]);
             v = clampToType(v, mod_.types(),
                             callee.vregs[callee.params[i]].type,
@@ -240,7 +333,7 @@ class Engine {
                 degraded.nonNull = v.nonNull;
                 v = degraded;
             }
-            joinInto(summ[i], v, widening_);
+            joinInto(paramSlot(in.callee, i), v, widening_);
         }
     }
 
@@ -412,7 +505,7 @@ class Engine {
                            isScalar(tt,
                                     mod_.globalAt(addr.obj.index).type) &&
                            (!racy || mod_.typeSize(in.type) == 1)) {
-                    result = globalInv_[addr.obj.index];
+                    result = readSlot(globalSlot(addr.obj.index));
                 }
             }
             result = clampToType(result, tt, in.type, opts_.domains);
@@ -434,7 +527,7 @@ class Engine {
                     st.mem.erase(addr.obj);
                 }
                 if (addr.obj.kind == MemObj::GlobalObj)
-                    joinInto(globalInv_[addr.obj.index], val, widening_);
+                    joinInto(globalSlot(addr.obj.index), val, widening_);
             } else {
                 // Unknown target: all forwarding is invalid and every
                 // may-target global learns Top.
@@ -443,7 +536,7 @@ class Engine {
                     for (const MemObj &o :
                          pts_.vregPts(f.id, in.args[0].index)) {
                         if (o.kind == MemObj::GlobalObj) {
-                            joinInto(globalInv_[o.index], AbsVal::top(),
+                            joinInto(globalSlot(o.index), AbsVal::top(),
                                      false);
                         } else if (o.kind == MemObj::Universal) {
                             havocAllGlobals();
@@ -461,7 +554,7 @@ class Engine {
             recordCall(f, st, in);
             st.mem.clear();  // callee may write anything it reaches
             if (in.hasDst())
-                setDst(retSummary_[in.callee]);
+                setDst(readSlot(retSlot(in.callee)));
             break;
           }
           case Opcode::CallInd:
@@ -470,7 +563,7 @@ class Engine {
           case Opcode::Ret:
             if (!in.args.empty()) {
                 AbsVal v = evalOperand(f, st, in.args[0]);
-                joinInto(retSummary_[f.id], v, widening_);
+                joinInto(retSlot(f.id), v, widening_);
             }
             break;
           case Opcode::HwRead:
@@ -499,7 +592,7 @@ class Engine {
             AbsVal v = ev(0);
             // Set CXPROP_DEBUG_CHECKS in the environment to trace why
             // individual checks survive.
-            if (rep && std::getenv("CXPROP_DEBUG_CHECKS")) {
+            if (rep && debugChecks_) {
                 fprintf(stderr, "check in %s: %s flid=%u\n",
                         f.name.c_str(), v.toString().c_str(), in.flid);
             }
@@ -570,8 +663,8 @@ class Engine {
     void
     havocAllGlobals()
     {
-        for (auto &g : globalInv_)
-            joinInto(g, AbsVal::top(), false);
+        for (uint32_t g = 0; g < mod_.globals().size(); ++g)
+            joinInto(globalSlot(g), AbsVal::top(), false);
     }
 
     struct CmpInfo {
@@ -598,114 +691,158 @@ class Engine {
         }
     }
 
+    /**
+     * Dataflow half: iterate `f`'s blocks to a local fixpoint under
+     * the current summaries, keeping the block-entry states and the
+     * read set in `f`'s memo.
+     */
     void
-    analyzeFunction(Function &f, CxpropReport *rep)
+    analyzeFunction(Function &f)
     {
+        FuncMemo &memo = memo_[f.id];
+        ++tick_;
+        memo.valid = true;
+        memo.startTick = tick_;
+        memo.widening = widening_;
+        memo.fullWidening = fullWidening_;
+        memo.reads.clear();
+        reads_ = &memo.reads;
+
         size_t nb = f.blocks.size();
-        std::vector<std::vector<AbsVal>> blockIn(
-            nb, std::vector<AbsVal>(f.vregs.size(), AbsVal::bottom()));
-        std::vector<int> visits(nb, 0);
+        auto &blockIn = memo.blockIn;
+        blockIn.resize(nb);
+        for (auto &in : blockIn)
+            in.assign(f.vregs.size(), AbsVal::bottom());
+        visits_.assign(nb, 0);
+        inWork_.assign(nb, false);
         // Entry: parameters from the interprocedural summary.
         for (size_t i = 0; i < f.params.size(); ++i)
-            blockIn[0][f.params[i]] = paramSummary_[f.id][i];
+            blockIn[0][f.params[i]] = readSlot(paramSlot(f.id, i));
         std::deque<uint32_t> work{0};
-        std::vector<bool> inWork(nb, false);
-        inWork[0] = true;
+        inWork_[0] = true;
 
+        State &st = scratch_;
         while (!work.empty()) {
             uint32_t b = work.front();
             work.pop_front();
-            inWork[b] = false;
-            State st;
+            inWork_[b] = false;
+            ++rep_.blockVisits;
             st.regs = blockIn[b];
+            st.mem.clear();
             cmpInfo_.clear();
             castSrc_.clear();
             BasicBlock &bb = f.blocks[b];
             for (auto &in : bb.instrs)
                 transfer(f, st, in, nullptr);
+            if (!bb.instrs.empty())
+                propagate(f, st, bb.instrs.back(), work);
+        }
+        reads_ = nullptr;
+    }
 
-            // Propagate to successors.
-            if (!bb.instrs.empty()) {
-                const Instr &t = bb.instrs.back();
-                auto push = [&](uint32_t s, bool taken, bool isCond) {
-                    if (s == kNoBlock || s >= nb)
-                        return;
-                    std::vector<AbsVal> next = st.regs;
-                    if (isCond && t.args[0].isVReg()) {
-                        auto ci = cmpInfo_.find(t.args[0].index);
-                        if (ci != cmpInfo_.end() && ci->second.valid) {
-                            const CmpInfo &info = ci->second;
-                            auto refineChain = [&](uint32_t v, BinOp op,
-                                                   const AbsVal &rhs) {
-                                // Refine the vreg and, through any
-                                // recorded widening casts, the
-                                // variable it came from.
-                                for (int d = 0; d < 8 && v != kNoVReg;
-                                     ++d) {
-                                    next[v] = clampToType(
-                                        refineByCompare(next[v], op,
-                                                        rhs, taken,
-                                                        opts_.domains),
-                                        mod_.types(), f.vregs[v].type,
-                                        opts_.domains);
-                                    auto cs = castSrc_.find(v);
-                                    v = cs != castSrc_.end()
-                                            ? cs->second
-                                            : kNoVReg;
-                                }
-                            };
-                            if (info.lhsVreg != kNoVReg)
-                                refineChain(info.lhsVreg, info.op,
-                                            info.rhs);
-                            if (info.rhsVreg != kNoVReg)
-                                refineChain(info.rhsVreg,
-                                            swapCompare(info.op),
-                                            info.lhs);
+    /**
+     * Join the block's exit state into each successor, refined by the
+     * branch condition on conditional edges. The at most 16 refined
+     * vregs are written into `st` in place and restored after the
+     * join, so no edge copies the whole vreg vector.
+     */
+    void
+    propagate(const Function &f, State &st, const Instr &t,
+              std::deque<uint32_t> &work)
+    {
+        auto &blockIn = memo_[f.id].blockIn;
+        size_t nb = blockIn.size();
+        struct Saved {
+            uint32_t vreg;
+            AbsVal val;
+        };
+        Saved saved[16];
+        int nsaved = 0;
+        auto push = [&](uint32_t s, bool taken, bool isCond) {
+            if (s == kNoBlock || s >= nb)
+                return;
+            nsaved = 0;
+            if (isCond && t.args[0].isVReg()) {
+                auto ci = cmpInfo_.find(t.args[0].index);
+                if (ci != cmpInfo_.end() && ci->second.valid) {
+                    const CmpInfo &info = ci->second;
+                    auto refineChain = [&](uint32_t v, BinOp op,
+                                           const AbsVal &rhs) {
+                        // Refine the vreg and, through any recorded
+                        // widening casts, the variable it came from.
+                        for (int d = 0; d < 8 && v != kNoVReg; ++d) {
+                            saved[nsaved++] = {v, st.regs[v]};
+                            st.regs[v] = clampToType(
+                                refineByCompare(st.regs[v], op, rhs,
+                                                taken, opts_.domains),
+                                mod_.types(), f.vregs[v].type,
+                                opts_.domains);
+                            auto cs = castSrc_.find(v);
+                            v = cs != castSrc_.end() ? cs->second
+                                                     : kNoVReg;
                         }
-                    }
-                    bool widenNow = visits[s] > 12 || fullWidening_;
-                    bool changed = false;
-                    for (size_t v = 0; v < next.size(); ++v) {
-                        AbsVal nv =
-                            widenNow
-                                ? widen(blockIn[s][v], next[v],
-                                        widenTs_,
-                                        fullWidening_ &&
-                                            visits[s] > 40)
-                                : join(blockIn[s][v], next[v],
-                                       opts_.domains);
-                        if (!(nv == blockIn[s][v])) {
-                            blockIn[s][v] = nv;
-                            changed = true;
-                        }
-                    }
-                    if ((changed || visits[s] == 0) && !inWork[s]) {
-                        ++visits[s];
-                        inWork[s] = true;
-                        work.push_back(s);
-                    }
-                };
-                if (t.op == Opcode::Br) {
-                    push(t.b0, true, false);
-                } else if (t.op == Opcode::CondBr) {
-                    push(t.b0, true, true);
-                    push(t.b1, false, true);
+                    };
+                    if (info.lhsVreg != kNoVReg)
+                        refineChain(info.lhsVreg, info.op, info.rhs);
+                    if (info.rhsVreg != kNoVReg)
+                        refineChain(info.rhsVreg, swapCompare(info.op),
+                                    info.lhs);
                 }
             }
+            const std::vector<AbsVal> &next = st.regs;
+            std::vector<AbsVal> &in = blockIn[s];
+            bool widenNow = visits_[s] > 12 || fullWidening_;
+            bool toInfinity = fullWidening_ && visits_[s] > 40;
+            bool changed = false;
+            for (size_t v = 0; v < next.size(); ++v) {
+                AbsVal nv = widenNow
+                                ? widen(in[v], next[v], widenTs_,
+                                        toInfinity)
+                                : join(in[v], next[v], opts_.domains);
+                if (!(nv == in[v])) {
+                    in[v] = nv;
+                    changed = true;
+                }
+            }
+            // Undo the refinements, latest first, so a vreg refined
+            // twice gets its original value back.
+            while (nsaved > 0) {
+                --nsaved;
+                st.regs[saved[nsaved].vreg] = saved[nsaved].val;
+            }
+            if ((changed || visits_[s] == 0) && !inWork_[s]) {
+                ++visits_[s];
+                inWork_[s] = true;
+                work.push_back(s);
+            }
+        };
+        if (t.op == Opcode::Br) {
+            push(t.b0, true, false);
+        } else if (t.op == Opcode::CondBr) {
+            push(t.b0, true, true);
+            push(t.b1, false, true);
         }
+    }
 
-        if (!rep)
-            return;
-
-        // Transform phase: replay every block once from its converged
-        // entry state, rewriting instructions in place.
-        for (uint32_t b = 0; b < nb; ++b) {
-            State st;
+    /**
+     * Transform half: replay every block once from its converged
+     * entry state in `f`'s memo, rewriting instructions in place.
+     */
+    void
+    transformFunction(Function &f)
+    {
+        ++tick_;
+        CxpropReport *rep = &rep_;
+        const auto &blockIn = memo_[f.id].blockIn;
+        State &st = scratch_;
+        std::vector<Instr> out;
+        for (uint32_t b = 0; b < f.blocks.size(); ++b) {
             st.regs = blockIn[b];
+            st.mem.clear();
             cmpInfo_.clear();
             castSrc_.clear();
             BasicBlock &bb = f.blocks[b];
-            std::vector<Instr> out;
+            out.clear();
             out.reserve(bb.instrs.size());
             for (auto &in : bb.instrs) {
                 // Evaluate the branch condition before the transfer in
@@ -726,7 +863,7 @@ class Engine {
                 if (!drop)
                     out.push_back(in);
             }
-            bb.instrs = std::move(out);
+            bb.instrs.swap(out);
         }
     }
 
@@ -736,9 +873,18 @@ class Engine {
     CallGraph cg_;
     PointsTo pts_;
     ConcurrencyAnalysis conc_;
-    std::vector<std::vector<AbsVal>> paramSummary_;
-    std::vector<AbsVal> retSummary_;
-    std::vector<AbsVal> globalInv_;
+    bool debugChecks_;
+    /** Summary slots: globals, then return summaries, then params. */
+    std::vector<AbsVal> slots_;
+    std::vector<uint32_t> paramBase_;  ///< first param slot per function
+    std::vector<uint64_t> slotTick_;   ///< tick of each slot's last change
+    std::vector<uint64_t> readMark_;   ///< tick that last noted each slot
+    uint64_t tick_ = 0;                ///< bumped per analysis/transform
+    std::vector<uint32_t> *reads_ = nullptr;  ///< running read set
+    std::vector<FuncMemo> memo_;
+    State scratch_;
+    std::vector<int> visits_;
+    std::vector<bool> inWork_;
     std::map<uint32_t, CmpInfo> cmpInfo_;
     std::map<uint32_t, uint32_t> castSrc_;
     WidenThresholds widenTs_;
@@ -755,13 +901,15 @@ runCxprop(Module &m, const CxpropOptions &opts)
     CxpropReport rep;
     if (opts.inlineFirst)
         rep.funcsInlined = inlineFunctions(m, opts.inlineOpts);
+    const bool debugChecks = std::getenv("CXPROP_DEBUG_CHECKS") != nullptr;
+    const bool debugRounds = std::getenv("STOS_CXPROP_DEBUG") != nullptr;
 
     bool atomicsDone = false;
     for (int round = 0; round < opts.maxRounds; ++round) {
         rep.rounds = round + 1;
         uint32_t before = rep.checksRemoved + rep.instrsConstFolded +
                           rep.branchesFolded;
-        Engine engine(m, opts, rep);
+        Engine engine(m, opts, rep, debugChecks);
         engine.analyzeToFixpoint();
         engine.transformAll();
 
@@ -795,7 +943,7 @@ runCxprop(Module &m, const CxpropOptions &opts)
                 ar.nestedRemoved + ar.handlerAtomicsRemoved;
             rep.atomicSavesDowngraded += ar.savesDowngraded;
         }
-        if (std::getenv("STOS_CXPROP_DEBUG")) {
+        if (debugRounds) {
             std::fprintf(stderr, "=== after cxprop round %d ===\n",
                          round + 1);
             for (auto &f : m.funcs()) {

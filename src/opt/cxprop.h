@@ -44,6 +44,18 @@ struct CxpropReport {
     uint32_t atomicsRemoved = 0;
     uint32_t atomicSavesDowngraded = 0;
     int rounds = 0;
+    /** Interprocedural fixpoint rounds, summed over the outer rounds. */
+    uint32_t fixpointRounds = 0;
+    /**
+     * Function analyses requested: one per live function per fixpoint
+     * round, plus one per live function before its transform.
+     */
+    uint32_t funcAnalyses = 0;
+    /** Requests served from the function's last analysis, because no
+     *  summary it read had changed since. */
+    uint32_t funcAnalysesSkipped = 0;
+    /** Worklist block visits over all dataflow analyses. */
+    uint32_t blockVisits = 0;
 };
 
 /** Run the full cXprop pipeline over the module. */

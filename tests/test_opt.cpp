@@ -2,15 +2,18 @@
  * @file
  * Unit tests for the cXprop stage: abstract domains, constant and
  * branch folding, check elimination, copy propagation, DCE, the
- * inliner (with differential execution), and atomic optimization.
+ * incremental fixpoint's skip rule, the inliner (with differential
+ * execution), and atomic optimization.
  */
 #include <gtest/gtest.h>
 
 #include "analysis/callgraph.h"
 #include "analysis/concurrency.h"
 #include "analysis/pointsto.h"
+#include "core/pipeline.h"
 #include "frontend/frontend.h"
 #include "ir/interp.h"
+#include "ir/printer.h"
 #include "ir/verifier.h"
 #include "opt/absval.h"
 #include "opt/cxprop.h"
@@ -323,6 +326,84 @@ TEST(Cxprop, RacyGlobalsAreNotFolded)
     }
     EXPECT_TRUE(hasLoad);
     (void)r;
+}
+
+//---------------------------------------------------------------------
+// Incremental fixpoint
+//---------------------------------------------------------------------
+
+size_t
+checksIn(const Function &f)
+{
+    size_t n = 0;
+    for (const auto &bb : f.blocks) {
+        for (const auto &in : bb.instrs)
+            n += in.isCheck() ? 1 : 0;
+    }
+    return n;
+}
+
+TEST(CxpropIncremental, SkippedReaderSeesWidenedGlobal)
+{
+    // `reader` comes first in every round, so it reads `count` before
+    // `bump` grows it. A reader wrongly skipped once `count` moved
+    // would keep count == 0: its bounds check would go and the load
+    // would fold to a constant.
+    Module m = compile(
+        "u8 buf[4];"
+        "u8 count;"
+        "u8 reader() { return buf[count]; }"
+        "void bump() { count = (u8)(count + 1); }"
+        "u8 main() { bump(); return reader(); }");
+    safety::SafetyConfig scfg;
+    safety::applySafety(m, scfg);
+    const Function *reader = m.findFunc("reader");
+    ASSERT_NE(reader, nullptr);
+    ASSERT_GE(checksIn(*reader), 1u);
+    CxpropReport rep = runCxprop(m);
+    reader = m.findFunc("reader");
+    ASSERT_NE(reader, nullptr);
+    EXPECT_GE(checksIn(*reader), 1u);
+    bool loadsCount = false;
+    for (const auto &bb : reader->blocks) {
+        for (const auto &in : bb.instrs) {
+            if (in.op == Opcode::Load && in.args[0].isVReg())
+                loadsCount = true;
+        }
+    }
+    EXPECT_TRUE(loadsCount);
+    EXPECT_GT(rep.fixpointRounds, static_cast<uint32_t>(rep.rounds));
+}
+
+TEST(CxpropIncremental, MultiFunctionAppSkipsCleanFunctions)
+{
+    const auto &app = tinyos::appByName("Surge");
+    core::BuildResult r = core::buildApp(
+        app, core::configFor(core::ConfigId::SafeFlidCxprop,
+                             app.platform));
+    const CxpropReport &rep = r.cxpropReport;
+    EXPECT_GT(rep.funcAnalysesSkipped, 0u);
+    EXPECT_LT(rep.funcAnalysesSkipped, rep.funcAnalyses);
+    EXPECT_GE(rep.fixpointRounds, static_cast<uint32_t>(rep.rounds));
+    EXPECT_GT(rep.blockVisits, 0u);
+}
+
+TEST(CxpropIncremental, RunsOnCopiesPrintIdenticalIr)
+{
+    const auto &app = tinyos::appByName("Surge");
+    core::FrontendProduct fe = core::runFrontend(app.name, app.source);
+    safety::SafetyConfig scfg;
+    safety::applySafety(fe.module, scfg, fe.sourceManager.get());
+    Module a = fe.module.clone();
+    Module b = fe.module.clone();
+    CxpropOptions opts;
+    opts.inlineFirst = true;
+    CxpropReport ra = runCxprop(a, opts);
+    CxpropReport rb = runCxprop(b, opts);
+    EXPECT_EQ(moduleToString(a), moduleToString(b));
+    EXPECT_EQ(ra.funcAnalyses, rb.funcAnalyses);
+    EXPECT_EQ(ra.funcAnalysesSkipped, rb.funcAnalysesSkipped);
+    EXPECT_EQ(ra.blockVisits, rb.blockVisits);
 }
 
 //---------------------------------------------------------------------
