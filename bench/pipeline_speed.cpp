@@ -39,6 +39,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -536,6 +537,7 @@ runStageProbe(const std::string &dir, const std::string &jsonPath)
             support::BinReader r(blob);
             BuildResult b = BuildResult::deserialize(r);
             loadMs += millisSince(t0);
+            benchmark::DoNotOptimize(b.codeBytes);
         }
     }
     std::filesystem::remove_all(dir);

@@ -722,11 +722,12 @@ class Engine {
         inWork_[0] = true;
 
         State &st = scratch_;
+        uint32_t blockVisits = 0;
         while (!work.empty()) {
             uint32_t b = work.front();
             work.pop_front();
             inWork_[b] = false;
-            ++rep_.blockVisits;
+            ++blockVisits;
             st.regs = blockIn[b];
             st.mem.clear();
             cmpInfo_.clear();
@@ -737,6 +738,7 @@ class Engine {
             if (!bb.instrs.empty())
                 propagate(f, st, bb.instrs.back(), work);
         }
+        rep_.blockVisits += blockVisits;
         reads_ = nullptr;
     }
 
