@@ -6,7 +6,11 @@
  * the behaviour of the whole toolchain: for every corpus app under
  * every matrix column it records hashes of the final IR text and of
  * the linked image, the code/RAM/ROM sizes and the surviving check
- * branches.
+ * branches. A frozen simulator manifest pins the simulator the same
+ * way: every cell of that matrix simulated for 3 s on the default
+ * core, with its cycle and instruction counters, halt/wedge state,
+ * first trap FLID, hashes of the UART and trap logs, and the number
+ * of superinstructions the decode of its image fused.
  * Any intentional change is re-blessed by rerunning with
  * STOS_UPDATE_GOLDEN=1 and reviewing the fixture diff.
  */
@@ -20,6 +24,7 @@
 #include "core/experiment.h"
 #include "frontend/frontend.h"
 #include "ir/printer.h"
+#include "sim/decoded.h"
 #include "support/binio.h"
 #include "support/util.h"
 
@@ -178,23 +183,33 @@ checkGolden(const std::string &name, const char *src)
 }
 
 /**
- * The whole-matrix behaviour manifest: the full corpus under all 11
- * columns (Baseline, the seven Figure-3 columns, the three CFI
- * columns), one tab-separated line per (app, config) cell.
+ * The whole matrix: the full corpus under all 11 columns (Baseline,
+ * the seven Figure-3 columns, the three CFI columns), built and
+ * simulated for 3 s per cell on the default core. Run once and shared
+ * by both manifests.
  */
+const core::ExperimentReport &
+matrixReport()
+{
+    static const core::ExperimentReport rep = [] {
+        core::ExperimentOptions opts;
+        opts.jobs = 2;
+        opts.simulate = true;
+        core::Experiment exp(opts);
+        exp.addAllApps();
+        exp.addConfig(core::ConfigId::Baseline);
+        exp.addConfigs(core::figure3Configs());
+        exp.addConfigs(core::cfiConfigs());
+        return exp.run();
+    }();
+    return rep;
+}
+
+/** The build manifest: one tab-separated line per (app, config). */
 std::string
 matrixManifest()
 {
-    core::ExperimentOptions opts;
-    opts.jobs = 2;
-    opts.simulate = false;
-    core::Experiment exp(opts);
-    exp.addAllApps();
-    exp.addConfig(core::ConfigId::Baseline);
-    exp.addConfigs(core::figure3Configs());
-    exp.addConfigs(core::cfiConfigs());
-    core::ExperimentReport rep = exp.run();
-
+    const core::ExperimentReport &rep = matrixReport();
     std::string out =
         "app\tconfig\tir_fnv1a\timage_fnv1a\tcode\tram\trom\t"
         "check_branches\n";
@@ -219,6 +234,51 @@ matrixManifest()
     return out;
 }
 
+/** FNV-1a over a trap log, one "flid:cycle:pc:kind;" per entry. */
+uint64_t
+trapLogHash(const std::vector<sim::TrapEntry> &log)
+{
+    std::string text;
+    for (const auto &t : log)
+        text += strfmt("%u:%llu:%u:%u;", t.flid,
+                       static_cast<unsigned long long>(t.cycle), t.pc,
+                       static_cast<unsigned>(t.kind));
+    return support::fnv1a64(text);
+}
+
+/** The simulator manifest: one tab-separated line per (app, config). */
+std::string
+simManifest()
+{
+    const core::ExperimentReport &rep = matrixReport();
+    std::string out =
+        "app\tconfig\tawake\ttotal\tinstrs\thalted\twedged\t"
+        "failed_flid\tuart_fnv1a\ttrap_fnv1a\tfused_pairs\n";
+    for (const auto &s : rep.sims.records) {
+        const core::BuildRecord *b =
+            rep.builds.find(s.app, s.config);
+        if (!s.ok || !b || !b->ok) {
+            out += strfmt("%s\t%s\tFAILED\n", s.app.c_str(),
+                          s.config.c_str());
+            continue;
+        }
+        const core::SimOutcome &o = s.outcome;
+        sim::DecodedProgram decoded(b->result->image);
+        out += strfmt(
+            "%s\t%s\t%llu\t%llu\t%llu\t%d\t%d\t%u\t%016llx\t"
+            "%016llx\t%zu\n",
+            s.app.c_str(), s.config.c_str(),
+            static_cast<unsigned long long>(o.awakeCycles),
+            static_cast<unsigned long long>(o.totalCycles),
+            static_cast<unsigned long long>(o.instructions),
+            o.halted ? 1 : 0, o.wedged ? 1 : 0, o.failedFlid,
+            static_cast<unsigned long long>(support::fnv1a64(o.uartLog)),
+            static_cast<unsigned long long>(trapLogHash(o.trapLog)),
+            decoded.fusedPairs());
+    }
+    return out;
+}
+
 TEST(GoldenPrinter, CounterApp)
 {
     checkGolden("counter", kCounterApp);
@@ -236,6 +296,15 @@ TEST(GoldenPrinter, FilterApp)
 TEST(GoldenManifest, WholeMatrix)
 {
     checkGoldenText("matrix_manifest", matrixManifest());
+}
+
+/**
+ * Any change to what the simulator does with any cell (counters,
+ * logs, or how many pairs the decoder fuses) shows up here.
+ */
+TEST(GoldenManifest, Simulator)
+{
+    checkGoldenText("sim_manifest", simManifest());
 }
 
 /** The printer must be a pure function of the module. */
