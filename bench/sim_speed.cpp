@@ -1,17 +1,15 @@
 /**
  * @file
  * Simulator throughput benchmark: single-thread simulated-instruction
- * throughput of all three interpreter cores — the legacy reference,
- * the predecoded event-horizon core, and the direct-threaded core
- * (computed-goto dispatch + superinstruction fusion) — measured over
- * the Figure-3(c) duty-cycle matrix (every Mica2 app × baseline +
- * C1..C7, each in its sensor-network context). Every cell is executed
- * by all cores and gated cell-for-cell — cycles, awake cycles,
- * instructions, flid, uart log and radio counters of every mote must
- * be identical — so the speedup numbers are only ever reported for a
- * bit-equivalent simulation. Multi-mote cells additionally run the
- * lookahead-parallel network scheduler (threaded core on the shared
- * worker pool) and are gated the same way.
+ * throughput of the two interpreter cores — the legacy reference
+ * (lockstep network scheduling) and the direct-threaded core
+ * (computed-goto dispatch + superinstruction fusion, lookahead
+ * windows) — measured over the Figure-3(c) duty-cycle matrix (every
+ * Mica2 app × baseline + C1..C7, each in its sensor-network context).
+ * Every cell is executed by both cores and gated cell-for-cell —
+ * cycles, awake cycles, instructions, flid, uart log and radio
+ * counters of every mote must be identical — so the speedup is only
+ * ever reported for a bit-equivalent simulation.
  *
  *   --jobs N      build-phase worker threads (0 = hw concurrency)
  *   --csv/--json  emit per-cell timings + the summary
@@ -19,7 +17,6 @@
 #include "bench_util.h"
 
 #include <chrono>
-#include <thread>
 
 #include "sim/decoded.h"
 #include "sim/machine.h"
@@ -57,7 +54,7 @@ runLegacyCell(const backend::MProgram &image,
               uint64_t cycles, double &millis)
 {
     auto t0 = Clock::now();
-    sim::Network net({sim::ExecMode::Legacy, /*lookahead=*/false, 1});
+    sim::Network net({sim::ExecMode::Legacy, /*lookahead=*/false});
     net.addMote(image, 1);
     uint8_t id = 2;
     for (const backend::MProgram *c : companions)
@@ -65,20 +62,18 @@ runLegacyCell(const backend::MProgram &image,
     return collect(net, cycles, millis, t0);
 }
 
-/** One decoded-core run (Predecoded or Threaded). The cell image's
- *  decode is charged to the first predecoded run of the cell (paid
- *  once per program); the companion decodes come from the
- *  process-wide memo, exactly as the SimDriver shares them. */
+/** One threaded-core run (lookahead network windows). The companion
+ *  decodes come from the process-wide memo, exactly as the Experiment
+ *  facade shares them. */
 std::vector<MoteStats>
-runDecodedCell(
+runThreadedCell(
     const std::shared_ptr<const sim::DecodedProgram> &image,
     const std::vector<std::shared_ptr<const sim::DecodedProgram>>
         &companions,
-    uint64_t cycles, sim::ExecMode mode, unsigned threads,
-    double &millis)
+    uint64_t cycles, double &millis)
 {
     auto t0 = Clock::now();
-    sim::Network net({mode, /*lookahead=*/true, threads});
+    sim::Network net({sim::ExecMode::Threaded, /*lookahead=*/true});
     net.addMote(image, 1);
     uint8_t id = 2;
     for (const auto &c : companions)
@@ -90,8 +85,7 @@ struct CellTiming {
     std::string app, config;
     size_t motes = 0;
     uint64_t instrs = 0;  ///< all motes, one full run
-    double legacyMs = 0, preMs = 0, thrMs = 0;
-    double parMs = -1;  ///< lookahead-parallel (multi-mote cells only)
+    double legacyMs = 0, thrMs = 0;
 };
 
 double
@@ -116,7 +110,7 @@ main(int argc, char **argv)
         return 2;
     }
     // Match fig3c_duty_cycle's nominal matrix: 3 simulated seconds
-    // per cell (the 5x speedup target is defined on this workload;
+    // per cell (the 7.5x speedup target is defined on this workload;
     // shorter durations under-report it because the once-per-program
     // decode amortizes over fewer executed instructions).
     double seconds = cli.seconds;
@@ -139,12 +133,8 @@ main(int argc, char **argv)
     printf("[build: %s]\n", builds.summary().c_str());
 
     std::vector<CellTiming> cells;
-    double legacyMs = 0, preMs = 0, thrMs = 0;
-    double parLegacyMs = 0, parParMs = 0;
+    double legacyMs = 0, thrMs = 0;
     uint64_t totalInstrs = 0;
-    size_t parCells = 0;
-    const unsigned hw = std::thread::hardware_concurrency();
-    const unsigned parThreads = hw >= 4 ? 4 : (hw > 1 ? hw : 2);
 
     for (const BuildRecord &r : builds.records) {
         std::vector<std::shared_ptr<const backend::MProgram>> owned;
@@ -166,58 +156,28 @@ main(int argc, char **argv)
 
         auto legacy = runLegacyCell(r.result->image, companions, cycles,
                                     cell.legacyMs);
-        // The cell image decodes once, charged to the serial
-        // predecoded timing (decode is paid once per program).
+        // The cell image decodes once, charged to the threaded
+        // timing (decode is paid once per program).
         auto tDecode = Clock::now();
         auto dimage =
             std::make_shared<const sim::DecodedProgram>(r.result->image);
-        cell.preMs += millisSince(tDecode);
-        auto pre = runDecodedCell(dimage, dcomps, cycles,
-                                  sim::ExecMode::Predecoded, 1,
-                                  cell.preMs);
-        if (legacy != pre) {
-            fprintf(stderr,
-                    "MISMATCH (predecoded vs legacy): %s / %s\n",
-                    r.app.c_str(), r.config.c_str());
-            return 1;
-        }
-        auto thr = runDecodedCell(dimage, dcomps, cycles,
-                                  sim::ExecMode::Threaded, 1,
-                                  cell.thrMs);
+        cell.thrMs += millisSince(tDecode);
+        auto thr = runThreadedCell(dimage, dcomps, cycles, cell.thrMs);
         if (legacy != thr) {
             fprintf(stderr,
                     "MISMATCH (threaded vs legacy): %s / %s\n",
                     r.app.c_str(), r.config.c_str());
             return 1;
         }
-        if (cell.motes > 1) {
-            cell.parMs = 0;
-            auto par = runDecodedCell(dimage, dcomps, cycles,
-                                      sim::ExecMode::Threaded,
-                                      parThreads, cell.parMs);
-            if (legacy != par) {
-                fprintf(stderr,
-                        "MISMATCH (lookahead-parallel vs legacy): "
-                        "%s / %s\n",
-                        r.app.c_str(), r.config.c_str());
-                return 1;
-            }
-            ++parCells;
-            parLegacyMs += cell.legacyMs;
-            parParMs += cell.parMs;
-        }
         for (const MoteStats &m : legacy)
             cell.instrs += m.instructions;
         totalInstrs += cell.instrs;
         legacyMs += cell.legacyMs;
-        preMs += cell.preMs;
         thrMs += cell.thrMs;
         cells.push_back(cell);
     }
 
-    double speedup = preMs > 0 ? legacyMs / preMs : 0.0;
-    double thrSpeedup = thrMs > 0 ? legacyMs / thrMs : 0.0;
-    double thrRatio = thrMs > 0 ? preMs / thrMs : 0.0;
+    double speedup = thrMs > 0 ? legacyMs / thrMs : 0.0;
     printf("\n%zu cells, %llu simulated instructions per full pass\n",
            cells.size(),
            static_cast<unsigned long long>(totalInstrs));
@@ -225,28 +185,17 @@ main(int argc, char **argv)
            "vs legacy");
     printf("%-34s %12.1f %14.2f %10s\n", "legacy interpreter",
            legacyMs, perSec(totalInstrs, legacyMs) / 1e6, "1.00x");
-    printf("%-34s %12.1f %14.2f %9.2fx\n", "predecoded event-horizon",
-           preMs, perSec(totalInstrs, preMs) / 1e6, speedup);
     printf("%-34s %12.1f %14.2f %9.2fx\n", "direct-threaded (fused)",
-           thrMs, perSec(totalInstrs, thrMs) / 1e6, thrSpeedup);
-    printf("threaded vs predecoded: %.2fx\n", thrRatio);
-    printf("\n%zu multi-mote cells also ran lookahead-parallel "
-           "(threaded core, %u pool threads): %.1f ms (legacy: "
-           "%.1f ms), identical results\n",
-           parCells, parThreads, parParMs, parLegacyMs);
-    if (speedup < 5.0)
+           thrMs, perSec(totalInstrs, thrMs) / 1e6, speedup);
+    if (speedup < 7.5)
         fprintf(stderr,
-                "WARNING: predecoded speedup %.2fx below the 5x "
+                "WARNING: threaded speedup %.2fx below the 7.5x "
                 "target\n",
                 speedup);
-    if (thrRatio < 1.5)
-        fprintf(stderr,
-                "WARNING: threaded/predecoded ratio %.2fx below the "
-                "1.5x target\n",
-                thrRatio);
     // SIM_SPEED_MIN_SPEEDUP turns the warning into a hard gate (CI
     // sets a floor below the nominal target to absorb noisy shared
-    // runners while still catching real throughput regressions).
+    // runners while still catching real throughput regressions in
+    // decode, fusion or dispatch).
     if (const char *env = std::getenv("SIM_SPEED_MIN_SPEEDUP")) {
         double minSpeedup = std::atof(env);
         if (minSpeedup > 0 && speedup < minSpeedup) {
@@ -257,36 +206,15 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    // SIM_SPEED_MIN_THREADED_RATIO gates the threaded core against
-    // the predecoded one the same way (CI sets 1.5).
-    if (const char *env =
-            std::getenv("SIM_SPEED_MIN_THREADED_RATIO")) {
-        double minRatio = std::atof(env);
-        if (minRatio > 0 && thrRatio < minRatio) {
-            fprintf(stderr,
-                    "FAIL: threaded/predecoded ratio %.2fx below the "
-                    "required %.2fx (SIM_SPEED_MIN_THREADED_RATIO)\n",
-                    thrRatio, minRatio);
-            return 1;
-        }
-    }
 
     if (int rc = emitTo(cli.csvPath, [&](std::ostream &os) {
             os << "app,config,motes,instructions,legacy_millis,"
-                  "predecoded_millis,threaded_millis,parallel_millis,"
-                  "speedup,threaded_speedup\n";
+                  "threaded_millis,speedup\n";
             for (const CellTiming &c : cells) {
                 os << csvField(c.app) << ',' << csvField(c.config)
                    << ',' << c.motes << ',' << c.instrs << ','
                    << strfmt("%.3f", c.legacyMs) << ','
-                   << strfmt("%.3f", c.preMs) << ','
-                   << strfmt("%.3f", c.thrMs) << ',';
-                if (c.parMs >= 0)
-                    os << strfmt("%.3f", c.parMs);
-                os << ','
-                   << strfmt("%.3f",
-                             c.preMs > 0 ? c.legacyMs / c.preMs : 0.0)
-                   << ','
+                   << strfmt("%.3f", c.thrMs) << ','
                    << strfmt("%.3f",
                              c.thrMs > 0 ? c.legacyMs / c.thrMs : 0.0)
                    << '\n';
@@ -302,25 +230,13 @@ main(int argc, char **argv)
            << "  \"instructions\": " << totalInstrs << ",\n"
            << "  \"legacy_millis\": " << strfmt("%.3f", legacyMs)
            << ",\n"
-           << "  \"predecoded_millis\": " << strfmt("%.3f", preMs)
-           << ",\n"
            << "  \"threaded_millis\": " << strfmt("%.3f", thrMs)
            << ",\n"
            << "  \"legacy_instr_per_sec\": "
            << strfmt("%.0f", perSec(totalInstrs, legacyMs)) << ",\n"
-           << "  \"predecoded_instr_per_sec\": "
-           << strfmt("%.0f", perSec(totalInstrs, preMs)) << ",\n"
            << "  \"threaded_instr_per_sec\": "
            << strfmt("%.0f", perSec(totalInstrs, thrMs)) << ",\n"
            << "  \"speedup\": " << strfmt("%.3f", speedup) << ",\n"
-           << "  \"threaded_speedup\": " << strfmt("%.3f", thrSpeedup)
-           << ",\n"
-           << "  \"threaded_over_predecoded\": "
-           << strfmt("%.3f", thrRatio) << ",\n"
-           << "  \"parallel_cells\": " << parCells << ",\n"
-           << "  \"parallel_threads\": " << parThreads << ",\n"
-           << "  \"parallel_millis\": " << strfmt("%.3f", parParMs)
-           << ",\n"
            << "  \"equivalent\": true\n"
            << "}\n";
     });

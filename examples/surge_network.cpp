@@ -33,13 +33,11 @@ main()
            surgeBuild.safetyReport.checksInserted,
            surgeBuild.safetyReport.racyGlobals);
 
-    // Predecode each firmware once and share the decode across the
-    // motes that run it; step the motes in parallel inside the
-    // radio-lookahead windows (identical results to serial stepping —
-    // the equivalence suite holds the schedulers to that).
-    sim::NetworkOptions netOpts;
-    netOpts.threads = 3;
-    sim::Network net(netOpts);
+    // Decode each firmware once and share the decode across the
+    // motes that run it; the network steps them in radio-lookahead
+    // windows on the threaded core (identical results to the legacy
+    // lockstep reference — the equivalence suite holds them to that).
+    sim::Network net;
     auto surgeDecode =
         std::make_shared<const sim::DecodedProgram>(surgeBuild.image);
     net.addMote(

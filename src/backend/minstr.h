@@ -65,19 +65,19 @@ enum class MOp : uint8_t {
      * Simulator-internal sentinel: falling off the end of a function
      * halts the machine. Never emitted by the backend; appended by
      * sim::DecodedProgram when it flattens a function's blocks so the
-     * predecoded core needs no per-instruction bounds check. Costs
+     * threaded core needs no per-instruction bounds check. Costs
      * zero bytes and zero cycles.
      */
     Halt,
     /**
      * Simulator-internal superinstructions. Never emitted by the
      * backend: sim::DecodedProgram's fusion pass rewrites hot
-     * two-instruction sequences into these at decode time, in the
-     * separate direct-threaded stream only (the plain predecoded
-     * stream keeps the original opcodes). Each fused opcode performs
-     * the two original instructions back to back with the original
-     * per-instruction cycle accounting, so the two streams stay
-     * byte-identical on every observable counter.
+     * two-instruction sequences into these at decode time, at the
+     * pair's first slot (the second original instruction stays in
+     * place). Each fused opcode performs the two original
+     * instructions back to back with the original per-instruction
+     * cycle accounting, so fused execution stays byte-identical to
+     * the legacy core on every observable counter.
      */
     FCmpBrI,   ///< Ldi rd, imm; CmpBr ra <cond> rd -> target
     FMov2,     ///< Mov rd, ra; Mov rb, aux (second pair in aux)

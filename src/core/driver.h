@@ -19,20 +19,6 @@
 
 namespace stos::core {
 
-struct DriverOptions {
-    /** Worker threads; 0 = std::thread::hardware_concurrency(). */
-    unsigned jobs = 0;
-    /**
-     * Memoize the stage graph: every cell is served through a
-     * StageCache, sharing frontend/safety/opt/backend products
-     * between cells with matching content keys. Off = cold-build
-     * every cell from source (the serial-equivalent behaviour the
-     * speed benchmark and the equivalence gates compare against).
-     * (Historical name: the driver once memoized the frontend only.)
-     */
-    bool memoizeFrontend = true;
-};
-
 /** One column of the evaluation matrix. */
 struct ConfigSpec {
     std::string label;

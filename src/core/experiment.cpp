@@ -346,12 +346,10 @@ Experiment::simulateBuilds(const BuildReport &builds,
 
     sim::NetworkOptions netOpts;
     netOpts.mode = opts_.mode;
-    // Lookahead windows belong to the decoded paths (Predecoded and
-    // Threaded); Legacy keeps the fixed-quantum lockstep it always
-    // had (it is the reference the equivalence gates compare
-    // against).
+    // Lookahead windows belong to the threaded fast path; Legacy
+    // keeps the fixed-quantum lockstep it always had (it is the
+    // reference the equivalence gates compare against).
     netOpts.lookahead = opts_.mode != sim::ExecMode::Legacy;
-    netOpts.threads = opts_.netThreads;
     netOpts.faults = opts_.faults;
     netOpts.wallLimitMs = opts_.cellTimeout * 1000.0;
 
@@ -500,7 +498,6 @@ Experiment::runSerialReference() const
     ref.opts_.jobs = 1;
     ref.opts_.memoize = false;
     ref.opts_.mode = sim::ExecMode::Legacy;
-    ref.opts_.netThreads = 1;
     // The cold reference must be exactly that — it never reads or
     // warms the artifact store.
     ref.opts_.cache = {};

@@ -50,11 +50,9 @@ struct ExperimentOptions {
     double seconds = 3.0;
     /** Interpreter core for the simulation phase. The direct-
      *  threaded core is the default; the equivalence suite holds it
-     *  byte-identical to Legacy and Predecoded, so figures do not
-     *  depend on this choice. */
+     *  byte-identical to Legacy, so figures do not depend on this
+     *  choice. */
     sim::ExecMode mode = sim::ExecMode::Threaded;
-    /** Threads stepping each multi-mote network (1 = serial). */
-    unsigned netThreads = 1;
     /**
      * On-disk artifact store binding (core/artifactstore.h). With a
      * non-empty dir, run() fronts its StageCache with an
@@ -176,7 +174,7 @@ class Experiment {
      * The cold reference of the same matrix: one job, no stage
      * memoization, per-cell companion rebuilds, legacy interpreter,
      * fixed-quantum lockstep networks. This is what every
-     * memoized/parallel/predecoded layer is gated against.
+     * memoized, parallel, and threaded layer is gated against.
      */
     ExperimentReport runSerialReference() const;
 

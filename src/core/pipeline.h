@@ -252,9 +252,10 @@ simulateInContext(const backend::MProgram &image,
                   double seconds, const sim::NetworkOptions &net = {});
 
 /**
- * As above, but on predecoded images: each mote executes the shared
- * immutable decode instead of re-decoding its firmware — this is what
- * SimDriver feeds with memoized companion decodes.
+ * As above, but on decoded images, always on the threaded core: each
+ * mote executes the shared immutable decode instead of re-decoding its
+ * firmware. Experiment::simulateBuilds feeds it memoized companion
+ * decodes.
  */
 SimOutcome simulateDecoded(
     const std::shared_ptr<const sim::DecodedProgram> &image,

@@ -1,14 +1,11 @@
 /**
  * @file
- * The shared worker-pool used by BuildDriver, SimDriver, the
- * Experiment facade, and the simulator's window-parallel network
- * scheduler.
+ * The shared worker pool the Experiment facade fans build and
+ * simulation cells over.
  *
  * WorkerPool owns a fixed set of persistent threads created once and
- * reused across batches — replacing the previous per-call
- * spawn-and-join, whose thread churn dominated short batches (a
- * window-parallel network run dispatches thousands of small batches
- * per simulated second). Work is a flat job index distributed by a
+ * reused across batches, so a process that runs many matrices pays
+ * for thread creation once. Work is a flat job index distributed by a
  * shared counter; matrix drivers pass cell index -> (app, config)
  * mappings in the callback, and the deterministic record slots make
  * the output independent of scheduling.
@@ -209,9 +206,8 @@ class WorkerPool {
 };
 
 /**
- * The process-wide pool. Created on first use and joined at exit;
- * everything that used to spawn ad-hoc threads (matrix drivers, the
- * window-parallel network scheduler) shares these workers.
+ * The process-wide pool. Created on first use and joined at exit; the
+ * matrix drivers and the fuzzer share these workers.
  */
 inline WorkerPool &
 sharedPool()

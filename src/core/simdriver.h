@@ -1,10 +1,10 @@
 /**
  * @file
- * The simulation-matrix vocabulary (SimOptions / SimRecord /
- * SimReport and the static+dynamic join emitters) shared by the
- * Experiment facade, plus the SimDriver equivalence helpers. The
- * simulation engine itself (worker pool, companion memoization) lives
- * in core/experiment.cpp as Experiment::simulateBuilds.
+ * The simulation-matrix vocabulary (SimRecord / SimReport and the
+ * static+dynamic join emitters) shared by the Experiment facade, plus
+ * the SimDriver equivalence helpers. The simulation engine itself
+ * (worker pool, companion memoization) lives in core/experiment.cpp
+ * as Experiment::simulateBuilds.
  */
 #ifndef STOS_CORE_SIMDRIVER_H
 #define STOS_CORE_SIMDRIVER_H
@@ -19,33 +19,6 @@
 #include "sim/decoded.h"
 
 namespace stos::core {
-
-struct SimOptions {
-    /** Worker threads; 0 = std::thread::hardware_concurrency(). */
-    unsigned jobs = 0;
-    /**
-     * Build each companion image once per (companion, platform). Off =
-     * rebuild the companions for every cell (the serial-equivalent
-     * behaviour the equivalence gate compares against).
-     */
-    bool memoizeCompanions = true;
-    /** Simulated duration per cell, in seconds of mote time. */
-    double seconds = 3.0;
-    /**
-     * Interpreter core. Threaded (the default) and Predecoded share
-     * one immutable decode per firmware image (memoized companions
-     * decode once per process); Threaded additionally executes the
-     * fused direct-threaded stream. Legacy is the reference
-     * interpreter the equivalence gates compare against.
-     */
-    sim::ExecMode mode = sim::ExecMode::Threaded;
-    /**
-     * Threads stepping the motes of each multi-mote network inside
-     * its lookahead windows (1 = serial). Leave at 1 when the driver
-     * already saturates the machine with per-cell parallelism.
-     */
-    unsigned netThreads = 1;
-};
 
 /** One simulated cell of the matrix. */
 struct SimRecord {
@@ -102,7 +75,7 @@ struct SimReport {
  * Simulation-matrix equivalence vocabulary. The simulation engine
  * lives in the Experiment facade (core/experiment.h) as
  * Experiment::simulateBuilds; the serial/parallel and
- * legacy/predecoded equivalence gates compare its reports with the
+ * legacy/threaded equivalence gates compare its reports with the
  * helpers below.
  */
 class SimDriver {

@@ -124,7 +124,7 @@ class StageCache {
     companionImage(const std::string &name, const std::string &platform,
                    bool *builtHere = nullptr);
 
-    /** The shared predecode of the same image (built alongside it). */
+    /** The shared decode of the same image (built alongside it). */
     std::shared_ptr<const sim::DecodedProgram>
     companionDecode(const std::string &name, const std::string &platform,
                     bool *builtHere = nullptr);

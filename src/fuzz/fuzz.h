@@ -15,7 +15,7 @@
  *
  *  - checkProgram() / checkBatch(): the differential oracles. Per
  *    program: IR interpreter vs machine simulator, safe vs unsafe,
- *    Legacy vs Predecoded vs Threaded core (oracles 1-3). Per corpus, via the
+ *    Legacy vs Threaded core (oracles 1-3). Per corpus, via the
  *    Experiment facade: memoized-parallel vs cold-serial builds and
  *    sims, and cold vs cached byte-identity (oracles 4-5).
  *

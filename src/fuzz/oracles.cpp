@@ -162,7 +162,7 @@ checkProgramImpl(const std::string &src)
                     joinErrors(errs)};
 
         // Oracle 1 (interp vs machine) + oracle 2 (safe vs unsafe)
-        // + oracle 3 (Legacy vs Predecoded vs Threaded): every
+        // + oracle 3 (Legacy vs Threaded core): every
         // (mode, engine) execution must match the unsafe
         // interpreter reference.
         ir::Module forInterp = m.clone();
@@ -182,13 +182,9 @@ checkProgramImpl(const std::string &src)
         backend::MProgram img =
             backend::compileToTarget(m, backend::TargetInfo::mica2());
         for (sim::ExecMode em :
-             {sim::ExecMode::Legacy, sim::ExecMode::Predecoded,
-              sim::ExecMode::Threaded}) {
+             {sim::ExecMode::Legacy, sim::ExecMode::Threaded}) {
             const char *emName =
-                em == sim::ExecMode::Legacy
-                    ? "legacy"
-                    : em == sim::ExecMode::Predecoded ? "predecoded"
-                                                      : "threaded";
+                em == sim::ExecMode::Legacy ? "legacy" : "threaded";
             RunOutcome mOut = runMachine(img, em);
             if (!mOut.ok)
                 return {std::string("run/") + modeName(mode) + "/" +
@@ -287,13 +283,9 @@ checkOobProgramImpl(const std::string &src)
         backend::MProgram img =
             backend::compileToTarget(m, backend::TargetInfo::mica2());
         for (sim::ExecMode em :
-             {sim::ExecMode::Legacy, sim::ExecMode::Predecoded,
-              sim::ExecMode::Threaded}) {
+             {sim::ExecMode::Legacy, sim::ExecMode::Threaded}) {
             const char *emName =
-                em == sim::ExecMode::Legacy
-                    ? "legacy"
-                    : em == sim::ExecMode::Predecoded ? "predecoded"
-                                                      : "threaded";
+                em == sim::ExecMode::Legacy ? "legacy" : "threaded";
             TrapOutcome t = runMachineExpectTrap(img, em);
             if (!t.trapped)
                 return {std::string("oob/") + modeName(mode) + "/" +
@@ -349,7 +341,6 @@ checkBatch(
     ExperimentOptions opts;
     opts.jobs = jobs;
     opts.seconds = 0.05;
-    opts.netThreads = 4;
     Experiment exp(opts);
     for (const auto &[name, src] : apps)
         exp.addApp({name, "Mica2", src, {}, "fuzz", {}});

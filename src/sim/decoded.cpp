@@ -4,7 +4,7 @@
  * instruction, what Machine's legacy interpreter derives dynamically;
  * the equivalence suite (tests/test_sim_equivalence.cpp) holds every
  * execution path identical on every counter the evaluation reports.
- * The fusion pass at the bottom builds the direct-threaded stream:
+ * The fusion pass at the bottom then rewrites that stream in place:
  * greedy pairwise superinstruction substitution inside basic blocks,
  * with the pair's second instruction kept in place so fused execution
  * can stop mid-pair at an event horizon.
@@ -211,14 +211,17 @@ DecodedProgram::decode()
 }
 
 /**
- * Superinstruction fusion for the direct-threaded stream. Greedy
+ * Superinstruction fusion, in place on DFunc::instrs. Greedy
  * left-to-right inside each basic block: a fusable pair's head slot
  * is rewritten to the fused opcode and the scan resumes past the
- * pair. Only the head of a block can be a branch target (flattening
- * preserves block granularity), so a pair that lies entirely inside
- * one block is never entered at its second slot — the second
- * original instruction stays in the stream purely as the mid-pair
- * continuation for event-horizon splits.
+ * pair. Rewriting in place is safe because the scan reads slots i and
+ * i+1 before it writes slot i, writes only slot i, and then moves on
+ * to i+2, so it never reads a slot it has already rewritten. Only the
+ * head of a block can be a branch target (flattening preserves block
+ * granularity), so a pair that lies entirely inside one block is
+ * never entered at its second slot — the second original instruction
+ * stays in the stream purely as the mid-pair continuation for
+ * event-horizon splits.
  *
  * Every first sub-instruction here is pure (registers/memory/argBuf
  * only — no control flow, machine flags, I/O, or frame changes), so
@@ -228,7 +231,6 @@ DecodedProgram::decode()
 void
 DecodedProgram::fuse(DFunc &df)
 {
-    df.fused = df.instrs;
     for (size_t bi = 0; bi < df.blockStart.size(); ++bi) {
         size_t lo = df.blockStart[bi];
         size_t hi = bi + 1 < df.blockStart.size()
@@ -361,7 +363,7 @@ DecodedProgram::fuse(DFunc &df)
                 fused = false;
             }
             if (fused) {
-                df.fused[i] = fz;
+                df.instrs[i] = fz;
                 ++fusedPairs_;
                 i += 2;
             } else {

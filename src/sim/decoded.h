@@ -1,6 +1,6 @@
 /**
  * @file
- * Predecoded firmware images for the simulator. A DecodedProgram is
+ * Decoded firmware images for the simulator. A DecodedProgram is
  * built once per MProgram and flattens every function's basic blocks
  * into a single instruction array, resolving at decode time every
  * static fact the interpreter would otherwise re-derive per executed
@@ -12,20 +12,16 @@
  * and all SimDriver cells running the same firmware (memoized
  * companions in particular), execute one decode.
  *
- * Two execution streams are produced per function:
- *
- *  - `instrs` is the plain flattened stream the Predecoded core
- *    executes — one DInstr per MInstr plus a Halt sentinel.
- *  - `fused` is the direct-threaded stream the Threaded core
- *    executes: identical offsets (so branch targets and frame ip
- *    values mean the same thing in both), but with hot
- *    two-instruction sequences rewritten into superinstructions at
- *    the first instruction's slot. The second original instruction is
- *    left in place so a superinstruction that crosses the event
- *    horizon mid-pair can stop after its first half with `ip`
- *    pointing at a valid continuation — which is what keeps fused
- *    execution byte-identical to the unfused cores at every device,
- *    fault, and interrupt boundary.
+ * Each function decodes to one execution stream, `instrs`, which the
+ * Threaded core executes: one DInstr per MInstr plus a Halt sentinel,
+ * with hot two-instruction sequences then rewritten in place into
+ * superinstructions at the first instruction's slot. The second
+ * original instruction is left in place so a superinstruction that
+ * crosses the event horizon mid-pair can stop after its first half
+ * with `ip` pointing at a valid continuation — which is what keeps
+ * fused execution byte-identical to the legacy core at every device,
+ * fault, and interrupt boundary. Offsets are those of the unfused
+ * layout, so branch targets and frame ip values need no remapping.
  *
  * DInstr itself is 24 bytes (down from 64): branch target, call
  * index, and I/O port share one field; the width mask and the Sext
@@ -106,14 +102,12 @@ static_assert(sizeof(DInstr) == 24, "DInstr layout changed");
 
 /** One flattened function: blocks laid out in order + Halt sentinel. */
 struct DFunc {
-    std::vector<DInstr> instrs;
     /**
-     * The direct-threaded stream: same length and offsets as
-     * `instrs`, with fused superinstructions substituted at pair
-     * heads (the pair's second instruction kept in place as the
-     * mid-pair continuation).
+     * The execution stream, with fused superinstructions substituted
+     * at pair heads (the pair's second instruction kept in place as
+     * the mid-pair continuation).
      */
-    std::vector<DInstr> fused;
+    std::vector<DInstr> instrs;
     std::vector<uint32_t> blockStart;  ///< block index -> instr offset
     /** Cold side table for immediates wider than 32 bits. */
     std::vector<int64_t> wideImms;
@@ -149,7 +143,7 @@ struct DFunc {
 };
 
 /**
- * The immutable predecode of one linked firmware image. Construction
+ * The immutable decode of one linked firmware image. Construction
  * is the only mutation; afterwards any number of Machines (on any
  * number of threads) may execute it concurrently.
  */

@@ -4,8 +4,7 @@
  * seeded plans of RAM bit flips, register corruption, and spontaneous
  * crashes scheduled at cycle boundaries; per-link radio loss /
  * corruption / duplication decided by a pure hash of the delivery (so
- * serial, lockstep, and window-parallel schedulers draw identical
- * faults); and the per-mote recovery policy that turns a safety trap
+ * the lockstep and lookahead schedulers draw identical faults); and the per-mote recovery policy that turns a safety trap
  * from a terminal wedge into a reboot with a persistent trap log.
  *
  * Everything here is deterministic given (FaultOptions, node id,

@@ -1,14 +1,14 @@
 /**
  * @file
  * Mote simulator implementation: the legacy reference interpreter
- * (kept verbatim as the equivalence baseline) and the predecoded
- * event-horizon core, plus the windowed multi-mote network.
+ * (kept verbatim as the equivalence baseline), the machine state the
+ * threaded core (sim/threaded.cpp) shares with it, and the windowed
+ * multi-mote network.
  */
 #include "sim/machine.h"
 
 #include <algorithm>
 
-#include "core/pool.h"
 #include "support/arith.h"
 #include "support/util.h"
 
@@ -50,10 +50,9 @@ Machine::Machine(const MProgram &prog, uint8_t nodeId, ExecMode mode)
 }
 
 Machine::Machine(std::shared_ptr<const DecodedProgram> prog,
-                 uint8_t nodeId, ExecMode mode)
-    : mode_(mode == ExecMode::Legacy ? ExecMode::Predecoded : mode),
-      decoded_(std::move(prog)), prog_(decoded_->program()),
-      dev_(nodeId)
+                 uint8_t nodeId)
+    : mode_(ExecMode::Threaded), decoded_(std::move(prog)),
+      prog_(decoded_->program()), dev_(nodeId)
 {
     failFnIdx_ = decoded_->failFnIdx();
     vectors_ = decoded_->vectors();
@@ -168,7 +167,7 @@ Machine::applyFault(const FaultEvent &e)
             break;
         Frame &fr = frames_.back();
         // Both cores agree only on the *declared* register-file size
-        // (the predecoded file is operand-padded past it), so the
+        // (the decoded file is operand-padded past it), so the
         // selector folds into that shared bound.
         uint32_t bound = decoded_
                              ? fr.df->argRegs
@@ -391,8 +390,6 @@ Machine::runUntilCycle(uint64_t target)
 {
     if (mode_ == ExecMode::Threaded)
         runThreaded(target);
-    else if (mode_ == ExecMode::Predecoded)
-        runPredecoded(target);
     else
         runLegacy(target);
 }
@@ -406,7 +403,7 @@ Machine::runLegacy(uint64_t target)
 {
     while (cycles_ < target && !halted_) {
         // The fault/recovery preamble below is kept textually
-        // identical in runPredecoded: faults apply at the same
+        // identical in runThreaded: faults apply at the same
         // instruction boundaries on both cores, which is what keeps
         // faulted runs inside the equivalence contract.
         if (down_) {
@@ -779,416 +776,6 @@ Machine::step()
 }
 
 //---------------------------------------------------------------------
-// Predecoded core (event-horizon scheduling)
-//---------------------------------------------------------------------
-
-void
-Machine::drainDeviceEvents()
-{
-    irqScratch_.clear();
-    dev_.advanceTo(cycles_, irqScratch_);
-    for (int v : irqScratch_)
-        pendingIrqs_.push_back(v);
-}
-
-void
-Machine::runPredecoded(uint64_t target)
-{
-    while (cycles_ < target && !halted_) {
-        // Fault/recovery preamble: textually identical to runLegacy
-        // so faults land at the same instruction boundaries.
-        if (down_) {
-            // Rebooting: powered but not executing until downUntil_.
-            if (downUntil_ > target) {
-                downCycles_ += target - cycles_;
-                cycles_ = target;
-                return;
-            }
-            downCycles_ += downUntil_ - cycles_;
-            cycles_ = downUntil_;
-            down_ = false;
-            boot();
-            continue;
-        }
-        applyFaultsDue();
-        if (down_)
-            continue;  // a crash fault rebooted us
-        if (wedged_) {
-            if (recovery_ == RecoveryPolicy::RebootOnWedge) {
-                startReboot();
-                continue;
-            }
-            // Spinning awake in the failure stub — but a scheduled
-            // crash can still power-cycle a wedged mote, so only
-            // fast-forward to the next fault.
-            uint64_t stop = std::min(target, nextFaultAt());
-            wedgedCycles_ += stop - cycles_;
-            cycles_ = stop;
-            if (cycles_ >= target)
-                return;
-            continue;
-        }
-        if (sleeping_) {
-            uint64_t next =
-                std::min(dev_.nextEventAt(), nextFaultAt());
-            if (next == UINT64_MAX || next > target) {
-                sleepCycles_ += target - cycles_;
-                cycles_ = target;
-                return;
-            }
-            if (next > cycles_) {
-                sleepCycles_ += next - cycles_;
-                cycles_ = next;
-            }
-            if (dev_.nextEventAt() <= cycles_) {
-                sleeping_ = false;  // the event below wakes the core
-            } else {
-                // Only a fault is due: injecting state does not wake
-                // a sleeping CPU, so apply it and stay asleep.
-                applyFaultsDue();
-                continue;
-            }
-        }
-        drainDeviceEvents();
-        dispatchIrqs();
-        if (frames_.empty()) {
-            halted_ = true;
-            return;
-        }
-        // Event horizon: no device event (or scheduled fault) can
-        // fire before this cycle, so the instruction loop below never
-        // needs to consult the hub or the fault schedule. Like the
-        // legacy core, at least one instruction runs per dispatch
-        // opportunity (an interrupt's 8-cycle latency may already
-        // have crossed the horizon).
-        uint64_t horizon =
-            std::min({target, dev_.nextEventAt(), nextFaultAt()});
-        // Cached frame/code/register pointers, refreshed only when a
-        // call or return changes the top frame. The register file is
-        // pre-sized at decode time to cover every operand index, so
-        // accesses are unchecked.
-        Frame *frp = &frames_.back();
-        const DInstr *code = frp->df->instrs.data();
-        uint64_t *regs = frp->regs.data();
-        auto refreshFrame = [&] {
-            frp = &frames_.back();
-            code = frp->df->instrs.data();
-            regs = frp->regs.data();
-        };
-        for (;;) {
-            Frame &fr = *frp;
-            const DInstr &in = code[fr.ip];
-            if (in.op == MOp::Halt) {
-                halted_ = true;
-                break;
-            }
-            ++fr.ip;
-            ++instrs_;
-            cycles_ += in.cycles;
-            const uint64_t mask = widthMask(in.w);
-            auto reg = [&](uint32_t r) -> uint64_t { return regs[r]; };
-            auto setReg = [&](uint32_t r, uint64_t v) {
-                regs[r] = v & mask;
-            };
-
-            switch (in.op) {
-              case MOp::Ldi:
-                setReg(in.rd,
-                       static_cast<uint64_t>(fr.df->imm(in)));
-                break;
-              case MOp::Mov:
-                setReg(in.rd, reg(in.ra));
-                break;
-              case MOp::Add:
-                setReg(in.rd, reg(in.ra) + reg(in.rb));
-                break;
-              case MOp::Sub:
-                setReg(in.rd, reg(in.ra) - reg(in.rb));
-                break;
-              case MOp::Mul:
-                setReg(in.rd, reg(in.ra) * reg(in.rb));
-                break;
-              case MOp::DivU:
-                setReg(in.rd, arith::udiv(reg(in.ra) & mask,
-                                          reg(in.rb) & mask));
-                break;
-              case MOp::DivS: {
-                int64_t a = static_cast<int64_t>(reg(in.ra) & mask);
-                int64_t b = static_cast<int64_t>(reg(in.rb) & mask);
-                if (in.w < 64) {
-                    if (static_cast<uint64_t>(a) >> (in.w - 1))
-                        a |= ~static_cast<int64_t>(mask);
-                    if (static_cast<uint64_t>(b) >> (in.w - 1))
-                        b |= ~static_cast<int64_t>(mask);
-                }
-                setReg(in.rd,
-                       static_cast<uint64_t>(arith::sdiv(a, b)));
-                break;
-              }
-              case MOp::RemU:
-                setReg(in.rd, arith::urem(reg(in.ra) & mask,
-                                          reg(in.rb) & mask));
-                break;
-              case MOp::RemS: {
-                int64_t a = static_cast<int64_t>(reg(in.ra) & mask);
-                int64_t b = static_cast<int64_t>(reg(in.rb) & mask);
-                if (in.w < 64) {
-                    if (static_cast<uint64_t>(a) >> (in.w - 1))
-                        a |= ~static_cast<int64_t>(mask);
-                    if (static_cast<uint64_t>(b) >> (in.w - 1))
-                        b |= ~static_cast<int64_t>(mask);
-                }
-                setReg(in.rd,
-                       static_cast<uint64_t>(arith::srem(a, b)));
-                break;
-              }
-              case MOp::And:
-                setReg(in.rd, reg(in.ra) & reg(in.rb));
-                break;
-              case MOp::Or:
-                setReg(in.rd, reg(in.ra) | reg(in.rb));
-                break;
-              case MOp::Xor:
-                setReg(in.rd, reg(in.ra) ^ reg(in.rb));
-                break;
-              case MOp::Shl:
-                setReg(in.rd, reg(in.ra) << (reg(in.rb) & 63));
-                break;
-              case MOp::ShrU:
-                setReg(in.rd, (reg(in.ra) & mask) >> (reg(in.rb) & 63));
-                break;
-              case MOp::ShrS: {
-                int64_t a = static_cast<int64_t>(reg(in.ra) & mask);
-                if (in.w < 64 &&
-                    (static_cast<uint64_t>(a) >> (in.w - 1)))
-                    a |= ~static_cast<int64_t>(mask);
-                setReg(in.rd,
-                       static_cast<uint64_t>(a >> (reg(in.rb) & 63)));
-                break;
-              }
-              case MOp::AddI:
-                setReg(in.rd,
-                       reg(in.ra) +
-                           static_cast<uint64_t>(fr.df->imm(in)));
-                break;
-              case MOp::AndI:
-                setReg(in.rd,
-                       reg(in.ra) &
-                           static_cast<uint64_t>(fr.df->imm(in)));
-                break;
-              case MOp::Neg:
-                setReg(in.rd, 0 - reg(in.ra));
-                break;
-              case MOp::Not:
-                setReg(in.rd, (reg(in.ra) & mask) == 0 ? 1 : 0);
-                break;
-              case MOp::BNot:
-                setReg(in.rd, ~reg(in.ra));
-                break;
-              case MOp::Sext: {
-                uint8_t from = static_cast<uint8_t>(in.imm);
-                uint64_t fmask = widthMask(from);
-                uint64_t v = reg(in.ra) & fmask;
-                if (from < 64 && (v >> (from - 1)))
-                    v |= ~fmask;
-                setReg(in.rd, v);
-                break;
-              }
-              case MOp::SetC:
-                setReg(in.rd, evalCond(in.cond, reg(in.ra), reg(in.rb),
-                                       in.w)
-                                  ? 1
-                                  : 0);
-                break;
-              case MOp::CmpBr:
-                if (evalCond(in.cond, reg(in.ra), reg(in.rb), in.w))
-                    fr.ip = in.target();
-                break;
-              case MOp::Jmp:
-                if (in.wedge()) {
-                    wedged_ = true;
-                    break;
-                }
-                fr.ip = in.target();
-                break;
-              case MOp::Ld:
-                setReg(in.rd,
-                       loadMem(static_cast<uint32_t>(
-                                   (reg(in.ra) + fr.df->imm(in)) &
-                                   0xFFFF),
-                               in.w));
-                break;
-              case MOp::St:
-                storeMem(static_cast<uint32_t>(
-                             (reg(in.ra) + fr.df->imm(in)) & 0xFFFF),
-                         reg(in.rb), in.w);
-                break;
-              case MOp::Lea:
-                // Resolved to an absolute address at decode time.
-                setReg(in.rd, static_cast<uint64_t>(
-                                  static_cast<uint32_t>(in.imm)));
-                break;
-              case MOp::Leal:
-                setReg(in.rd, (fr.fp + in.imm) & 0xFFFF);
-                break;
-              case MOp::Enter: {
-                uint32_t size = static_cast<uint32_t>(in.imm);
-                if (sp_ < size + 0x200) {
-                    halted_ = true;  // stack overflow
-                    break;
-                }
-                sp_ -= size;
-                fr.fp = sp_;
-                for (uint32_t i = 0; i < size; ++i)
-                    mem_[fr.fp + i] = 0;
-                break;
-              }
-              case MOp::Leave:
-                sp_ += static_cast<uint32_t>(in.imm);
-                break;
-              case MOp::SetArg: {
-                size_t slot = static_cast<size_t>(in.imm);
-                if (argBuf_.size() <= slot)
-                    argBuf_.resize(slot + 1, 0);
-                argBuf_[slot] = reg(in.ra) & mask;
-                break;
-              }
-              case MOp::GetRet: {
-                size_t slot = static_cast<size_t>(in.imm);
-                setReg(in.rd, slot < retBuf_.size() ? retBuf_[slot] : 0);
-                break;
-              }
-              case MOp::SetRet: {
-                size_t slot = static_cast<size_t>(in.imm);
-                if (retBuf_.size() <= slot)
-                    retBuf_.resize(slot + 1, 0);
-                retBuf_[slot] = reg(in.ra) & mask;
-                break;
-              }
-              case MOp::Call: {
-                const int32_t callIdx = in.callIdx();
-                if (callIdx < 0) {
-                    halted_ = true;
-                    break;
-                }
-                if (in.callsFail()) {
-                    recordTrap(argBuf_.empty()
-                                   ? 0
-                                   : static_cast<uint32_t>(argBuf_[0]),
-                               fr.funcIdx);
-                    if (recovery_ == RecoveryPolicy::RebootOnTrap) {
-                        // startReboot clears frames_: the cached
-                        // frp/code/regs are dead — leave immediately.
-                        startReboot();
-                        break;
-                    }
-                }
-                retBuf_.clear();
-                enterFunction(static_cast<uint32_t>(callIdx), false);
-                refreshFrame();
-                break;
-              }
-              case MOp::CallR: {
-                uint64_t id = reg(in.ra);
-                // Mirror the legacy core exactly: the function id is
-                // truncated to 32 bits before resolution.
-                int32_t idx = id == 0
-                                  ? -1
-                                  : decoded_->funcIndexForId(
-                                        static_cast<uint32_t>(id - 1));
-                if (idx < 0) {
-                    wedged_ = true;  // wild jump; model as a crash
-                    break;
-                }
-                retBuf_.clear();
-                enterFunction(static_cast<uint32_t>(idx), false);
-                refreshFrame();
-                break;
-              }
-              case MOp::Ret:
-              case MOp::Reti: {
-                bool fromIrq = fr.fromIrq;
-                // Implicit shadow pop — mirrors the legacy core.
-                if (!fromIrq && !shadow_.empty())
-                    shadow_.pop_back();
-                popFrame();
-                if (in.op == MOp::Reti || fromIrq)
-                    iflag_ = true;
-                if (frames_.empty())
-                    halted_ = true;
-                else
-                    refreshFrame();
-                break;
-              }
-              case MOp::SSPush:
-                shadow_.push_back(fr.funcIdx);
-                break;
-              case MOp::SSChk:
-                // Shadow-stack return check — mirrors the legacy core
-                // (target is a flat instruction offset here).
-                if (!fr.fromIrq && frames_.size() >= 2 &&
-                    !shadow_.empty() &&
-                    shadow_.back() !=
-                        frames_[frames_.size() - 2].funcIdx)
-                    fr.ip = in.target();
-                break;
-              case MOp::Sei:
-                iflag_ = true;
-                break;
-              case MOp::Cli:
-                iflag_ = false;
-                break;
-              case MOp::GetIf:
-                setReg(in.rd, iflag_ ? 1 : 0);
-                break;
-              case MOp::SetIf:
-                iflag_ = (reg(in.ra) & 1) != 0;
-                break;
-              case MOp::In:
-                setReg(in.rd, dev_.ioRead(in.port(), cycles_));
-                // I/O may repoint the hub's schedule (e.g. FIFO pops);
-                // stay conservative and re-aim the horizon.
-                horizon = std::min(
-                    {target, dev_.nextEventAt(), nextFaultAt()});
-                break;
-              case MOp::Out:
-                dev_.ioWrite(in.port(),
-                             static_cast<uint32_t>(reg(in.ra) & mask),
-                             cycles_);
-                // Starting a timer/ADC/radio moves the next event.
-                horizon = std::min(
-                    {target, dev_.nextEventAt(), nextFaultAt()});
-                break;
-              case MOp::Sleep:
-                sleeping_ = true;
-                break;
-              case MOp::Halt:  // handled before accounting
-                break;
-              case MOp::Nop:
-                break;
-              // Superinstructions exist only in the fused stream the
-              // threaded core executes, never in `instrs`.
-              case MOp::FCmpBrI: case MOp::FMov2: case MOp::FLd2:
-              case MOp::FSt2: case MOp::FLea2: case MOp::FLeal2:
-              case MOp::FSetArg2: case MOp::FLdiArg: case MOp::FSetCI:
-              case MOp::FLdiMov: case MOp::FLdiAlu: case MOp::FAluMov:
-              case MOp::FMovJmp:
-                break;
-            }
-
-            if (halted_ || wedged_ || sleeping_ || down_)
-                break;
-            // A Reti/Sei/SetIf may have re-enabled interrupts while
-            // requests are queued: let the outer loop dispatch.
-            if (iflag_ && irqPending())
-                break;
-            if (cycles_ >= horizon)
-                break;
-        }
-    }
-}
-
-//---------------------------------------------------------------------
 // Network
 //---------------------------------------------------------------------
 
@@ -1200,10 +787,7 @@ Network::attachMote(std::unique_ptr<Machine> m)
     size_t selfIdx = motes_.size() - 1;
     self->devices().onSend = [this, selfIdx](const Packet &p) {
         uint64_t at = motes_[selfIdx]->cycles() + kAirLatency;
-        if (bufferSends_)
-            outboxes_[selfIdx].push_back({p, at});
-        else
-            deliverFrom(selfIdx, p, at);
+        deliverFrom(selfIdx, p, at);
     };
     return *self;
 }
@@ -1226,9 +810,9 @@ Network::deliverFrom(size_t senderIdx, const Packet &p, uint64_t at)
         if (p.dest != 0xFF && p.dest != rx.nodeId())
             continue;
         // Per-link fault draw. Pure function of (seed, src, dst, at,
-        // payload), so serial, lockstep, and window-parallel
-        // schedulers — which all deliver the same (packet, at) pairs
-        // — draw identical faults regardless of call order.
+        // payload), so the lockstep and lookahead schedulers — which
+        // deliver the same (packet, at) pairs — draw identical faults
+        // regardless of call order.
         RadioFaultDecision d = radioFaultsFor(opts_.faults, p.src,
                                               rx.nodeId(), at, p.bytes);
         if (d.drop) {
@@ -1265,8 +849,7 @@ Machine &
 Network::addMote(std::shared_ptr<const DecodedProgram> prog,
                  uint8_t nodeId)
 {
-    return attachMote(
-        std::make_unique<Machine>(std::move(prog), nodeId, opts_.mode));
+    return attachMote(std::make_unique<Machine>(std::move(prog), nodeId));
 }
 
 uint64_t
@@ -1375,7 +958,7 @@ Network::pastDeadline() const
 }
 
 void
-Network::runSerial(uint64_t start, uint64_t end)
+Network::runWindows(uint64_t start, uint64_t end)
 {
     for (uint64_t t = start; t < end;) {
         if (opts_.earlyExit && allMotesDead()) {
@@ -1399,44 +982,6 @@ Network::runSerial(uint64_t start, uint64_t end)
             m->runUntilCycle(te);
         t = te;
     }
-}
-
-void
-Network::runParallel(uint64_t start, uint64_t end, unsigned threads)
-{
-    // Windows are dispatched to the persistent worker pool instead of
-    // spawning a thread team per run: each window is one batch of
-    // per-mote jobs, `threads` caps its concurrent executors (the
-    // --jobs request), and the caller thread participates in the
-    // batch, so a pool saturated by other cells degrades to serial
-    // stepping rather than blocking. The mutex handoff inside the
-    // pool orders each mote's windows, so no mote is ever touched by
-    // two threads at once and every window boundary is a full
-    // synchronization point.
-    core::WorkerPool &pool =
-        opts_.pool ? *opts_.pool : core::sharedPool();
-    outboxes_.assign(motes_.size(), {});
-    bufferSends_ = true;
-    for (uint64_t t = start; t < end;) {
-        if (pastDeadline()) {
-            timedOut_ = true;
-            break;
-        }
-        uint64_t te = windowEnd(t, end);
-        pool.run(motes_.size(), threads, [&](size_t i) {
-            motes_[i]->runUntilCycle(te);
-        });
-        // Flush the buffered radio sends in sender-index order (the
-        // serial delivery order), then open the next window.
-        for (size_t i = 0; i < outboxes_.size(); ++i) {
-            for (const Send &s : outboxes_[i])
-                deliverFrom(i, s.p, s.at);
-            outboxes_[i].clear();
-        }
-        ++windows_;
-        t = te;
-    }
-    bufferSends_ = false;
 }
 
 void
@@ -1466,9 +1011,6 @@ Network::run(uint64_t cycles)
     }
     uint64_t start = motes_[0]->cycles();
     uint64_t end = start + cycles;
-    unsigned threads = opts_.threads;
-    if (threads > motes_.size())
-        threads = static_cast<unsigned>(motes_.size());
 
     timedOut_ = false;
     hasDeadline_ = opts_.wallLimitMs > 0.0;
@@ -1488,10 +1030,7 @@ Network::run(uint64_t cycles)
             timedOut_ = true;
             break;
         }
-        if (threads > 1 && opts_.lookahead)
-            runParallel(t, stop, threads);
-        else
-            runSerial(t, stop);
+        runWindows(t, stop);
         t = stop;
     }
     if (timedOut_) {

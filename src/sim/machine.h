@@ -6,26 +6,24 @@
  * time across SLEEP, and accounts the duty cycle (awake / total
  * cycles) that the paper's Figure 3(c) reports.
  *
- * Three interpreter cores share one device model and one observable
+ * Two interpreter cores share one device model and one observable
  * behaviour:
  *
- *  - ExecMode::Legacy is the original reference interpreter: it
- *    re-derives static facts (cycle cost, width masks, call targets,
- *    data addresses) on every executed instruction and polls the
- *    device hub between every step.
- *  - ExecMode::Predecoded executes a sim::DecodedProgram (built once
- *    per image, shareable across motes and threads) in an
- *    event-horizon loop: the device hub is consulted once per horizon
- *    — min(target, next device event) — and a tight instruction loop
- *    runs untouched until the horizon, an I/O access, or a wakeup.
- *  - ExecMode::Threaded executes the same DecodedProgram's fused
- *    direct-threaded stream (sim/threaded.cpp): computed-goto
- *    dispatch with per-opcode exit checks, superinstructions for hot
- *    pairs, and adaptive horizons that re-aim only when the device
- *    hub's schedule version actually moved.
+ *  - ExecMode::Legacy is the reference interpreter: it re-derives
+ *    static facts (cycle cost, width masks, call targets, data
+ *    addresses) on every executed instruction and polls the device
+ *    hub between every step.
+ *  - ExecMode::Threaded is the fast path (sim/threaded.cpp). It
+ *    executes a sim::DecodedProgram (built once per image, shareable
+ *    across motes and threads) in an event-horizon loop: the device
+ *    hub is consulted once per horizon — min(target, next device
+ *    event, next fault) — and computed-goto dispatch runs the decoded
+ *    stream, superinstructions included, until the horizon, a
+ *    wakeup, or a machine-state change. Horizons re-aim only when the
+ *    device hub's schedule version actually moved.
  *
- * The equivalence suite holds all three cores identical on every
- * counter (cycles, awake cycles, instructions, flid, uart log).
+ * The equivalence suite holds both cores identical on every counter
+ * (cycles, awake cycles, instructions, flid, trap log, uart log).
  */
 #ifndef STOS_SIM_MACHINE_H
 #define STOS_SIM_MACHINE_H
@@ -42,21 +40,16 @@
 #include "sim/devices.h"
 #include "sim/fault.h"
 
-namespace stos::core {
-class WorkerPool;
-}
-
 namespace stos::sim {
 
 /** Which interpreter core executes the firmware. */
 enum class ExecMode {
-    Legacy,      ///< reference core: per-step re-derivation + hub polls
-    Predecoded,  ///< DecodedProgram + event-horizon scheduling
+    Legacy,  ///< reference core: per-step re-derivation + hub polls
     /**
-     * Direct-threaded core: executes the DecodedProgram's fused
-     * stream with computed-goto dispatch (portable switch fallback
-     * behind STOS_THREADED_SWITCH) and adaptive event horizons —
-     * identical observable behaviour to the other two cores.
+     * Direct-threaded core: executes a DecodedProgram with
+     * computed-goto dispatch (portable switch fallback behind
+     * STOS_THREADED_SWITCH) and adaptive event horizons — identical
+     * observable behaviour to Legacy.
      */
     Threaded,
 };
@@ -64,11 +57,11 @@ enum class ExecMode {
 class Machine {
   public:
     explicit Machine(const backend::MProgram &prog, uint8_t nodeId = 1,
-                     ExecMode mode = ExecMode::Predecoded);
-    /** Execute a shared immutable predecode (no per-mote decode). */
+                     ExecMode mode = ExecMode::Threaded);
+    /** Execute a shared immutable decode (no per-mote decode) on the
+     *  threaded core. */
     explicit Machine(std::shared_ptr<const DecodedProgram> prog,
-                     uint8_t nodeId = 1,
-                     ExecMode mode = ExecMode::Predecoded);
+                     uint8_t nodeId = 1);
 
     /** Start executing at the entry point (call before runUntil). */
     void boot();
@@ -151,15 +144,14 @@ class Machine {
     struct Frame {
         uint32_t funcIdx = 0;
         uint32_t block = 0;            ///< legacy core: block index
-        size_t ip = 0;                 ///< legacy: in-block; predecoded: flat
-        const DFunc *df = nullptr;     ///< predecoded core
+        size_t ip = 0;                 ///< legacy: in-block; threaded: flat
+        const DFunc *df = nullptr;     ///< threaded core
         uint32_t fp = 0;
         std::vector<uint64_t> regs;
         bool fromIrq = false;
     };
 
     void runLegacy(uint64_t target);
-    void runPredecoded(uint64_t target);
     void runThreaded(uint64_t target);
     void step();
     void dispatchIrqs();
@@ -245,7 +237,7 @@ class Machine {
 /** Scheduling options for a mote network. */
 struct NetworkOptions {
     /** Interpreter core for motes added via the MProgram overload. */
-    ExecMode mode = ExecMode::Predecoded;
+    ExecMode mode = ExecMode::Threaded;
     /**
      * Conservative-lookahead windows: sync every
      * min(kAirLatency, next pending radio delivery) cycles instead of
@@ -255,26 +247,12 @@ struct NetworkOptions {
      */
     bool lookahead = true;
     /**
-     * Step the motes of each window in parallel on this many threads
-     * (1 = serial). Requires lookahead; radio sends are buffered
-     * per-sender during a window and flushed at the window barrier in
-     * sender order, which is exactly the serial delivery order.
-     */
-    unsigned threads = 1;
-    /**
-     * Persistent worker pool the parallel scheduler dispatches each
-     * window on (null = the process-wide core::sharedPool()). Window
-     * stepping borrows pool workers instead of spawning threads per
-     * run, so thousands of SimDriver cells reuse one set of threads.
-     */
-    core::WorkerPool *pool = nullptr;
-    /**
      * Fault campaign for this run: state faults are scheduled per
      * mote at first run() (node 1 only unless faultCompanions), radio
      * faults are drawn per delivery, and the recovery policy applies
      * to every mote. Defaults inject nothing.
      */
-    FaultOptions faults;
+    FaultOptions faults{};
     /**
      * Stop windowing once every mote is terminally dead (halted, or
      * wedged with no pending fault able to revive it): one final
@@ -303,7 +281,8 @@ class Network {
 
     /** Add a mote running `prog` with the given node id. */
     Machine &addMote(const backend::MProgram &prog, uint8_t nodeId);
-    /** Add a mote executing a shared predecoded image. */
+    /** Add a mote executing a shared decoded image. It always runs
+     *  on the threaded core; `mode` applies to the overload above. */
     Machine &addMote(std::shared_ptr<const DecodedProgram> prog,
                      uint8_t nodeId);
 
@@ -316,24 +295,15 @@ class Network {
     size_t windows() const { return windows_; }
 
   private:
-    struct Send {
-        Packet p;
-        uint64_t at;
-    };
-
     Machine &attachMote(std::unique_ptr<Machine> m);
     void deliverFrom(size_t senderIdx, const Packet &p, uint64_t at);
     uint64_t windowEnd(uint64_t t, uint64_t end) const;
-    void runSerial(uint64_t start, uint64_t end);
-    void runParallel(uint64_t start, uint64_t end, unsigned threads);
+    void runWindows(uint64_t start, uint64_t end);
     bool allMotesDead() const;
     bool pastDeadline() const;
 
     NetworkOptions opts_;
     std::vector<std::unique_ptr<Machine>> motes_;
-    /** Per-sender buffers for window-parallel radio delivery. */
-    std::vector<std::vector<Send>> outboxes_;
-    bool bufferSends_ = false;
     bool booted_ = false;
     size_t windows_ = 0;
     // Wall-clock watchdog state for the current run() call.

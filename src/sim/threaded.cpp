@@ -2,47 +2,51 @@
  * @file
  * The direct-threaded interpreter core (ExecMode::Threaded).
  *
- * Executes DFunc::fused — the superinstruction stream the decode-time
- * fusion pass builds (sim/decoded.cpp) — with computed-goto dispatch:
- * every handler ends by jumping straight to the next handler through
- * a label table, so the branch predictor sees one indirect branch per
- * opcode site instead of a single shared dispatch branch. On
+ * Executes DFunc::instrs — the decoded stream, with the
+ * superinstructions the decode-time fusion pass substitutes
+ * (sim/decoded.cpp) — with computed-goto dispatch: every handler ends
+ * by jumping straight to the next handler through a label table, so
+ * the branch predictor sees one indirect branch per opcode site
+ * instead of a single shared dispatch branch. On
  * non-GNU-compatible compilers, or when STOS_THREADED_SWITCH is
  * defined, the same handler bodies compile as a portable
  * switch-in-a-loop instead.
  *
- * Equivalence contract (held by tests/test_sim_equivalence.cpp and
- * the differential fuzzer): this core is byte-identical to the legacy
- * and predecoded cores on every observable counter — cycles,
- * instructions, faults, CFI traps, the trap log, and the UART log.
- * The mechanisms:
+ * Equivalence contract (held by tests/test_sim_equivalence.cpp, the
+ * frozen simulator manifest, and the differential fuzzer): this core
+ * is byte-identical to the legacy reference on every observable
+ * counter — cycles, instructions, faults, CFI traps, the trap log, and
+ * the UART log. The mechanisms:
  *
- *  - The fault/recovery preamble is textually identical to
- *    runPredecoded, so faults land at the same boundaries.
+ *  - The fault/recovery preamble is textually identical to runLegacy,
+ *    so faults land at the same instruction boundaries.
+ *  - Device events and interrupts are drained and dispatched once per
+ *    event horizon — min(target, next device event, next fault) —
+ *    instead of between every instruction. No device event or fault
+ *    can fire before the horizon, so the instructions in between see
+ *    exactly what the per-step legacy loop would show them.
  *  - A superinstruction executes its two sub-instructions with the
  *    original per-instruction accounting, and re-checks the event
  *    horizon between them. `ip` is incremented before each sub-op
  *    executes, so a mid-pair stop leaves `ip` on the pair's second
  *    original instruction — kept in place by the fusion pass exactly
- *    for this — and the outer loop resumes unfused.
+ *    for this — and the outer loop resumes there, unfused.
  *  - When interrupts are already deliverable at loop entry (an
  *    unhandled vector was popped with more queued), the local horizon
  *    `hz` is forced to 0 so exactly one original instruction runs per
- *    dispatch opportunity, matching the other cores.
+ *    dispatch opportunity, as in the legacy per-step loop.
  *  - Every first sub-instruction of a fused pair is pure (registers,
  *    memory, argBuf only), so between sub-ops only the horizon can
  *    have moved; likewise pure handlers re-check only the horizon,
  *    while handlers that can halt/wedge/sleep/reboot or touch the
- *    interrupt flag run the full exit check runPredecoded performs
- *    after every instruction.
+ *    interrupt flag run the full exit check (EXIT_FULL below).
  *
- * Adaptive horizons: the predecoded core conservatively re-aims its
- * event horizon (two scheduling consultations) after every In/Out.
- * Here re-aiming is gated on DeviceHub::scheduleVersion(), which
- * register reads never bump — so an awake busy-wait loop polling a
- * device register batches instructions up to the real horizon instead
- * of consulting the hub every iteration (asserted by the
- * adaptive-horizon test in tests/test_sim.cpp).
+ * Adaptive horizons: after an In/Out the horizon is re-aimed only when
+ * DeviceHub::scheduleVersion() moved, which register reads never do —
+ * so an awake busy-wait loop polling a device register batches
+ * instructions up to the real horizon instead of consulting the hub
+ * every iteration (asserted by the adaptive-horizon test in
+ * tests/test_sim.cpp).
  */
 #include "sim/machine.h"
 
@@ -105,6 +109,15 @@ aluEval(MOp op, uint64_t x, uint64_t y, uint8_t w)
 }
 
 } // namespace
+
+void
+Machine::drainDeviceEvents()
+{
+    irqScratch_.clear();
+    dev_.advanceTo(cycles_, irqScratch_);
+    for (int v : irqScratch_)
+        pendingIrqs_.push_back(v);
+}
 
 void
 Machine::runThreaded(uint64_t target)
@@ -175,13 +188,13 @@ Machine::runThreaded(uint64_t target)
         // handler's exit check compares against; it is forced to 0
         // when interrupts are already deliverable so exactly one
         // instruction runs before the outer loop dispatches them
-        // (the other cores break on their explicit irq check).
+        // (the legacy core dispatches between every step).
         uint64_t horizon =
             std::min({target, dev_.nextEventAt(), nextFaultAt()});
         uint64_t schedVer = dev_.scheduleVersion();
         uint64_t hz = (iflag_ && irqPending()) ? 0 : horizon;
         Frame *frp = &frames_.back();
-        const DInstr *code = frp->df->fused.data();
+        const DInstr *code = frp->df->instrs.data();
         uint64_t *regs = frp->regs.data();
         const DInstr *in = nullptr;
         // VM state lives in locals across the dispatch loop: handler
@@ -196,7 +209,7 @@ Machine::runThreaded(uint64_t target)
         uint64_t nexec = instrs_;
         auto refreshFrame = [&] {
             frp = &frames_.back();
-            code = frp->df->fused.data();
+            code = frp->df->instrs.data();
             regs = frp->regs.data();
             ip = frp->ip;
         };
@@ -212,7 +225,7 @@ Machine::runThreaded(uint64_t target)
             }
         };
 
-// Per-instruction accounting, identical to the other cores: ip is
+// Per-instruction accounting, identical to the legacy core: ip is
 // bumped before the handler body runs (so control-flow handlers can
 // overwrite it and mid-pair stops resume correctly).
 #define ACCT1()                                                        \
@@ -237,7 +250,8 @@ Machine::runThreaded(uint64_t target)
         instrs_ = nexec;                                               \
     } while (0)
 // Exit checks. CHEAP is for handlers that can only advance time;
-// FULL mirrors runPredecoded's complete per-instruction epilogue.
+// FULL stops on every machine-state change the outer loop must see:
+// halt, wedge, sleep, reboot, a deliverable interrupt, or the horizon.
 #define EXIT_CHEAP()                                                   \
     do {                                                               \
         if (cyc >= hz)                                                 \
@@ -766,7 +780,9 @@ Machine::runThreaded(uint64_t target)
         }
         OP(Halt)
         {
-            // Handled before accounting, like the other cores.
+            // End-of-function sentinel: halts before accounting, as
+            // the legacy core does when execution runs off the last
+            // block.
             halted_ = true;
             goto out;
         }

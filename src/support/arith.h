@@ -1,7 +1,7 @@
 /**
  * @file
  * Defined-semantics integer arithmetic shared by every execution
- * engine (IR interpreter, legacy and predecoded simulator cores) and
+ * engine (IR interpreter, legacy and threaded simulator cores) and
  * by the optimizer's constant folder. TinyCIL division is total:
  *
  *   x / 0  == 0          x % 0  == 0

@@ -149,26 +149,26 @@ TEST(CfiTransparency, CleanAppsRunIdenticallyUnderEveryCfiColumn)
     const auto &app = tinyos::appByName("CntToLedsAndRfm");
     BuildResult base =
         buildApp(app, configFor(ConfigId::Baseline, app.platform));
-    Machine ref(base.image, 1, ExecMode::Predecoded);
+    Machine ref(base.image, 1, ExecMode::Threaded);
     ref.boot();
     ref.runUntilCycle(kCycles);
 
     for (ConfigId id : cfiConfigs()) {
         BuildResult b = buildApp(app, configFor(id, app.platform));
         Machine legacy(b.image, 1, ExecMode::Legacy);
-        Machine pre(b.image, 1, ExecMode::Predecoded);
+        Machine thr(b.image, 1, ExecMode::Threaded);
         legacy.boot();
-        pre.boot();
+        thr.boot();
         legacy.runUntilCycle(kCycles);
-        pre.runUntilCycle(kCycles);
+        thr.runUntilCycle(kCycles);
         std::string label = configName(id);
-        EXPECT_EQ(pre.traps(), 0u) << label;
-        EXPECT_EQ(pre.cfiTraps(), 0u) << label;
-        EXPECT_FALSE(pre.wedged()) << label;
-        expectSame(snapshotOf(legacy), snapshotOf(pre), label);
+        EXPECT_EQ(thr.traps(), 0u) << label;
+        EXPECT_EQ(thr.cfiTraps(), 0u) << label;
+        EXPECT_FALSE(thr.wedged()) << label;
+        expectSame(snapshotOf(legacy), snapshotOf(thr), label);
         // Same externally visible behaviour as the unsafe baseline
         // (checks only add cycles, never change the uart stream).
-        EXPECT_EQ(pre.devices().uartLog(), ref.devices().uartLog())
+        EXPECT_EQ(thr.devices().uartLog(), ref.devices().uartLog())
             << label;
     }
 }
@@ -213,14 +213,14 @@ u16 main() {
                 interpUart.push_back(static_cast<char>(w.value));
 
         Machine legacy(b.image, 1, ExecMode::Legacy);
-        Machine pre(b.image, 1, ExecMode::Predecoded);
+        Machine thr(b.image, 1, ExecMode::Threaded);
         legacy.boot();
-        pre.boot();
+        thr.boot();
         legacy.runUntilCycle(kCycles);
-        pre.runUntilCycle(kCycles);
+        thr.runUntilCycle(kCycles);
         ASSERT_TRUE(legacy.halted()) << label;
         EXPECT_EQ(legacy.traps(), 0u) << label;
-        expectSame(snapshotOf(legacy), snapshotOf(pre), label);
+        expectSame(snapshotOf(legacy), snapshotOf(thr), label);
         EXPECT_EQ(interpUart, legacy.devices().uartLog()) << label;
         EXPECT_FALSE(interpUart.empty()) << label;
     }
@@ -254,19 +254,19 @@ TEST(CfiAttack, CorruptedFnptrTrapsWithForwardKindUnderEveryCfiColumn)
             auto events = ptrOverwriteAt(kCycles / 4, bad);
             MoteSnapshot legacy =
                 runWithFaults(b.image, ExecMode::Legacy, events);
-            MoteSnapshot pre =
-                runWithFaults(b.image, ExecMode::Predecoded, events);
+            MoteSnapshot thr =
+                runWithFaults(b.image, ExecMode::Threaded, events);
             std::string label = std::string(configName(id)) +
                                 " / val=" + std::to_string(bad);
-            EXPECT_EQ(pre.cfiTraps, 1u) << label;
-            EXPECT_EQ(pre.traps, 1u) << label;
-            EXPECT_TRUE(pre.wedged) << label;
-            ASSERT_FALSE(pre.trapLog.empty()) << label;
-            EXPECT_EQ(pre.trapLog.front().kind, 1u)
+            EXPECT_EQ(thr.cfiTraps, 1u) << label;
+            EXPECT_EQ(thr.traps, 1u) << label;
+            EXPECT_TRUE(thr.wedged) << label;
+            ASSERT_FALSE(thr.trapLog.empty()) << label;
+            EXPECT_EQ(thr.trapLog.front().kind, 1u)
                 << label << ": forward CFI traps must be kind 1";
-            EXPECT_EQ(pre.failedFlid, pre.trapLog.front().flid)
+            EXPECT_EQ(thr.failedFlid, thr.trapLog.front().flid)
                 << label;
-            expectSame(legacy, pre, label);
+            expectSame(legacy, thr, label);
         }
     }
 }
@@ -276,9 +276,9 @@ TEST(CfiAttack, CorruptedFnptrMisbehavesSilentlyUnderBaseline)
     BuildResult b =
         buildAttack("AttackFnptrDispatch", ConfigId::Baseline);
     MoteSnapshot clean =
-        runWithFaults(b.image, ExecMode::Predecoded, {});
+        runWithFaults(b.image, ExecMode::Threaded, {});
     MoteSnapshot attacked = runWithFaults(
-        b.image, ExecMode::Predecoded, ptrOverwriteAt(kCycles / 4, 0xEE));
+        b.image, ExecMode::Threaded, ptrOverwriteAt(kCycles / 4, 0xEE));
     // No CFI machinery: nothing traps, the mote silently wedges (or
     // corrupts) instead of failing loudly.
     EXPECT_EQ(attacked.traps, 0u);
@@ -317,15 +317,15 @@ TEST(CfiAttack, SmashedReturnTrapsWithReturnKindUnderEveryCfiColumn)
             {kCycles / 4, kCycles / 2, 3 * kCycles / 4}, 5);
         MoteSnapshot legacy =
             runWithFaults(b.image, ExecMode::Legacy, events);
-        MoteSnapshot pre =
-            runWithFaults(b.image, ExecMode::Predecoded, events);
+        MoteSnapshot thr =
+            runWithFaults(b.image, ExecMode::Threaded, events);
         std::string label = configName(id);
-        EXPECT_GE(pre.cfiTraps, 1u) << label;
-        EXPECT_TRUE(pre.wedged) << label;
-        ASSERT_FALSE(pre.trapLog.empty()) << label;
-        EXPECT_EQ(pre.trapLog.front().kind, 2u)
+        EXPECT_GE(thr.cfiTraps, 1u) << label;
+        EXPECT_TRUE(thr.wedged) << label;
+        ASSERT_FALSE(thr.trapLog.empty()) << label;
+        EXPECT_EQ(thr.trapLog.front().kind, 2u)
             << label << ": return CFI traps must be kind 2";
-        expectSame(legacy, pre, label);
+        expectSame(legacy, thr, label);
     }
 }
 
@@ -333,9 +333,9 @@ TEST(CfiAttack, SmashedReturnMisbehavesSilentlyUnderBaseline)
 {
     BuildResult b = buildAttack("AttackRetChain", ConfigId::Baseline);
     MoteSnapshot clean =
-        runWithFaults(b.image, ExecMode::Predecoded, {});
+        runWithFaults(b.image, ExecMode::Threaded, {});
     MoteSnapshot attacked = runWithFaults(
-        b.image, ExecMode::Predecoded,
+        b.image, ExecMode::Threaded,
         retSmashes({kCycles / 4, kCycles / 2, 3 * kCycles / 4}, 5));
     EXPECT_EQ(attacked.cfiTraps, 0u);
     EXPECT_TRUE(attacked.wedged || attacked.halted ||
@@ -365,14 +365,14 @@ TEST(CfiAttack, CfiTrapKindSurvivesRebootOnTrap)
         return snapshotOf(m);
     };
     MoteSnapshot legacy = run(ExecMode::Legacy);
-    MoteSnapshot pre = run(ExecMode::Predecoded);
-    EXPECT_FALSE(pre.wedged);
-    EXPECT_EQ(pre.cfiTraps, 1u)
+    MoteSnapshot thr = run(ExecMode::Threaded);
+    EXPECT_FALSE(thr.wedged);
+    EXPECT_EQ(thr.cfiTraps, 1u)
         << "reboot clears the corrupted cell; exactly one trap";
-    EXPECT_EQ(pre.reboots, 1u);
-    ASSERT_FALSE(pre.trapLog.empty());
-    EXPECT_EQ(pre.trapLog.front().kind, 1u);
-    expectSame(legacy, pre, "reboot-on-cfi-trap");
+    EXPECT_EQ(thr.reboots, 1u);
+    ASSERT_FALSE(thr.trapLog.empty());
+    EXPECT_EQ(thr.trapLog.front().kind, 1u);
+    expectSame(legacy, thr, "reboot-on-cfi-trap");
 }
 
 } // namespace

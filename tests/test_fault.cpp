@@ -3,8 +3,8 @@
  * Fault-injection determinism suite (sim/fault.h). The contract under
  * test: a fault campaign is a pure function of its seed — the same
  * FaultOptions produce byte-identical MoteSnapshots on the legacy
- * lockstep scheduler, the predecoded serial lookahead scheduler, and
- * the predecoded window-parallel scheduler; different seeds produce
+ * core under lockstep scheduling and the threaded core under
+ * lookahead scheduling; different seeds produce
  * different outcomes; reboots preserve the persistent counters and
  * the bounded trap log; radio loss/corruption/duplication rates land
  * inside statistical bounds; early-exit and the wall-clock watchdog
@@ -142,23 +142,18 @@ TEST(FaultDeterminism, StateFaultsEquivalentAcrossCoresAndSchedulers)
     fo.crashes = 1;
     fo.recovery = RecoveryPolicy::RebootOnTrap;
 
-    NetworkOptions legacy{ExecMode::Legacy, false, 1};
+    NetworkOptions legacy{ExecMode::Legacy, false};
     legacy.faults = fo;
-    NetworkOptions serial{ExecMode::Predecoded, true, 1};
-    serial.faults = fo;
-    NetworkOptions parallel{ExecMode::Predecoded, true, 2};
-    parallel.faults = fo;
+    NetworkOptions threaded{ExecMode::Threaded, true};
+    threaded.faults = fo;
 
     auto a = runFaulted(radioImage(), legacy);
-    auto b = runFaulted(radioImage(), serial);
-    auto c = runFaulted(radioImage(), parallel);
+    auto b = runFaulted(radioImage(), threaded);
     ASSERT_EQ(a.size(), b.size());
-    ASSERT_EQ(a.size(), c.size());
     bool anyFault = false;
     for (size_t i = 0; i < a.size(); ++i) {
         std::string label = "mote " + std::to_string(i);
-        expectSame(a[i], b[i], label + " [legacy vs serial]");
-        expectSame(a[i], c[i], label + " [legacy vs parallel]");
+        expectSame(a[i], b[i], label + " [legacy vs threaded]");
         anyFault = anyFault || a[i].crashes > 0 || a[i].traps > 0 ||
                    a[i].reboots > 0;
     }
@@ -175,21 +170,17 @@ TEST(FaultDeterminism, RadioFaultsEquivalentAcrossSchedulers)
     fo.radioCorrupt = 0.2;
     fo.radioDup = 0.2;
 
-    NetworkOptions legacy{ExecMode::Legacy, false, 1};
+    NetworkOptions legacy{ExecMode::Legacy, false};
     legacy.faults = fo;
-    NetworkOptions serial{ExecMode::Predecoded, true, 1};
-    serial.faults = fo;
-    NetworkOptions parallel{ExecMode::Predecoded, true, 2};
-    parallel.faults = fo;
+    NetworkOptions threaded{ExecMode::Threaded, true};
+    threaded.faults = fo;
 
     auto a = runFaulted(radioImage(), legacy);
-    auto b = runFaulted(radioImage(), serial);
-    auto c = runFaulted(radioImage(), parallel);
+    auto b = runFaulted(radioImage(), threaded);
     uint32_t touched = 0;
     for (size_t i = 0; i < a.size(); ++i) {
         std::string label = "mote " + std::to_string(i);
-        expectSame(a[i], b[i], label + " [legacy vs serial]");
-        expectSame(a[i], c[i], label + " [legacy vs parallel]");
+        expectSame(a[i], b[i], label + " [legacy vs threaded]");
         touched += a[i].packetsDropped + a[i].packetsCorrupted +
                    a[i].packetsDuplicated;
     }
@@ -204,12 +195,12 @@ TEST(FaultDeterminism, DifferentSeedsProduceDifferentOutcomes)
     fo.recovery = RecoveryPolicy::RebootOnTrap;
 
     fo.seed = 42;
-    NetworkOptions o1{ExecMode::Predecoded, true, 1};
+    NetworkOptions o1{ExecMode::Threaded, true};
     o1.faults = fo;
     auto a = runFaulted(radioImage(), o1);
 
     fo.seed = 43;
-    NetworkOptions o2{ExecMode::Predecoded, true, 1};
+    NetworkOptions o2{ExecMode::Threaded, true};
     o2.faults = fo;
     auto b = runFaulted(radioImage(), o2);
 
@@ -241,13 +232,13 @@ TEST(FaultRecovery, RebootOnTrapPreservesCountersAndLog)
 {
     BuildResult build = buildSource(
         "traploop", kTrapLoop, configFor(ConfigId::SafeFlid, "Mica2"));
-    for (ExecMode mode : {ExecMode::Legacy, ExecMode::Predecoded}) {
+    for (ExecMode mode : {ExecMode::Legacy, ExecMode::Threaded}) {
         Machine m(build.image, 1, mode);
         m.setRecoveryPolicy(RecoveryPolicy::RebootOnTrap);
         m.boot();
         m.runUntilCycle(kCycles);
         std::string label =
-            mode == ExecMode::Legacy ? "legacy" : "predecoded";
+            mode == ExecMode::Legacy ? "legacy" : "threaded";
         // Every trap rebooted the mote, the counters accumulated.
         EXPECT_FALSE(m.wedged()) << label;
         EXPECT_GE(m.traps(), 2u) << label;
@@ -272,7 +263,7 @@ TEST(FaultRecovery, RebootOnTrapPreservesCountersAndLog)
     }
     // And both cores agree byte-for-byte.
     Machine a(build.image, 1, ExecMode::Legacy);
-    Machine b(build.image, 1, ExecMode::Predecoded);
+    Machine b(build.image, 1, ExecMode::Threaded);
     a.setRecoveryPolicy(RecoveryPolicy::RebootOnTrap);
     b.setRecoveryPolicy(RecoveryPolicy::RebootOnTrap);
     a.boot();
@@ -289,7 +280,7 @@ TEST(FaultRecovery, WedgePolicyMatchesLegacyBehaviour)
 {
     BuildResult build = buildSource(
         "traploop", kTrapLoop, configFor(ConfigId::SafeFlid, "Mica2"));
-    Machine m(build.image, 1, ExecMode::Predecoded);
+    Machine m(build.image, 1, ExecMode::Threaded);
     m.boot();  // default policy: Wedge
     m.runUntilCycle(kCycles);
     EXPECT_TRUE(m.wedged());
@@ -304,13 +295,13 @@ TEST(FaultRecovery, RebootOnWedgeRecovers)
 {
     BuildResult build = buildSource(
         "traploop", kTrapLoop, configFor(ConfigId::SafeFlid, "Mica2"));
-    for (ExecMode mode : {ExecMode::Legacy, ExecMode::Predecoded}) {
+    for (ExecMode mode : {ExecMode::Legacy, ExecMode::Threaded}) {
         Machine m(build.image, 1, mode);
         m.setRecoveryPolicy(RecoveryPolicy::RebootOnWedge);
         m.boot();
         m.runUntilCycle(kCycles);
         std::string label =
-            mode == ExecMode::Legacy ? "legacy" : "predecoded";
+            mode == ExecMode::Legacy ? "legacy" : "threaded";
         EXPECT_GE(m.reboots(), 2u) << label;
         EXPECT_GE(m.traps(), 2u) << label;
         EXPECT_LT(m.availability(), 1.0) << label;
@@ -324,18 +315,18 @@ TEST(FaultRecovery, CrashRevivesAWedgedMote)
     // (more instructions than the wedge-only run).
     BuildResult build = buildSource(
         "traploop", kTrapLoop, configFor(ConfigId::SafeFlid, "Mica2"));
-    Machine wedgeOnly(build.image, 1, ExecMode::Predecoded);
+    Machine wedgeOnly(build.image, 1, ExecMode::Threaded);
     wedgeOnly.boot();
     wedgeOnly.runUntilCycle(kCycles);
     ASSERT_TRUE(wedgeOnly.wedged());
 
-    for (ExecMode mode : {ExecMode::Legacy, ExecMode::Predecoded}) {
+    for (ExecMode mode : {ExecMode::Legacy, ExecMode::Threaded}) {
         Machine m(build.image, 1, mode);
         m.boot();
         m.setFaultEvents({{kCycles / 2, FaultKind::Crash, 0, 0}});
         m.runUntilCycle(kCycles);
         std::string label =
-            mode == ExecMode::Legacy ? "legacy" : "predecoded";
+            mode == ExecMode::Legacy ? "legacy" : "threaded";
         EXPECT_EQ(m.crashes(), 1u) << label;
         EXPECT_EQ(m.reboots(), 1u) << label;
         EXPECT_GT(m.instructionsExecuted(),
@@ -349,7 +340,7 @@ TEST(FaultRadio, LossRateWithinStatisticalBounds)
     FaultOptions fo;
     fo.seed = 5;
     fo.radioLoss = 0.5;
-    NetworkOptions o{ExecMode::Predecoded, true, 1};
+    NetworkOptions o{ExecMode::Threaded, true};
     o.faults = fo;
     auto stats = runFaulted(radioImage(), o, 8'000'000);
     uint32_t dropped = 0, received = 0;
@@ -367,12 +358,12 @@ TEST(FaultRadio, LossRateWithinStatisticalBounds)
 
 TEST(FaultRadio, CorruptAndDupCountersMove)
 {
-    NetworkOptions clean{ExecMode::Predecoded, true, 1};
+    NetworkOptions clean{ExecMode::Threaded, true};
     auto base = runFaulted(radioImage(), clean, 4'000'000);
 
     FaultOptions fo;
     fo.radioCorrupt = 1.0;
-    NetworkOptions o1{ExecMode::Predecoded, true, 1};
+    NetworkOptions o1{ExecMode::Threaded, true};
     o1.faults = fo;
     auto corrupted = runFaulted(radioImage(), o1, 4'000'000);
     uint32_t corruptCount = 0;
@@ -382,7 +373,7 @@ TEST(FaultRadio, CorruptAndDupCountersMove)
 
     FaultOptions fd;
     fd.radioDup = 1.0;
-    NetworkOptions o2{ExecMode::Predecoded, true, 1};
+    NetworkOptions o2{ExecMode::Threaded, true};
     o2.faults = fd;
     auto duped = runFaulted(radioImage(), o2, 4'000'000);
     uint32_t dupCount = 0, dupRecv = 0, baseRecv = 0;
@@ -403,7 +394,7 @@ TEST(EarlyExit, IdenticalStatsWithFewerWindows)
     BuildResult build = buildSource(
         "traploop", kTrapLoop, configFor(ConfigId::SafeFlid, "Mica2"));
     auto runWith = [&](bool earlyExit) {
-        NetworkOptions o{ExecMode::Legacy, false, 1};
+        NetworkOptions o{ExecMode::Legacy, false};
         o.earlyExit = earlyExit;
         Network net(o);
         net.addMote(build.image, 1);
@@ -446,7 +437,7 @@ TEST(Watchdog, GenerousLimitChangesNothing)
     FaultOptions fo;
     fo.memFlips = 4;
     fo.recovery = RecoveryPolicy::RebootOnTrap;
-    NetworkOptions plain{ExecMode::Predecoded, true, 1};
+    NetworkOptions plain{ExecMode::Threaded, true};
     plain.faults = fo;
     NetworkOptions guarded = plain;
     guarded.wallLimitMs = 60'000.0;
@@ -465,7 +456,7 @@ TEST(FaultCompanions, CompanionsFaultedOnlyOnRequest)
     fo.crashes = 2;
     fo.recovery = RecoveryPolicy::RebootOnTrap;
 
-    NetworkOptions solo{ExecMode::Predecoded, true, 1};
+    NetworkOptions solo{ExecMode::Threaded, true};
     solo.faults = fo;
     NetworkOptions both = solo;
     both.faults.faultCompanions = true;
@@ -487,16 +478,12 @@ TEST(FaultCompanions, CompanionsFaultedOnlyOnRequest)
     // schedule — and the whole 2-mote campaign stays deterministic
     // across cores and schedulers.
     EXPECT_GE(bothRun[1].crashes, 1u);
-    NetworkOptions legacy{ExecMode::Legacy, false, 1};
+    NetworkOptions legacy{ExecMode::Legacy, false};
     legacy.faults = both.faults;
-    NetworkOptions parallel{ExecMode::Predecoded, true, 2};
-    parallel.faults = both.faults;
     auto l = runFaulted(radioImage(), legacy);
-    auto p = runFaulted(radioImage(), parallel);
     for (size_t i = 0; i < bothRun.size(); ++i) {
         std::string label = "mote " + std::to_string(i);
-        expectSame(l[i], bothRun[i], label + " [legacy vs serial]");
-        expectSame(l[i], p[i], label + " [legacy vs parallel]");
+        expectSame(l[i], bothRun[i], label + " [legacy vs threaded]");
     }
 }
 
@@ -544,7 +531,6 @@ TEST(FaultedExperiment, SerialEquivalenceGateCoversFaults)
     Experiment exp;
     exp.options().jobs = 2;
     exp.options().seconds = 0.25;
-    exp.options().netThreads = 2;
     exp.options().faults.seed = 11;
     exp.options().faults.memFlips = 6;
     exp.options().faults.regFlips = 3;

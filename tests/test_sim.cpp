@@ -118,8 +118,8 @@ TEST(Machine, AdaptiveHorizonBatchesBusyWaitPolling)
 {
     // A busy-wait polling loop: every iteration reads a device
     // register (In), but nothing ever changes the device schedule.
-    // The predecoded core conservatively re-aims its event horizon
-    // after every In; the threaded core re-aims only when the hub's
+    // The legacy core polls the device hub before every instruction;
+    // the threaded core re-aims its event horizon only when the hub's
     // schedule version moved, so the whole loop batches under one
     // horizon. The observable run must be identical either way — the
     // consultation count is the only permitted difference.
@@ -130,20 +130,31 @@ TEST(Machine, AdaptiveHorizonBatchesBusyWaitPolling)
         "  while (i < 5000) { sink = stos_adc_data(); i = i + 1; }"
         "  stos_uart_put_u16(sink);"
         "}");
-    Machine pre(p, 1, ExecMode::Predecoded);
+    Machine ref(p, 1, ExecMode::Legacy);
     Machine thr(p, 1, ExecMode::Threaded);
-    pre.boot();
+    ref.boot();
     thr.boot();
-    pre.runUntilCycle(10'000'000);
+    ref.runUntilCycle(10'000'000);
     thr.runUntilCycle(10'000'000);
-    EXPECT_TRUE(pre.halted());
-    EXPECT_EQ(snapshotOf(pre), snapshotOf(thr));
-    // 5000 polls: the predecoded core consults the hub at least once
-    // per In, the threaded core only at horizon boundaries.
+    EXPECT_TRUE(ref.halted());
+    EXPECT_EQ(snapshotOf(ref), snapshotOf(thr));
+    // 5000 polls: the legacy core consults the hub at least once per
+    // step, the threaded core only at horizon boundaries.
     EXPECT_LT(thr.devices().hubConsultations(),
-              pre.devices().hubConsultations());
-    EXPECT_GT(pre.devices().hubConsultations(), 5000u);
+              ref.devices().hubConsultations());
+    EXPECT_GT(ref.devices().hubConsultations(), 5000u);
     EXPECT_LT(thr.devices().hubConsultations(), 100u);
+}
+
+TEST(Machine, DefaultCoreIsThreaded)
+{
+    // The fast path is the default everywhere a core can be left
+    // unspecified, and a decoded image always runs on it.
+    MProgram p = buildProgram("void main() { }");
+    EXPECT_EQ(Machine(p).mode(), ExecMode::Threaded);
+    EXPECT_EQ(Machine(std::make_shared<const DecodedProgram>(p)).mode(),
+              ExecMode::Threaded);
+    EXPECT_EQ(NetworkOptions{}.mode, ExecMode::Threaded);
 }
 
 TEST(Network, BroadcastReachesAllMotes)

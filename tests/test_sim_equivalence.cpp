@@ -1,15 +1,12 @@
 /**
  * @file
- * Exhaustive equivalence suite for the three interpreter cores: the
- * legacy reference interpreter, the predecoded event-horizon core,
- * and the direct-threaded superinstruction core must be
- * indistinguishable on every observable counter — cycles, awake
- * cycles, instructions executed, failed FLID, UART log, LED writes,
- * trap log, and radio/ADC statistics — across every Figure-3 build
- * configuration and every multi-mote example network, under serial,
- * lookahead, and lookahead-parallel network scheduling. The TSan CI
- * job runs this binary to certify the window-parallel stepping (now
- * serviced by the persistent worker pool).
+ * Exhaustive equivalence suite for the two interpreter cores: the
+ * legacy reference interpreter and the direct-threaded
+ * superinstruction core must be indistinguishable on every observable
+ * counter — cycles, awake cycles, instructions executed, failed FLID,
+ * UART log, LED writes, trap log, and radio/ADC statistics — across
+ * every Figure-3 build configuration and every multi-mote example
+ * network, under lockstep and lookahead network scheduling.
  */
 #include <gtest/gtest.h>
 
@@ -91,16 +88,11 @@ TEST(SimEquivalence, EveryFigure3CellMatchesOnASingleMote)
     ASSERT_TRUE(rep.allOk());
     for (const BuildRecord &r : rep.records) {
         Machine legacy(r.result->image, 1, ExecMode::Legacy);
-        Machine pre(r.result->image, 1, ExecMode::Predecoded);
         Machine thr(r.result->image, 1, ExecMode::Threaded);
         legacy.boot();
-        pre.boot();
         thr.boot();
         legacy.runUntilCycle(kCycles);
-        pre.runUntilCycle(kCycles);
         thr.runUntilCycle(kCycles);
-        expectSame(statsOf(legacy), statsOf(pre),
-                   r.app + " / " + r.config + " [predecoded]");
         expectSame(statsOf(legacy), statsOf(thr),
                    r.app + " / " + r.config + " [threaded]");
     }
@@ -137,38 +129,23 @@ TEST(SimEquivalence, EveryMultiMoteNetworkMatchesAcrossSchedulers)
         if (r.companions.empty())
             continue;
         ++networks;
-        // Legacy core, fixed-quantum lockstep: the pre-PR behaviour.
+        // Legacy core, fixed-quantum lockstep: the reference.
         auto legacy = runNetwork(
-            r, rep, {ExecMode::Legacy, /*lookahead=*/false, 1},
-            kCycles);
-        // Predecoded core, conservative-lookahead windows, serial.
-        auto serial = runNetwork(
-            r, rep, {ExecMode::Predecoded, /*lookahead=*/true, 1},
-            kCycles);
-        // Predecoded core, windows stepped in parallel.
-        auto parallel = runNetwork(
-            r, rep, {ExecMode::Predecoded, /*lookahead=*/true, 4},
-            kCycles);
+            r, rep, {ExecMode::Legacy, /*lookahead=*/false}, kCycles);
         // Threaded core under both schedulers.
-        auto thrSerial = runNetwork(
-            r, rep, {ExecMode::Threaded, /*lookahead=*/true, 1},
-            kCycles);
-        auto thrParallel = runNetwork(
-            r, rep, {ExecMode::Threaded, /*lookahead=*/true, 4},
-            kCycles);
-        ASSERT_EQ(legacy.size(), serial.size());
-        ASSERT_EQ(legacy.size(), parallel.size());
-        ASSERT_EQ(legacy.size(), thrSerial.size());
-        ASSERT_EQ(legacy.size(), thrParallel.size());
+        auto thrLockstep = runNetwork(
+            r, rep, {ExecMode::Threaded, /*lookahead=*/false}, kCycles);
+        auto thrLookahead = runNetwork(
+            r, rep, {ExecMode::Threaded, /*lookahead=*/true}, kCycles);
+        ASSERT_EQ(legacy.size(), thrLockstep.size());
+        ASSERT_EQ(legacy.size(), thrLookahead.size());
         for (size_t i = 0; i < legacy.size(); ++i) {
             std::string label = r.app + " / " + r.config + " / mote " +
                                 std::to_string(i);
-            expectSame(legacy[i], serial[i], label + " [serial]");
-            expectSame(legacy[i], parallel[i], label + " [parallel]");
-            expectSame(legacy[i], thrSerial[i],
-                       label + " [threaded serial]");
-            expectSame(legacy[i], thrParallel[i],
-                       label + " [threaded parallel]");
+            expectSame(legacy[i], thrLockstep[i],
+                       label + " [threaded lockstep]");
+            expectSame(legacy[i], thrLookahead[i],
+                       label + " [threaded lookahead]");
         }
     }
     EXPECT_GE(networks, 8u)
@@ -182,23 +159,19 @@ TEST(SimEquivalence, SharedDecodeMatchesPerMoteDecode)
         buildApp(app, configFor(ConfigId::SafeFlid, app.platform));
     auto decode = std::make_shared<const DecodedProgram>(build.image);
 
-    for (ExecMode mode :
-         {ExecMode::Predecoded, ExecMode::Threaded}) {
-        Network shared({mode, true, 1});
-        shared.addMote(decode, 1);
-        shared.addMote(decode, 2);
-        shared.run(kCycles);
+    Network shared({ExecMode::Threaded, true});
+    shared.addMote(decode, 1);
+    shared.addMote(decode, 2);
+    shared.run(kCycles);
 
-        Network owned({mode, true, 1});
-        owned.addMote(build.image, 1);
-        owned.addMote(build.image, 2);
-        owned.run(kCycles);
+    Network owned({ExecMode::Threaded, true});
+    owned.addMote(build.image, 1);
+    owned.addMote(build.image, 2);
+    owned.run(kCycles);
 
-        for (size_t i = 0; i < 2; ++i)
-            expectSame(statsOf(shared.mote(i)),
-                       statsOf(owned.mote(i)),
-                       "mote " + std::to_string(i));
-    }
+    for (size_t i = 0; i < 2; ++i)
+        expectSame(statsOf(shared.mote(i)), statsOf(owned.mote(i)),
+                   "mote " + std::to_string(i));
 }
 
 TEST(SimEquivalence, FailingProgramWedgesIdenticallyWithSameFlid)
@@ -216,17 +189,13 @@ TEST(SimEquivalence, FailingProgramWedgesIdenticallyWithSameFlid)
     BuildResult build = buildSource(
         "oob", kBad, configFor(ConfigId::SafeFlid, "Mica2"));
     Machine legacy(build.image, 1, ExecMode::Legacy);
-    Machine pre(build.image, 1, ExecMode::Predecoded);
     Machine thr(build.image, 1, ExecMode::Threaded);
     legacy.boot();
-    pre.boot();
     thr.boot();
     legacy.runUntilCycle(500'000);
-    pre.runUntilCycle(500'000);
     thr.runUntilCycle(500'000);
-    EXPECT_TRUE(pre.wedged());
-    EXPECT_NE(pre.failedFlid(), 0u);
-    expectSame(statsOf(legacy), statsOf(pre), "oob [predecoded]");
+    EXPECT_TRUE(thr.wedged());
+    EXPECT_NE(thr.failedFlid(), 0u);
     expectSame(statsOf(legacy), statsOf(thr), "oob [threaded]");
 }
 
@@ -235,7 +204,7 @@ TEST(SimEquivalence, FailingProgramWedgesIdenticallyWithSameFlid)
  * over every integer width and the nasty operand corners — divisor
  * zero, INT_MIN / -1, shift counts at and past the operand width —
  * must produce identical UART streams from the IR interpreter, the
- * legacy core, and the predecoded core, in unsafe, safe, and
+ * legacy core, and the threaded core, in unsafe, safe, and
  * safe+optimized builds. This pins the unified total-division
  * semantics (x/0 == 0, x%0 == 0, INT_MIN/-1 wraps) across all three
  * engines and the constant folder.
@@ -325,18 +294,13 @@ TEST(SimEquivalence, WidthSweepArithmeticAgreesAcrossAllEngines)
                 interpUart.push_back(static_cast<char>(w.value));
 
         Machine legacy(build.image, 1, ExecMode::Legacy);
-        Machine pre(build.image, 1, ExecMode::Predecoded);
         Machine thr(build.image, 1, ExecMode::Threaded);
         legacy.boot();
-        pre.boot();
         thr.boot();
         legacy.runUntilCycle(50'000'000);
-        pre.runUntilCycle(50'000'000);
         thr.runUntilCycle(50'000'000);
         ASSERT_TRUE(legacy.halted()) << label;
         ASSERT_FALSE(legacy.wedged()) << label;
-        expectSame(statsOf(legacy), statsOf(pre),
-                   label + " [predecoded]");
         expectSame(statsOf(legacy), statsOf(thr),
                    label + " [threaded]");
         EXPECT_EQ(interpUart, legacy.devices().uartLog()) << label;
@@ -369,21 +333,17 @@ TEST(SimEquivalence, DivByZeroProducesZeroOnEveryEngine)
             interpUart.push_back(static_cast<char>(w.value));
 
     Machine legacy(build.image, 1, ExecMode::Legacy);
-    Machine pre(build.image, 1, ExecMode::Predecoded);
     Machine thr(build.image, 1, ExecMode::Threaded);
     legacy.boot();
-    pre.boot();
     thr.boot();
     legacy.runUntilCycle(1'000'000);
-    pre.runUntilCycle(1'000'000);
     thr.runUntilCycle(1'000'000);
     ASSERT_TRUE(legacy.halted());
-    expectSame(statsOf(legacy), statsOf(pre), "div0 [predecoded]");
     expectSame(statsOf(legacy), statsOf(thr), "div0 [threaded]");
     EXPECT_EQ(interpUart, legacy.devices().uartLog());
 }
 
-TEST(SimEquivalence, PredecodedNetworkClampsToRequestedCycles)
+TEST(SimEquivalence, LookaheadNetworkClampsToRequestedCycles)
 {
     // The lookahead scheduler must land every mote exactly on the
     // requested cycle, including durations that are not multiples of
@@ -391,37 +351,17 @@ TEST(SimEquivalence, PredecodedNetworkClampsToRequestedCycles)
     const auto &app = tinyos::appByName("CntToLedsAndRfm");
     BuildResult build =
         buildApp(app, configFor(ConfigId::Baseline, app.platform));
-    for (unsigned threads : {1u, 3u}) {
-        Network net({threads == 1 ? ExecMode::Threaded
-                                  : ExecMode::Predecoded,
-                     true, threads});
-        net.addMote(build.image, 1);
-        net.addMote(build.image, 2);
-        net.addMote(build.image, 3);
-        uint64_t n = 123'457;  // prime-ish: no window divides it
-        net.run(n);
-        for (size_t i = 0; i < net.size(); ++i)
-            EXPECT_EQ(net.mote(i).cycles(), n) << "threads=" << threads;
-        net.run(100);
-        for (size_t i = 0; i < net.size(); ++i)
-            EXPECT_EQ(net.mote(i).cycles(), n + 100)
-                << "threads=" << threads;
-    }
-}
-
-TEST(SimEquivalence, ParallelNetworkIsDeterministic)
-{
-    const BuildReport &rep = matrix();
-    const BuildRecord *surge =
-        rep.find("Surge", configName(ConfigId::SafeFlidInlineCxprop));
-    ASSERT_NE(surge, nullptr);
-    auto a = runNetwork(*surge, rep, {ExecMode::Threaded, true, 4},
-                        kCycles);
-    auto b = runNetwork(*surge, rep, {ExecMode::Threaded, true, 4},
-                        kCycles);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        expectSame(a[i], b[i], "mote " + std::to_string(i));
+    Network net({ExecMode::Threaded, true});
+    net.addMote(build.image, 1);
+    net.addMote(build.image, 2);
+    net.addMote(build.image, 3);
+    uint64_t n = 123'457;  // prime-ish: no window divides it
+    net.run(n);
+    for (size_t i = 0; i < net.size(); ++i)
+        EXPECT_EQ(net.mote(i).cycles(), n);
+    net.run(100);
+    for (size_t i = 0; i < net.size(); ++i)
+        EXPECT_EQ(net.mote(i).cycles(), n + 100);
 }
 
 } // namespace

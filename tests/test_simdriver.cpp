@@ -31,8 +31,7 @@ struct SimParams {
     unsigned jobs = 0;
     bool memoizeCompanions = true;
     double seconds = kSimSeconds;
-    sim::ExecMode mode = sim::ExecMode::Predecoded;
-    unsigned netThreads = 1;
+    sim::ExecMode mode = sim::ExecMode::Threaded;
 };
 
 /** Simulate an already-built matrix over a fresh companion cache. */
@@ -44,7 +43,6 @@ runSim(const BuildReport &builds, const SimParams &p = {})
     e.options().memoize = p.memoizeCompanions;
     e.options().seconds = p.seconds;
     e.options().mode = p.mode;
-    e.options().netThreads = p.netThreads;
     StageCache cache;
     return e.simulateBuilds(builds, cache);
 }
@@ -300,10 +298,10 @@ TEST(StageCacheCompanions, DecodedImageSharesTheCompiledFirmware)
               decoded.get());
 }
 
-TEST(SimMatrix, LegacyModeMatchesPredecodedCellForCell)
+TEST(SimMatrix, LegacyModeMatchesThreadedCellForCell)
 {
-    // The acceptance gate of the predecoded core at the driver level:
-    // the legacy reference interpreter and the predecoded
+    // The acceptance gate of the threaded core at the driver level:
+    // the legacy reference interpreter and the direct-threaded
     // event-horizon core must agree on every cell, uart log included.
     BuildReport builds = smallBuilds();
 
@@ -312,29 +310,12 @@ TEST(SimMatrix, LegacyModeMatchesPredecodedCellForCell)
     legacyP.mode = sim::ExecMode::Legacy;
     SimReport legacy = runSim(builds, legacyP);
 
-    SimParams preP;
-    preP.jobs = 2;
-    SimReport pre = runSim(builds, preP);
+    SimParams thrP;
+    thrP.jobs = 2;
+    SimReport thr = runSim(builds, thrP);
 
     std::string why;
-    EXPECT_TRUE(SimDriver::reportsEquivalent(legacy, pre, &why)) << why;
-}
-
-TEST(SimMatrix, LookaheadParallelNetworksMatchSerial)
-{
-    // Multi-mote networks stepped in parallel inside each lookahead
-    // window must be indistinguishable from serial stepping.
-    BuildReport builds = smallBuilds();
-
-    SimReport serial = runSim(builds);
-
-    SimParams parP;
-    parP.netThreads = 3;
-    SimReport parallel = runSim(builds, parP);
-
-    std::string why;
-    EXPECT_TRUE(SimDriver::reportsEquivalent(serial, parallel, &why))
-        << why;
+    EXPECT_TRUE(SimDriver::reportsEquivalent(legacy, thr, &why)) << why;
 }
 
 TEST(SimReport, JoinedCsvMergesStaticAndDynamicColumns)

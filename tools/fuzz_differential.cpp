@@ -2,9 +2,9 @@
  * @file
  * Grammar-driven differential fuzzer driver. Generates N seeded TinyC
  * programs, runs each through the per-program oracles (interpreter vs
- * all three simulator cores — legacy, predecoded, and direct-threaded
- * — across unsafe / safe / optimized builds), then
- * runs the surviving corpus through the Experiment facade oracles
+ * both simulator cores — the legacy reference and the direct-threaded
+ * fast path — across unsafe / safe / optimized builds), then runs the
+ * surviving corpus through the Experiment facade oracles
  * (memoized-parallel vs cold-serial, cold vs cached byte-identity).
  * Exits nonzero on the first divergence, printing the seed so the run
  * is reproducible with --dump / --minimize.
