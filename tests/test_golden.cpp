@@ -307,6 +307,165 @@ TEST(GoldenManifest, Simulator)
     checkGoldenText("sim_manifest", simManifest());
 }
 
+/**
+ * A hand-built 2 apps x 2 configs report that reaches every emitter
+ * branch with fixed timings: a cell that builds and simulates under
+ * faults (trap log, UART output), one that builds but fails to
+ * simulate (its error needs CSV and JSON quoting), one whose build
+ * fails, and one with every reuse flag set.
+ */
+core::ExperimentReport
+handBuiltReport()
+{
+    core::ExperimentReport rep;
+    rep.simulated = true;
+    core::BuildReport &b = rep.builds;
+    core::SimReport &s = rep.sims;
+    b.numApps = s.numApps = 2;
+    b.numConfigs = s.numConfigs = 2;
+    b.records.resize(4);
+    s.records.resize(4);
+    const char *apps[] = {"Surge", "BlinkTask"};
+    const std::string configs[] = {
+        core::configName(core::ConfigId::Baseline),
+        core::configName(core::ConfigId::SafeFlidInlineCxprop)};
+    for (uint32_t a = 0; a < 2; ++a) {
+        for (uint32_t c = 0; c < 2; ++c) {
+            core::BuildRecord &br = b.at(a, c);
+            core::SimRecord &sr = s.at(a, c);
+            br.app = sr.app = apps[a];
+            br.platform = sr.platform = "Mica2";
+            br.config = sr.config = configs[c];
+            br.appIndex = sr.appIndex = a;
+            br.configIndex = sr.configIndex = c;
+            br.millis = 10.0 + a * 2 + c + 0.125;
+            sr.millis = 20.0 + a * 2 + c + 0.5;
+        }
+    }
+    auto result = [](uint32_t code, uint32_t ram, uint32_t rom,
+                     uint32_t surviving, uint32_t inserted,
+                     uint32_t removed) {
+        auto r = std::make_shared<core::BuildResult>();
+        r->codeBytes = code;
+        r->ramBytes = ram;
+        r->romDataBytes = rom;
+        r->survivingChecks = surviving;
+        r->safetyReport.checksInserted = inserted;
+        r->cxpropReport.checksRemoved = removed;
+        return r;
+    };
+    auto outcome = [](uint64_t awake, uint64_t total, uint64_t instrs) {
+        core::SimOutcome o;
+        o.awakeCycles = awake;
+        o.totalCycles = total;
+        o.instructions = instrs;
+        o.dutyCycle = static_cast<double>(awake) /
+                      static_cast<double>(total);
+        return o;
+    };
+
+    // Surge / baseline: built, simulated under faults.
+    b.at(0, 0).ok = true;
+    b.at(0, 0).result = result(4210, 388, 12, 0, 0, 0);
+    core::SimRecord &faulted = s.at(0, 0);
+    faulted.ok = true;
+    faulted.outcome = outcome(1234567, 22118400, 987654);
+    faulted.outcome.failedFlid = 17;
+    faulted.outcome.uartLog = "hello\n";
+    faulted.outcome.traps = 2;
+    faulted.outcome.cfiTraps = 1;
+    faulted.outcome.reboots = 1;
+    faulted.outcome.crashes = 1;
+    faulted.outcome.downCycles = 4096;
+    faulted.outcome.wedgedCycles = 512;
+    faulted.outcome.availability = 0.999791667;
+    faulted.outcome.trapLog = {{17, 1000, 0x1a2, 0}, {3, 250000, 0x3f0, 1}};
+    faulted.outcome.packetsDropped = 3;
+    faulted.outcome.packetsCorrupted = 2;
+    faulted.outcome.packetsDuplicated = 1;
+
+    // Surge / safe: built, but the simulation failed.
+    b.at(0, 1).ok = true;
+    b.at(0, 1).result = result(5120, 402, 30, 7, 41, 34);
+    s.at(0, 1).error = "cell timeout, \"watchdog\" fired\nafter 1.5 s";
+
+    // BlinkTask / baseline: the build failed.
+    b.at(1, 0).error = "parse error: expected ')', got \"{\"";
+    s.at(1, 0).error = "build failed: " + b.at(1, 0).error;
+
+    // BlinkTask / safe: every stage and companion reused.
+    core::BuildRecord &reused = b.at(1, 1);
+    reused.ok = true;
+    reused.result = result(1002, 44, 6, 2, 9, 7);
+    reused.frontendReused = reused.safetyReused = true;
+    reused.optReused = reused.backendReused = true;
+    s.at(1, 1).ok = true;
+    s.at(1, 1).outcome = outcome(2048, 7372800, 1500);
+    s.at(1, 1).outcome.halted = true;
+    s.at(1, 1).companionsReused = true;
+
+    b.frontendParses = 2;
+    b.frontendReuses = 2;
+    b.safetyRuns = 3;
+    b.safetyReuses = 1;
+    b.optRuns = 2;
+    b.optReuses = 1;
+    b.backendRuns = 1;
+    b.backendReuses = 2;
+    b.frontendDiskHits = 1;
+    b.safetyDiskHits = 2;
+    b.optDiskHits = 3;
+    b.backendDiskHits = 4;
+    b.cacheBytesRead = 123456;
+    b.cacheBytesWritten = 654321;
+    b.wallMillis = 45.25;
+    b.jobsUsed = 2;
+    s.seconds = 3.0;
+    s.companionBuilds = 2;
+    s.companionReuses = 5;
+    s.wallMillis = 81.75;
+    s.jobsUsed = 2;
+    return rep;
+}
+
+template <typename Emit>
+std::string
+emitted(Emit emit)
+{
+    std::ostringstream os;
+    emit(os);
+    return os.str();
+}
+
+/**
+ * The bytes every report emitter and summary writes for the
+ * hand-built report: any change to a column, its order, its
+ * formatting or its quoting shows up here.
+ */
+TEST(GoldenReports, EveryEmitterAndSummary)
+{
+    const core::ExperimentReport rep = handBuiltReport();
+    using OS = std::ostream;
+    const std::pair<const char *, std::string> fixtures[] = {
+        {"build_csv", emitted([&](OS &os) { rep.builds.emitCsv(os); })},
+        {"build_json",
+         emitted([&](OS &os) { rep.builds.emitJson(os); })},
+        {"sim_csv", emitted([&](OS &os) { rep.sims.emitCsv(os); })},
+        {"sim_json", emitted([&](OS &os) { rep.sims.emitJson(os); })},
+        {"joined_csv",
+         emitted([&](OS &os) { rep.sims.joinCsv(rep.builds, os); })},
+        {"joined_json",
+         emitted([&](OS &os) { rep.sims.joinJson(rep.builds, os); })},
+        {"build_summary", rep.builds.summary() + "\n"},
+        {"sim_summary", rep.sims.summary() + "\n"},
+        {"experiment_summary", rep.summary() + "\n"},
+    };
+    for (const auto &[name, text] : fixtures) {
+        SCOPED_TRACE(name);
+        checkGoldenText(std::string("reports/") + name, text);
+    }
+}
+
 /** The printer must be a pure function of the module. */
 TEST(GoldenPrinter, PrintingIsDeterministic)
 {
