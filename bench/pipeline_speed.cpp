@@ -118,11 +118,9 @@ figure3Experiment(ExperimentOptions opts)
 void
 BM_Figure3MatrixSerial(benchmark::State &state)
 {
-    ExperimentOptions opts;
-    opts.jobs = 1;
-    opts.memoize = false;
+    Experiment exp = figure3Experiment({});
     for (auto _ : state) {
-        BuildReport rep = figure3Experiment(opts).run().builds;
+        BuildReport rep = exp.runSerialReference().builds;
         benchmark::DoNotOptimize(rep.records.size());
     }
 }

@@ -137,13 +137,11 @@ main(int argc, char **argv)
     uint64_t totalInstrs = 0;
 
     for (const BuildRecord &r : builds.records) {
-        std::vector<std::shared_ptr<const backend::MProgram>> owned;
         std::vector<const backend::MProgram *> companions;
         std::vector<std::shared_ptr<const sim::DecodedProgram>> dcomps;
         for (const auto &cname : r.companions) {
-            owned.push_back(cache.companionImage(cname, r.platform));
-            companions.push_back(owned.back().get());
             dcomps.push_back(cache.companionDecode(cname, r.platform));
+            companions.push_back(&dcomps.back()->program());
         }
         uint64_t cycles = static_cast<uint64_t>(
             seconds *

@@ -177,58 +177,41 @@ Experiment::addCustom(std::string label,
 
 namespace {
 
-/** Fill the identity fields every cell carries regardless of mode. */
-BuildRecord &
-cellRecord(BuildReport &report, const tinyos::AppInfo &app,
-           const ConfigSpec &spec, size_t appIdx, size_t cfgIdx)
-{
-    BuildRecord &rec =
-        report.records[appIdx * report.numConfigs + cfgIdx];
-    rec.app = app.name;
-    rec.platform = app.platform;
-    rec.config = spec.label;
-    rec.companions = app.companions;
-    rec.appIndex = static_cast<uint32_t>(appIdx);
-    rec.configIndex = static_cast<uint32_t>(cfgIdx);
-    return rec;
-}
-
-} // namespace
-
+/**
+ * The shell both build loops share: size the report for the matrix
+ * and run `buildCell(app, config, hits)` for every cell on `jobs`
+ * workers, recording identity, failures, reuse flags and timing.
+ */
+template <typename BuildCell>
 BuildReport
-Experiment::buildMatrix(StageCache &cache) const
+buildCells(const std::vector<tinyos::AppInfo> &apps,
+           const std::vector<ConfigSpec> &configs, unsigned jobs,
+           BuildCell buildCell)
 {
-    const size_t nApps = apps_.size();
-    const size_t nConfigs = configs_.size();
-    const size_t nJobs = nApps * nConfigs;
-
+    const size_t nApps = apps.size();
+    const size_t nJobs = nApps * configs.size();
     BuildReport report;
     report.numApps = nApps;
-    report.numConfigs = nConfigs;
+    report.numConfigs = configs.size();
     report.records.resize(nJobs);
-    report.jobsUsed = resolveJobs(opts_.jobs, nJobs);
+    report.jobsUsed = resolveJobs(jobs, nJobs);
     if (nJobs == 0)
         return report;
 
-    StageCacheStats before = cache.stats();
-    ArtifactStoreStats storeBefore;
-    if (cache.store())
-        storeBefore = cache.store()->stats();
-
     auto start = Clock::now();
-    // Config-major execution order: spread early jobs across distinct
-    // apps so the per-app stage entries fill in parallel.
     runOnPool(report.jobsUsed, nJobs, [&](size_t k) {
         size_t appIdx = k % nApps, cfgIdx = k / nApps;
-        const tinyos::AppInfo &app = apps_[appIdx];
-        const ConfigSpec &spec = configs_[cfgIdx];
-        BuildRecord &rec = cellRecord(report, app, spec, appIdx, cfgIdx);
+        const tinyos::AppInfo &app = apps[appIdx];
+        const ConfigSpec &spec = configs[cfgIdx];
+        BuildRecord &rec = report.at(appIdx, cfgIdx);
+        static_cast<CellId &>(rec) = {app.name, app.platform, spec.label,
+                                      static_cast<uint32_t>(appIdx),
+                                      static_cast<uint32_t>(cfgIdx)};
+        rec.companions = app.companions;
         auto cellStart = Clock::now();
         StageHits hits;
         try {
-            PipelineConfig cfg = spec.make(app.platform);
-            // Shared immutably with the cache — no per-cell copy.
-            rec.result = cache.build(app, cfg, &hits);
+            rec.result = buildCell(app, spec.make(app.platform), hits);
             rec.ok = true;
         } catch (const std::exception &e) {
             rec.ok = false;
@@ -241,6 +224,26 @@ Experiment::buildMatrix(StageCache &cache) const
         rec.millis = millisSince(cellStart);
     });
     report.wallMillis = millisSince(start);
+    return report;
+}
+
+} // namespace
+
+BuildReport
+Experiment::buildMatrix(StageCache &cache) const
+{
+    StageCacheStats before = cache.stats();
+    ArtifactStoreStats storeBefore;
+    if (cache.store())
+        storeBefore = cache.store()->stats();
+
+    BuildReport report = buildCells(
+        apps_, configs_, opts_.jobs,
+        [&](const tinyos::AppInfo &app, const PipelineConfig &cfg,
+            StageHits &hits) {
+            // Shared immutably with the cache — no per-cell copy.
+            return cache.build(app, cfg, &hits);
+        });
 
     // Stage executions this run come from the cache's counter delta;
     // per-cell reuse comes from the chain flags (a request chain
@@ -278,32 +281,70 @@ Experiment::buildMatrix(StageCache &cache) const
 BuildReport
 Experiment::buildMatrixCold() const
 {
-    // Cold mode: every cell compiles from source, nothing is shared
-    // and nothing touches a store — the reference behaviour the
-    // equivalence gates compare against.
-    const size_t nApps = apps_.size();
-    const size_t nConfigs = configs_.size();
-    const size_t nJobs = nApps * nConfigs;
+    // Every cell compiles from source, nothing is shared and nothing
+    // touches a store — the reference the equivalence gates compare
+    // against.
+    BuildReport report = buildCells(
+        apps_, configs_, 1,
+        [](const tinyos::AppInfo &app, const PipelineConfig &cfg,
+           StageHits &) {
+            return std::make_shared<const BuildResult>(
+                buildSource(app.name, app.source, cfg));
+        });
+    // Every cell ran the whole pipeline by itself.
+    report.frontendParses = report.records.size();
+    report.safetyRuns = report.records.size();
+    report.optRuns = report.records.size();
+    report.backendRuns = report.records.size();
+    return report;
+}
 
-    BuildReport report;
+//---------------------------------------------------------------------
+// Simulation engine
+//---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The shell both sim loops share: size the report for `builds` and
+ * run `simCell(build, net, companionsReused)` for every cell on `jobs`
+ * workers, recording identity, failures and timing. Each cell gets
+ * its own fault plan: the campaign seed re-mixed with the app name,
+ * so no two cells replay the same corruption schedule and both loops
+ * mix to the identical seed.
+ */
+template <typename SimCell>
+SimReport
+simulateCells(const BuildReport &builds, unsigned jobs, double seconds,
+              const sim::NetworkOptions &net, SimCell simCell)
+{
+    const size_t nApps = builds.numApps;
+    const size_t nJobs = nApps * builds.numConfigs;
+    SimReport report;
     report.numApps = nApps;
-    report.numConfigs = nConfigs;
+    report.numConfigs = builds.numConfigs;
+    report.seconds = seconds;
     report.records.resize(nJobs);
-    report.jobsUsed = resolveJobs(opts_.jobs, nJobs);
+    report.jobsUsed = resolveJobs(jobs, nJobs);
     if (nJobs == 0)
         return report;
 
     auto start = Clock::now();
+    // Config-major execution order: spread early jobs across distinct
+    // apps so the companion entries fill in parallel.
     runOnPool(report.jobsUsed, nJobs, [&](size_t k) {
-        size_t appIdx = k % nApps, cfgIdx = k / nApps;
-        const tinyos::AppInfo &app = apps_[appIdx];
-        const ConfigSpec &spec = configs_[cfgIdx];
-        BuildRecord &rec = cellRecord(report, app, spec, appIdx, cfgIdx);
+        const BuildRecord &build = builds.at(k % nApps, k / nApps);
+        SimRecord &rec = report.at(k % nApps, k / nApps);
+        static_cast<CellId &>(rec) = build;
         auto cellStart = Clock::now();
+        sim::NetworkOptions cellNet = net;
+        if (cellNet.faults.anyFaults())
+            cellNet.faults.seed =
+                sim::mixSeed(cellNet.faults.seed, build.app);
         try {
-            rec.result = std::make_shared<const BuildResult>(
-                buildSource(app.name, app.source,
-                            spec.make(app.platform)));
+            if (!build.ok)
+                throw FatalError("build failed: " + build.error);
+            rec.outcome = simCell(build, cellNet, rec.companionsReused);
             rec.ok = true;
         } catch (const std::exception &e) {
             rec.ok = false;
@@ -312,150 +353,77 @@ Experiment::buildMatrixCold() const
         rec.millis = millisSince(cellStart);
     });
     report.wallMillis = millisSince(start);
-    // Every cell ran the whole pipeline by itself.
-    report.frontendParses = nJobs;
-    report.safetyRuns = nJobs;
-    report.optRuns = nJobs;
-    report.backendRuns = nJobs;
     return report;
 }
 
-//---------------------------------------------------------------------
-// Simulation engine
-//---------------------------------------------------------------------
+} // namespace
+
+sim::NetworkOptions
+Experiment::networkOptions() const
+{
+    sim::NetworkOptions net;
+    net.faults = opts_.faults;
+    net.wallLimitMs = opts_.cellTimeout * 1000.0;
+    return net;
+}
 
 SimReport
 Experiment::simulateBuilds(const BuildReport &builds,
                            StageCache &cache) const
 {
-    const size_t nApps = builds.numApps;
-    const size_t nConfigs = builds.numConfigs;
-    const size_t nJobs = nApps * nConfigs;
-
-    SimReport report;
-    report.numApps = nApps;
-    report.numConfigs = nConfigs;
-    report.seconds = opts_.seconds;
-    report.records.resize(nJobs);
-    report.jobsUsed = resolveJobs(opts_.jobs, nJobs);
-    if (nJobs == 0)
-        return report;
-
     const size_t builds0 = cache.companionBuilds();
     const size_t hits0 = cache.companionHits();
-
-    sim::NetworkOptions netOpts;
-    netOpts.mode = opts_.mode;
-    // Lookahead windows belong to the threaded fast path; Legacy
-    // keeps the fixed-quantum lockstep it always had (it is the
-    // reference the equivalence gates compare against).
-    netOpts.lookahead = opts_.mode != sim::ExecMode::Legacy;
-    netOpts.faults = opts_.faults;
-    netOpts.wallLimitMs = opts_.cellTimeout * 1000.0;
-
-    auto simCell = [&](size_t appIdx, size_t cfgIdx) {
-        const BuildRecord &build = builds.records[appIdx * nConfigs +
-                                                  cfgIdx];
-        SimRecord &rec = report.records[appIdx * nConfigs + cfgIdx];
-        rec.app = build.app;
-        rec.platform = build.platform;
-        rec.config = build.config;
-        rec.appIndex = build.appIndex;
-        rec.configIndex = build.configIndex;
-
-        auto cellStart = Clock::now();
-        // Per-cell fault plan: re-mix the campaign seed with the app
-        // name so no two cells replay the same corruption schedule.
-        // runSerialReference copies these options verbatim, so the
-        // reference cell mixes to the identical seed.
-        sim::NetworkOptions cellNet = netOpts;
-        if (cellNet.faults.anyFaults())
-            cellNet.faults.seed =
-                sim::mixSeed(cellNet.faults.seed, build.app);
-        try {
-            if (!build.ok)
-                throw FatalError("build failed: " + build.error);
-            // Companion images: from the shared memo, or rebuilt per
-            // cell when memoization is off (the serial-equivalent
-            // behaviour the equivalence gate compares against). The
-            // companion names ride on the BuildRecord, so custom rows
-            // outside the app registry simulate fine (companion-less
-            // or with registry companions).
+    SimReport report = simulateCells(
+        builds, opts_.jobs, opts_.seconds, networkOptions(),
+        [&](const BuildRecord &build, const sim::NetworkOptions &net,
+            bool &companionsReused) {
+            // The cell's own firmware decodes once per cell; the
+            // companions' decodes come from (and persist in) the
+            // cache, shared across every cell and run. The companion
+            // names ride on the BuildRecord, so custom rows outside
+            // the app registry simulate fine.
+            auto image = std::make_shared<const sim::DecodedProgram>(
+                build.result->image);
+            std::vector<std::shared_ptr<const sim::DecodedProgram>>
+                companions;
             bool allReused = !build.companions.empty();
-            auto freshImage = [&](const std::string &cname) {
-                const auto &capp = tinyos::appByName(cname);
-                PipelineConfig base =
-                    configFor(ConfigId::Baseline, build.platform);
-                return std::make_shared<const backend::MProgram>(
-                    buildApp(capp, base).image);
-            };
-            if (opts_.mode != sim::ExecMode::Legacy) {
-                // The cell's own firmware decodes once per cell; the
-                // companions' decodes come from (and persist in) the
-                // cache, shared across every cell and run.
-                auto dimage =
-                    std::make_shared<const sim::DecodedProgram>(
-                        build.result->image);
-                std::vector<
-                    std::shared_ptr<const sim::DecodedProgram>>
-                    dcomps;
-                for (const auto &cname : build.companions) {
-                    if (opts_.memoize) {
-                        bool builtHere = false;
-                        dcomps.push_back(cache.companionDecode(
-                            cname, build.platform, &builtHere));
-                        if (builtHere)
-                            allReused = false;
-                    } else {
-                        dcomps.push_back(
-                            std::make_shared<
-                                const sim::DecodedProgram>(
-                                freshImage(cname)));
-                        allReused = false;
-                    }
-                }
-                rec.companionsReused = allReused;
-                rec.outcome = simulateDecoded(dimage, dcomps,
-                                              opts_.seconds, cellNet);
-            } else {
-                std::vector<std::shared_ptr<const backend::MProgram>>
-                    owned;
-                std::vector<const backend::MProgram *> companions;
-                for (const auto &cname : build.companions) {
-                    if (opts_.memoize) {
-                        bool builtHere = false;
-                        owned.push_back(cache.companionImage(
-                            cname, build.platform, &builtHere));
-                        if (builtHere)
-                            allReused = false;
-                    } else {
-                        owned.push_back(freshImage(cname));
-                        allReused = false;
-                    }
-                    companions.push_back(owned.back().get());
-                }
-                rec.companionsReused = allReused;
-                rec.outcome =
-                    simulateInContext(build.result->image, companions,
-                                      opts_.seconds, cellNet);
+            for (const auto &cname : build.companions) {
+                bool builtHere = false;
+                companions.push_back(cache.companionDecode(
+                    cname, build.platform, &builtHere));
+                allReused = allReused && !builtHere;
             }
-            rec.ok = true;
-        } catch (const std::exception &e) {
-            rec.ok = false;
-            rec.error = e.what();
-        }
-        rec.millis = millisSince(cellStart);
-    };
-
-    auto start = Clock::now();
-    // Config-major execution order: spread early jobs across distinct
-    // apps so the companion entries fill in parallel.
-    runOnPool(report.jobsUsed, nJobs,
-              [&](size_t k) { simCell(k % nApps, k / nApps); });
-    report.wallMillis = millisSince(start);
+            companionsReused = allReused;
+            return simulateDecoded(image, companions, opts_.seconds, net);
+        });
     report.companionBuilds = cache.companionBuilds() - builds0;
     report.companionReuses = cache.companionHits() - hits0;
     return report;
+}
+
+SimReport
+Experiment::simulateReference(const BuildReport &builds) const
+{
+    sim::NetworkOptions net = networkOptions();
+    net.mode = sim::ExecMode::Legacy;
+    net.lookahead = false;
+    return simulateCells(
+        builds, 1, opts_.seconds, net,
+        [&](const BuildRecord &build, const sim::NetworkOptions &cellNet,
+            bool &) {
+            // Every cell rebuilds its companions from source.
+            PipelineConfig base =
+                configFor(ConfigId::Baseline, build.platform);
+            std::vector<backend::MProgram> images;
+            for (const auto &cname : build.companions)
+                images.push_back(
+                    buildApp(tinyos::appByName(cname), base).image);
+            std::vector<const backend::MProgram *> companions;
+            for (const auto &img : images)
+                companions.push_back(&img);
+            return simulateInContext(build.result->image, companions,
+                                     opts_.seconds, cellNet);
+        });
 }
 
 //---------------------------------------------------------------------
@@ -476,8 +444,7 @@ ExperimentReport
 Experiment::run(StageCache &cache) const
 {
     ExperimentReport rep;
-    rep.builds = opts_.memoize ? buildMatrix(cache) : buildMatrixCold();
-
+    rep.builds = buildMatrix(cache);
     if (opts_.simulate) {
         rep.sims = simulateBuilds(rep.builds, cache);
         rep.simulated = true;
@@ -494,14 +461,13 @@ Experiment::run(StageCache &cache) const
 ExperimentReport
 Experiment::runSerialReference() const
 {
-    Experiment ref = *this;
-    ref.opts_.jobs = 1;
-    ref.opts_.memoize = false;
-    ref.opts_.mode = sim::ExecMode::Legacy;
-    // The cold reference must be exactly that — it never reads or
-    // warms the artifact store.
-    ref.opts_.cache = {};
-    return ref.run();
+    ExperimentReport rep;
+    rep.builds = buildMatrixCold();
+    if (opts_.simulate) {
+        rep.sims = simulateReference(rep.builds);
+        rep.simulated = true;
+    }
+    return rep;
 }
 
 //---------------------------------------------------------------------

@@ -7,16 +7,15 @@
  * (app, safety-fingerprint), companion firmware reused from the
  * matrix's own Baseline column) and then fans the per-cell network
  * simulations over the same worker pool, returning one combined
- * report. The serial/legacy equivalence gates the benches used to
- * hand-roll are API methods here.
+ * report.
  *
  * This facade IS the engine: the thread-pooled build loop, the
  * simulation loop, and the artifact-store plumbing all live here.
  * Point options().cache.dir at a directory and every stage product
  * persists on disk under its content key — a second process (or CI
- * run) over the same matrix executes zero stages. BuildDriver and
- * SimDriver survive only as the static equivalence helpers the
- * serial/parallel gates are phrased in.
+ * run) over the same matrix executes zero stages. run() is the one
+ * fast path and runSerialReference() the one reference it is gated
+ * against; no option chooses between them.
  *
  * Typical use (what every figure bench does via BenchCli):
  *
@@ -35,24 +34,18 @@
 #include <string>
 #include <vector>
 
-#include "core/simdriver.h"
+#include "core/report.h"
+#include "core/stagecache.h"
 
 namespace stos::core {
 
 struct ExperimentOptions {
     /** Worker threads for both phases; 0 = hardware concurrency. */
     unsigned jobs = 0;
-    /** Memoize the stage graph (off = cold-build every cell). */
-    bool memoize = true;
     /** Run the simulation phase after the build phase. */
     bool simulate = true;
     /** Simulated duration per cell, in seconds of mote time. */
     double seconds = 3.0;
-    /** Interpreter core for the simulation phase. The direct-
-     *  threaded core is the default; the equivalence suite holds it
-     *  byte-identical to Legacy, so figures do not depend on this
-     *  choice. */
-    sim::ExecMode mode = sim::ExecMode::Threaded;
     /**
      * On-disk artifact store binding (core/artifactstore.h). With a
      * non-empty dir, run() fronts its StageCache with an
@@ -65,8 +58,8 @@ struct ExperimentOptions {
     /**
      * Fault campaign applied to every simulated cell (sim/fault.h).
      * The campaign seed is re-mixed with each cell's app name so every
-     * cell replays its own deterministic plan; the serial-reference
-     * gate inherits the same options, so equivalence checking covers
+     * cell replays its own deterministic plan; the serial reference
+     * applies the same campaign, so equivalence checking covers
      * faulted matrices too. Defaults inject nothing.
      */
     sim::FaultOptions faults;
@@ -139,7 +132,10 @@ class Experiment {
 
     //--- execution ------------------------------------------------
     /**
-     * Build + simulate the matrix over a fresh per-run StageCache —
+     * The fast path: build the matrix through the stage graph on the
+     * worker pool, then simulate it on the threaded core with
+     * lookahead windows and memoized companion decodes. This overload
+     * runs over a fresh per-run StageCache —
      * fronted by an ArtifactStore when options().cache.dir is set,
      * in which case "fresh" only means the in-memory memo: stage
      * products still flow from and to the shared directory.
@@ -147,8 +143,8 @@ class Experiment {
     ExperimentReport run() const;
     /**
      * As above over the caller's persistent cache: repeated runs
-     * (and the serial gate's sim phase) rebuild nothing. The cache's
-     * own store binding wins; options().cache is ignored here.
+     * rebuild nothing. The cache's own store binding wins;
+     * options().cache is ignored here.
      */
     ExperimentReport run(StageCache &cache) const;
 
@@ -162,19 +158,22 @@ class Experiment {
 
     /**
      * The simulation phase alone: fan the per-cell network
-     * simulations of an already-built matrix over the worker pool.
-     * Companion firmware comes from (and is added to) the caller's
-     * cache; pass the cache that built the matrix and companions
-     * alias its Baseline cells outright.
+     * simulations of an already-built matrix over the worker pool, on
+     * the threaded core with lookahead windows. Companion decodes
+     * come from (and are added to) the caller's cache; pass the cache
+     * that built the matrix and companions alias its Baseline cells
+     * outright.
      */
     SimReport simulateBuilds(const BuildReport &builds,
                              StageCache &cache) const;
 
     /**
-     * The cold reference of the same matrix: one job, no stage
-     * memoization, per-cell companion rebuilds, legacy interpreter,
-     * fixed-quantum lockstep networks. This is what every
-     * memoized, parallel, and threaded layer is gated against.
+     * The reference of the same matrix: one job, every cell compiled
+     * from source without a cache or store, per-cell companion
+     * rebuilds, the legacy interpreter under fixed-quantum lockstep
+     * networks. This is what every memoized, parallel, and threaded
+     * layer is gated against. Honours simulate, seconds, faults and
+     * cellTimeout; ignores jobs and cache.
      */
     ExperimentReport runSerialReference() const;
 
@@ -194,8 +193,12 @@ class Experiment {
                                   std::string *why = nullptr);
 
   private:
-    /** Cold (memoization-off) build loop: every cell from source. */
+    /** The reference build loop: every cell from source, one job. */
     BuildReport buildMatrixCold() const;
+    /** The reference sim loop: legacy core, per-cell companions. */
+    SimReport simulateReference(const BuildReport &builds) const;
+    /** Fault campaign and watchdog shared by both sim loops. */
+    sim::NetworkOptions networkOptions() const;
 
     ExperimentOptions opts_;
     std::vector<tinyos::AppInfo> apps_;

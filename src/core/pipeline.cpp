@@ -5,7 +5,6 @@
 #include "core/pipeline.h"
 
 #include <cstdlib>
-#include <map>
 
 #include "frontend/frontend.h"
 #include "ir/verifier.h"
@@ -307,16 +306,6 @@ backendFingerprint(const PipelineConfig &cfg)
 }
 
 BuildResult
-buildFromFrontend(const FrontendProduct &fe, const PipelineConfig &cfg)
-{
-    return runBackendStage(
-        runOptStage(runSafetyStage(fe.module.clone(),
-                                   fe.sourceManager.get(), cfg),
-                    cfg),
-        cfg);
-}
-
-BuildResult
 buildSource(const std::string &name, const std::string &src,
             const PipelineConfig &cfg)
 {
@@ -382,24 +371,6 @@ simulateInContext(const backend::MProgram &image,
                   const std::vector<const backend::MProgram *> &companions,
                   double seconds, const sim::NetworkOptions &netOpts)
 {
-    if (netOpts.mode != sim::ExecMode::Legacy) {
-        // Decode each distinct image once, shared by every mote that
-        // runs it (Surge's context runs the same firmware twice).
-        std::map<const backend::MProgram *,
-                 std::shared_ptr<const sim::DecodedProgram>>
-            decodes;
-        auto decodeOf = [&](const backend::MProgram &img) {
-            auto &slot = decodes[&img];
-            if (!slot)
-                slot = std::make_shared<const sim::DecodedProgram>(img);
-            return slot;
-        };
-        auto dimage = decodeOf(image);
-        std::vector<std::shared_ptr<const sim::DecodedProgram>> dcomps;
-        for (const backend::MProgram *cimg : companions)
-            dcomps.push_back(decodeOf(*cimg));
-        return simulateDecoded(dimage, dcomps, seconds, netOpts);
-    }
     uint64_t cycles = static_cast<uint64_t>(
         seconds * static_cast<double>(image.target.clockHz));
     sim::Network net(netOpts);
@@ -426,22 +397,6 @@ simulateDecoded(
     for (const auto &cimg : companions)
         net.addMote(cimg, nextId++);
     return collectOutcome(net, cycles);
-}
-
-double
-measureDutyCycle(const tinyos::AppInfo &app,
-                 const backend::MProgram &image, double seconds)
-{
-    PipelineConfig base = configFor(ConfigId::Baseline, app.platform);
-    std::vector<backend::MProgram> companions;
-    for (const auto &cname : app.companions) {
-        const auto &capp = tinyos::appByName(cname);
-        companions.push_back(buildApp(capp, base).image);
-    }
-    std::vector<const backend::MProgram *> ptrs;
-    for (const auto &cimg : companions)
-        ptrs.push_back(&cimg);
-    return simulateInContext(image, ptrs, seconds).dutyCycle;
 }
 
 } // namespace stos::core

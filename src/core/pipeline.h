@@ -199,15 +199,6 @@ std::string safetyFingerprint(const PipelineConfig &cfg);
 std::string optFingerprint(const PipelineConfig &cfg);
 std::string backendFingerprint(const PipelineConfig &cfg);
 
-/**
- * Run the config-dependent stages (safety, cXprop, backend) on a
- * clone of the memoized frontend output. Safe to call concurrently on
- * the same FrontendProduct from multiple threads. Equivalent to
- * chaining the three stage functions above.
- */
-BuildResult buildFromFrontend(const FrontendProduct &fe,
-                              const PipelineConfig &cfg);
-
 /** Run the full pipeline on one application. */
 BuildResult buildApp(const tinyos::AppInfo &app,
                      const PipelineConfig &cfg);
@@ -244,7 +235,8 @@ struct SimOutcome {
  * Simulate `image` as mote 1 of a network whose remaining motes run
  * the given companion images, for `seconds` of simulated time. The
  * images are only read; concurrent runs may share them. `net` selects
- * the interpreter core and the network scheduling strategy.
+ * the interpreter core and the network scheduling strategy; each mote
+ * decodes its own image unless `net.mode` is Legacy.
  */
 SimOutcome
 simulateInContext(const backend::MProgram &image,
@@ -262,16 +254,6 @@ SimOutcome simulateDecoded(
     const std::vector<std::shared_ptr<const sim::DecodedProgram>>
         &companions,
     double seconds, const sim::NetworkOptions &net = {});
-
-/**
- * Simulate the app in its sensor-network context (companion motes run
- * baseline builds) for `seconds` of simulated time; returns the duty
- * cycle of the mote under test. Convenience wrapper that rebuilds the
- * companions on every call — batch workloads should go through
- * SimDriver, which memoizes companion images per (app, platform).
- */
-double measureDutyCycle(const tinyos::AppInfo &app,
-                        const backend::MProgram &image, double seconds);
 
 /** Default simulated duration (overridable via SAFE_TINYOS_SIM_SECONDS). */
 double simSeconds(double fallback);

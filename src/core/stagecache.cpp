@@ -306,16 +306,16 @@ StageCache::build(const tinyos::AppInfo &app, const PipelineConfig &cfg,
 // Companions
 //---------------------------------------------------------------------
 
-std::shared_ptr<StageCache::CompanionEntry>
-StageCache::companionEntry(const std::string &name,
-                           const std::string &platform, bool *builtHere)
+std::shared_ptr<const sim::DecodedProgram>
+StageCache::companionDecode(const std::string &name,
+                            const std::string &platform, bool *builtHere)
 {
-    std::shared_ptr<CompanionEntry> entry;
+    std::shared_ptr<Entry<sim::DecodedProgram>> entry;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto &slot = companions_[{name, platform}];
         if (!slot)
-            slot = std::make_shared<CompanionEntry>();
+            slot = std::make_shared<Entry<sim::DecodedProgram>>();
         entry = slot;
     }
     bool ran = false;
@@ -329,11 +329,8 @@ StageCache::companionEntry(const std::string &name,
             // builds the same cell; this entry just aliases it and
             // memoizes the decode every simulating mote shares.
             auto br = build(app, base);
-            entry->image = std::shared_ptr<const backend::MProgram>(
-                br, &br->image);
-            entry->decoded =
-                std::make_shared<const sim::DecodedProgram>(
-                    entry->image);
+            entry->value = std::make_shared<const sim::DecodedProgram>(
+                std::shared_ptr<const backend::MProgram>(br, &br->image));
         } catch (...) {
             entry->error = std::current_exception();
         }
@@ -345,21 +342,7 @@ StageCache::companionEntry(const std::string &name,
         *builtHere = ran;
     if (entry->error)
         std::rethrow_exception(entry->error);
-    return entry;
-}
-
-std::shared_ptr<const backend::MProgram>
-StageCache::companionImage(const std::string &name,
-                           const std::string &platform, bool *builtHere)
-{
-    return companionEntry(name, platform, builtHere)->image;
-}
-
-std::shared_ptr<const sim::DecodedProgram>
-StageCache::companionDecode(const std::string &name,
-                            const std::string &platform, bool *builtHere)
-{
-    return companionEntry(name, platform, builtHere)->decoded;
+    return entry->value;
 }
 
 //---------------------------------------------------------------------

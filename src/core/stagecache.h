@@ -114,17 +114,13 @@ class StageCache {
 
     //--- companion firmware ---------------------------------------
     /**
-     * Baseline firmware for registry app `name` on `platform` — an
-     * alias into the backend entry of (app, Baseline config), so a
-     * matrix that already built that cell shares it outright.
-     * `builtHere`, when non-null, reports whether this call
-     * materialized the companion entry (vs being served from it).
+     * The shared decode of Baseline firmware for registry app `name`
+     * on `platform`. The image it wraps (program()) is an alias into
+     * the backend entry of (app, Baseline config), so a matrix that
+     * already built that cell shares it outright. `builtHere`, when
+     * non-null, reports whether this call materialized the companion
+     * entry (vs being served from it).
      */
-    std::shared_ptr<const backend::MProgram>
-    companionImage(const std::string &name, const std::string &platform,
-                   bool *builtHere = nullptr);
-
-    /** The shared decode of the same image (built alongside it). */
     std::shared_ptr<const sim::DecodedProgram>
     companionDecode(const std::string &name, const std::string &platform,
                     bool *builtHere = nullptr);
@@ -160,21 +156,12 @@ class StageCache {
         std::shared_ptr<const T> value;
         std::exception_ptr error;
     };
-    struct CompanionEntry {
-        std::once_flag once;
-        std::shared_ptr<const backend::MProgram> image;
-        std::shared_ptr<const sim::DecodedProgram> decoded;
-        std::exception_ptr error;
-    };
     template <typename T>
     using EntryMap = std::map<std::string, std::shared_ptr<Entry<T>>>;
 
     template <typename T>
     std::shared_ptr<Entry<T>> entryFor(EntryMap<T> &map,
                                        const std::string &key);
-    std::shared_ptr<CompanionEntry>
-    companionEntry(const std::string &name, const std::string &platform,
-                   bool *builtHere);
 
     /** Try to materialize (stage, key) from the store; a decode
      *  failure on a hash-valid artifact is treated as a miss. */
@@ -191,7 +178,7 @@ class StageCache {
     EntryMap<OptProduct> opts_;
     EntryMap<BuildResult> builds_;
     std::map<std::pair<std::string, std::string>,
-             std::shared_ptr<CompanionEntry>>
+             std::shared_ptr<Entry<sim::DecodedProgram>>>
         companions_;
 
     std::atomic<size_t> feExec_{0}, feReuse_{0}, feDisk_{0};

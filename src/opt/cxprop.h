@@ -56,6 +56,8 @@ struct CxpropReport {
     uint32_t funcAnalysesSkipped = 0;
     /** Worklist block visits over all dataflow analyses. */
     uint32_t blockVisits = 0;
+
+    bool operator==(const CxpropReport &) const = default;
 };
 
 /** Run the full cXprop pipeline over the module. */

@@ -71,6 +71,8 @@ struct SafetyReport {
     uint32_t cfiClasses = 0;       ///< forward-edge equivalence classes
     uint32_t cfiForwardChecks = 0; ///< chk_cfi_label instrs inserted
     uint32_t cfiReturnSites = 0;   ///< rets stamped for shadow-stack check
+
+    bool operator==(const SafetyReport &) const = default;
 };
 
 } // namespace stos::safety

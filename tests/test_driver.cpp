@@ -3,11 +3,9 @@
  * Build-matrix tests over the Experiment facade: matrix shape and
  * deterministic ordering under any thread count, parallel-vs-serial
  * result equivalence, frontend memoization accounting, failure
- * isolation, the canned Figure-2/3 matrices, and the BuildReport
- * emitters. Historically these gated BuildDriver; the deprecated
- * forwarding shims are gone and the same coverage now targets the
- * engine directly (core/experiment.h), with BuildDriver surviving
- * only as the equivalence-helper vocabulary.
+ * isolation, the canned Figure-2/3 matrices, the build-equivalence
+ * gate itself, and error escaping in the BuildReport emitters (whose
+ * bytes tests/golden/reports/ pins).
  */
 #include <gtest/gtest.h>
 
@@ -26,11 +24,10 @@ using namespace stos::tinyos;
 
 /** A small matrix that still exercises safety + cXprop + backend. */
 Experiment
-smallExperiment(unsigned jobs, bool memoize = true)
+smallExperiment(unsigned jobs)
 {
     Experiment e;
     e.options().jobs = jobs;
-    e.options().memoize = memoize;
     e.options().simulate = false;
     e.addApp(appByName("BlinkTask"));
     e.addApp(appByName("SenseToRfm"));
@@ -69,9 +66,10 @@ TEST(BuildMatrix, MatrixShapeAndOrdering)
 
 TEST(BuildMatrix, ParallelMatchesSerial)
 {
-    // jobs=1 + memoize off is the true serial re-parse reference.
-    BuildReport serial = smallExperiment(1, false).run().builds;
-    BuildReport parallel = smallExperiment(4, true).run().builds;
+    // The cold serial reference re-parses every cell from source.
+    BuildReport serial = smallExperiment(4).runSerialReference().builds;
+    BuildReport parallel = smallExperiment(4).run().builds;
+    EXPECT_EQ(serial.jobsUsed, 1u);
 
     ASSERT_EQ(serial.records.size(), parallel.records.size());
     for (size_t i = 0; i < serial.records.size(); ++i) {
@@ -84,7 +82,7 @@ TEST(BuildMatrix, ParallelMatchesSerial)
 
 TEST(BuildMatrix, FrontendMemoizationCounts)
 {
-    BuildReport rep = smallExperiment(4, true).run().builds;
+    BuildReport rep = smallExperiment(4).run().builds;
     EXPECT_EQ(rep.frontendParses, rep.numApps);
     EXPECT_EQ(rep.frontendReuses,
               rep.records.size() - rep.numApps);
@@ -93,7 +91,7 @@ TEST(BuildMatrix, FrontendMemoizationCounts)
         reusedRecords += r.frontendReused ? 1 : 0;
     EXPECT_EQ(reusedRecords, rep.frontendReuses);
 
-    BuildReport cold = smallExperiment(4, false).run().builds;
+    BuildReport cold = smallExperiment(4).runSerialReference().builds;
     EXPECT_EQ(cold.frontendParses, cold.records.size());
     EXPECT_EQ(cold.frontendReuses, 0u);
 }
@@ -110,6 +108,57 @@ TEST(BuildMatrix, DeterministicUnderAnyJobCount)
                 baseline.records[i], rep.records[i], &why))
                 << "jobs=" << jobs << ": " << why;
         }
+    }
+}
+
+TEST(BuildEquivalence, EveryReportFieldAndTheImageAreCompared)
+{
+    const auto &app = appByName("BlinkTask");
+    const BuildResult base = buildApp(
+        app, configFor(ConfigId::SafeFlidInlineCxprop, app.platform));
+    std::string why;
+    ASSERT_TRUE(BuildDriver::resultsEquivalent(base, base, &why)) << why;
+
+    using Mutation = std::pair<const char *, void (*)(BuildResult &)>;
+    const Mutation mutations[] = {
+        {"instrsConstFolded",
+         [](BuildResult &r) { ++r.cxpropReport.instrsConstFolded; }},
+        {"branchesFolded",
+         [](BuildResult &r) { ++r.cxpropReport.branchesFolded; }},
+        {"copiesPropagated",
+         [](BuildResult &r) { ++r.cxpropReport.copiesPropagated; }},
+        {"deadInstrsRemoved",
+         [](BuildResult &r) { ++r.cxpropReport.deadInstrsRemoved; }},
+        {"deadStoresRemoved",
+         [](BuildResult &r) { ++r.cxpropReport.deadStoresRemoved; }},
+        {"deadGlobalsRemoved",
+         [](BuildResult &r) { ++r.cxpropReport.deadGlobalsRemoved; }},
+        {"deadFuncsRemoved",
+         [](BuildResult &r) { ++r.cxpropReport.deadFuncsRemoved; }},
+        {"staticallySafeAccesses",
+         [](BuildResult &r) {
+             ++r.safetyReport.staticallySafeAccesses;
+         }},
+        {"kindHistogram",
+         [](BuildResult &r) { ++r.safetyReport.kindHistogram["SAFE"]; }},
+        {"cfiClasses", [](BuildResult &r) { ++r.safetyReport.cfiClasses; }},
+        {"cfiForwardChecks",
+         [](BuildResult &r) { ++r.safetyReport.cfiForwardChecks; }},
+        {"cfiReturnSites",
+         [](BuildResult &r) { ++r.safetyReport.cfiReturnSites; }},
+        {"image immediate",
+         [](BuildResult &r) {
+             r.image.funcs.at(r.image.entry).blocks.at(0).instrs.at(0)
+                 .imm ^= 1;
+         }},
+    };
+    for (const auto &[field, mutate] : mutations) {
+        BuildResult changed = base;
+        mutate(changed);
+        EXPECT_FALSE(BuildDriver::resultsEquivalent(base, changed, &why))
+            << field << " is not compared";
+        EXPECT_FALSE(why.empty()) << field;
+        why.clear();
     }
 }
 
@@ -220,47 +269,6 @@ TEST(BuildMatrix, Figure3MatrixCoversEveryCell)
         EXPECT_EQ(rep.at(a, 0).config, configName(ConfigId::Baseline));
         EXPECT_GT(rep.at(a, 0).result->codeBytes, 0u);
     }
-}
-
-TEST(BuildReport, CsvHasHeaderOneRowPerCellAndQuotedLabels)
-{
-    BuildReport rep = smallExperiment(2).run().builds;
-    std::ostringstream os;
-    rep.emitCsv(os);
-    std::istringstream in(os.str());
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line.substr(0, 4), "app,");
-    EXPECT_NE(line.find("code_bytes"), std::string::npos);
-    size_t rows = 0;
-    while (std::getline(in, line))
-        ++rows;
-    EXPECT_EQ(rows, rep.records.size());
-    // Config labels contain commas and must be RFC-4180 quoted.
-    EXPECT_NE(os.str().find("\"safe, FLIDs\""), std::string::npos);
-}
-
-TEST(BuildReport, JsonEmissionIsBalancedAndComplete)
-{
-    BuildReport rep = smallExperiment(2).run().builds;
-    std::ostringstream os;
-    rep.emitJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"kind\": \"build_report\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"code_bytes\":"), std::string::npos);
-    size_t open = 0, close = 0, records = 0;
-    for (char c : json) {
-        open += c == '{';
-        close += c == '}';
-    }
-    EXPECT_EQ(open, close);
-    size_t pos = 0;
-    while ((pos = json.find("\"app\":", pos)) != std::string::npos) {
-        ++records;
-        pos += 6;
-    }
-    EXPECT_EQ(records, rep.records.size());
 }
 
 TEST(BuildReport, FailedCellsEmitWithEscapedErrors)

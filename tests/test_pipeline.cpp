@@ -8,7 +8,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "core/pipeline.h"
+#include "core/experiment.h"
 #include "safety/flid.h"
 #include "safety/runtime.h"
 #include "sim/machine.h"
@@ -218,10 +218,12 @@ TEST(Pipeline, RuntimeFootprintCollapsesWhenTrimmed)
 
 TEST(Pipeline, DutyCycleIsSane)
 {
-    const auto &app = appByName("BlinkTask");
-    BuildResult base =
-        buildApp(app, configFor(ConfigId::Baseline, app.platform));
-    double duty = measureDutyCycle(app, base.image, 0.5);
+    Experiment exp;
+    exp.options().seconds = 0.5;
+    exp.addApp(appByName("BlinkTask")).addConfig(ConfigId::Baseline);
+    ExperimentReport rep = exp.run();
+    ASSERT_TRUE(rep.allOk());
+    double duty = rep.sims.at(0, 0).outcome.dutyCycle;
     EXPECT_GT(duty, 0.0);
     EXPECT_LT(duty, 0.5) << "Blink should sleep most of the time";
 }

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "backend/backend.h"
-#include "core/pipeline.h"
+#include "core/experiment.h"
 #include "frontend/frontend.h"
 #include "sim/machine.h"
 #include "sim/stats.h"
@@ -275,13 +275,15 @@ TEST(Pipeline2, DutyCycleOrderingAcrossConfigs)
 {
     // Safe-unoptimized must not be faster than safe-optimized.
     using namespace stos::core;
-    const auto &app = tinyos::appByName("Oscilloscope");
-    BuildResult safePlain =
-        buildApp(app, configFor(ConfigId::SafeFlid, app.platform));
-    BuildResult safeOpt = buildApp(
-        app, configFor(ConfigId::SafeFlidInlineCxprop, app.platform));
-    double dPlain = measureDutyCycle(app, safePlain.image, 0.5);
-    double dOpt = measureDutyCycle(app, safeOpt.image, 0.5);
+    Experiment exp;
+    exp.options().seconds = 0.5;
+    exp.addApp(tinyos::appByName("Oscilloscope"))
+        .addConfig(ConfigId::SafeFlid)
+        .addConfig(ConfigId::SafeFlidInlineCxprop);
+    ExperimentReport rep = exp.run();
+    ASSERT_TRUE(rep.allOk());
+    double dPlain = rep.sims.at(0, 0).outcome.dutyCycle;
+    double dOpt = rep.sims.at(0, 1).outcome.dutyCycle;
     EXPECT_LE(dOpt, dPlain * 1.05);
 }
 

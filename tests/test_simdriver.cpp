@@ -3,12 +3,10 @@
  * Simulation-matrix tests over the Experiment facade: StageCache
  * companion-entry memoization (each companion built exactly once per
  * platform, concurrent lookups race-free, persistent across runs),
- * parallel-vs-serial SimReport equivalence across every Figure-3
- * configuration, matrix shape/ordering, failure isolation, and the
- * CSV/JSON report emitters. Historically these gated SimDriver; the
- * deprecated forwarding shims are gone and the same coverage now
- * targets Experiment::simulateBuilds directly, with SimDriver
- * surviving only as the equivalence-helper vocabulary.
+ * parallel-vs-serial and threaded-vs-legacy SimReport equivalence
+ * across every Figure-3 configuration, matrix shape/ordering, failure
+ * isolation, and join shape checking. The emitted report bytes are
+ * pinned by tests/golden/reports/ (test_golden).
  */
 #include <gtest/gtest.h>
 
@@ -26,53 +24,58 @@ using namespace stos::tinyos;
 
 constexpr double kSimSeconds = 0.1;
 
-/** Knobs of the simulation phase a test wants to vary. */
-struct SimParams {
-    unsigned jobs = 0;
-    bool memoizeCompanions = true;
-    double seconds = kSimSeconds;
-    sim::ExecMode mode = sim::ExecMode::Threaded;
-};
-
 /** Simulate an already-built matrix over a fresh companion cache. */
 SimReport
-runSim(const BuildReport &builds, const SimParams &p = {})
+runSim(const BuildReport &builds, unsigned jobs = 0)
 {
     Experiment e;
-    e.options().jobs = p.jobs;
-    e.options().memoize = p.memoizeCompanions;
-    e.options().seconds = p.seconds;
-    e.options().mode = p.mode;
+    e.options().jobs = jobs;
+    e.options().seconds = kSimSeconds;
     StageCache cache;
     return e.simulateBuilds(builds, cache);
 }
 
 /** Rows with and without companions, columns that change the image. */
-BuildReport
-smallBuilds(unsigned jobs = 0)
+Experiment
+smallMatrix()
 {
     Experiment e;
-    e.options().jobs = jobs;
-    e.options().simulate = false;
+    e.options().seconds = kSimSeconds;
     e.addApp(appByName("BlinkTask"));     // no companions
     e.addApp(appByName("Ident"));         // companion: CntToLedsAndRfm
     e.addApp(appByName("Surge"));         // companions: Surge, GenericBase
     e.addConfig(ConfigId::Baseline);
     e.addConfig(ConfigId::SafeFlid);
+    return e;
+}
+
+BuildReport
+smallBuilds()
+{
+    Experiment e = smallMatrix();
+    e.options().simulate = false;
     return e.run().builds;
+}
+
+/** The companion decode's firmware, identified by address. */
+const backend::MProgram *
+companionFirmware(StageCache &cache, const std::string &name,
+               const std::string &platform)
+{
+    return &cache.companionDecode(name, platform)->program();
 }
 
 TEST(StageCacheCompanions, BuildsEachKeyExactlyOnceUnderContention)
 {
     StageCache cache;
     constexpr unsigned kThreads = 8;
-    std::vector<std::shared_ptr<const backend::MProgram>> images(
+    std::vector<std::shared_ptr<const sim::DecodedProgram>> decodes(
         kThreads);
     std::vector<std::thread> pool;
     for (unsigned t = 0; t < kThreads; ++t) {
-        pool.emplace_back([&cache, &images, t] {
-            images[t] =
-                cache.companionImage("CntToLedsAndRfm", "Mica2");
+        pool.emplace_back([&cache, &decodes, t] {
+            decodes[t] =
+                cache.companionDecode("CntToLedsAndRfm", "Mica2");
         });
     }
     for (auto &t : pool)
@@ -80,20 +83,20 @@ TEST(StageCacheCompanions, BuildsEachKeyExactlyOnceUnderContention)
     EXPECT_EQ(cache.companionBuilds(), 1u);
     EXPECT_EQ(cache.companionHits(), kThreads - 1);
     for (unsigned t = 1; t < kThreads; ++t)
-        EXPECT_EQ(images[t].get(), images[0].get())
-            << "all callers must share one immutable image";
+        EXPECT_EQ(decodes[t].get(), decodes[0].get())
+            << "all callers must share one immutable decode";
 }
 
 TEST(StageCacheCompanions, DistinctPlatformsAreDistinctEntries)
 {
     StageCache cache;
-    auto mica = cache.companionImage("BlinkTask", "Mica2");
-    auto telos = cache.companionImage("BlinkTask", "TelosB");
+    auto mica = companionFirmware(cache, "BlinkTask", "Mica2");
+    auto telos = companionFirmware(cache, "BlinkTask", "TelosB");
     EXPECT_EQ(cache.companionBuilds(), 2u);
-    EXPECT_NE(mica.get(), telos.get());
+    EXPECT_NE(mica, telos);
     // Second lookups hit the memo.
-    cache.companionImage("BlinkTask", "Mica2");
-    cache.companionImage("BlinkTask", "TelosB");
+    EXPECT_EQ(companionFirmware(cache, "BlinkTask", "Mica2"), mica);
+    EXPECT_EQ(companionFirmware(cache, "BlinkTask", "TelosB"), telos);
     EXPECT_EQ(cache.companionBuilds(), 2u);
     EXPECT_EQ(cache.companionHits(), 2u);
 }
@@ -101,9 +104,9 @@ TEST(StageCacheCompanions, DistinctPlatformsAreDistinctEntries)
 TEST(StageCacheCompanions, FailuresAreCachedAndRethrown)
 {
     StageCache cache;
-    EXPECT_THROW(cache.companionImage("NoSuchApp", "Mica2"),
+    EXPECT_THROW(cache.companionDecode("NoSuchApp", "Mica2"),
                  std::exception);
-    EXPECT_THROW(cache.companionImage("NoSuchApp", "Mica2"),
+    EXPECT_THROW(cache.companionDecode("NoSuchApp", "Mica2"),
                  std::exception);
     EXPECT_EQ(cache.companionBuilds(), 1u)
         << "the failed build must be memoized";
@@ -112,9 +115,7 @@ TEST(StageCacheCompanions, FailuresAreCachedAndRethrown)
 TEST(SimMatrix, MatrixShapeOrderingAndCompanionAccounting)
 {
     BuildReport builds = smallBuilds();
-    SimParams p;
-    p.jobs = 4;
-    SimReport rep = runSim(builds, p);
+    SimReport rep = runSim(builds, 4);
 
     ASSERT_EQ(rep.numApps, 3u);
     ASSERT_EQ(rep.numConfigs, 2u);
@@ -145,26 +146,23 @@ TEST(SimMatrix, ParallelMatchesSerialAcrossEveryFigure3Config)
 {
     // One companion-free and one companion-heavy app across the full
     // Figure-3 column set (baseline + C1..C7).
-    Experiment b;
-    b.options().simulate = false;
-    b.addApp(appByName("Oscilloscope"));
-    b.addApp(appByName("Surge"));
-    b.addConfig(ConfigId::Baseline);
-    b.addConfigs(figure3Configs());
-    BuildReport builds = b.run().builds;
-    ASSERT_TRUE(builds.allOk());
+    Experiment e;
+    e.options().jobs = 4;
+    e.options().seconds = kSimSeconds;
+    e.addApp(appByName("Oscilloscope"));
+    e.addApp(appByName("Surge"));
+    e.addConfig(ConfigId::Baseline);
+    e.addConfigs(figure3Configs());
+    ExperimentReport fast = e.run();
+    ASSERT_TRUE(fast.allOk());
+    const SimReport &parallel = fast.sims;
+    EXPECT_EQ(parallel.companionBuilds, 2u);  // Surge + GenericBase
 
-    SimParams serialP;
-    serialP.jobs = 1;
-    serialP.memoizeCompanions = false;  // true per-cell rebuild
-    SimReport serial = runSim(builds, serialP);
+    // The reference rebuilds every companion per cell.
+    const SimReport serial = e.runSerialReference().sims;
+    EXPECT_EQ(serial.jobsUsed, 1u);
     EXPECT_EQ(serial.companionBuilds, 0u);
     EXPECT_EQ(serial.companionReuses, 0u);
-
-    SimParams parP;
-    parP.jobs = 4;
-    SimReport parallel = runSim(builds, parP);
-    EXPECT_EQ(parallel.companionBuilds, 2u);  // Surge + GenericBase
 
     ASSERT_EQ(serial.records.size(), parallel.records.size());
     for (size_t i = 0; i < serial.records.size(); ++i) {
@@ -181,13 +179,9 @@ TEST(SimMatrix, ParallelMatchesSerialAcrossEveryFigure3Config)
 TEST(SimMatrix, DeterministicUnderAnyJobCount)
 {
     BuildReport builds = smallBuilds();
-    SimParams ref;
-    ref.jobs = 1;
-    SimReport baseline = runSim(builds, ref);
+    SimReport baseline = runSim(builds, 1);
     for (unsigned jobs : {2u, 3u, 8u}) {
-        SimParams p;
-        p.jobs = jobs;
-        SimReport rep = runSim(builds, p);
+        SimReport rep = runSim(builds, jobs);
         std::string why;
         EXPECT_TRUE(SimDriver::reportsEquivalent(baseline, rep, &why))
             << "jobs=" << jobs << ": " << why;
@@ -287,10 +281,12 @@ TEST(StageCacheCompanions, PersistAcrossSimulationRuns)
 TEST(StageCacheCompanions, DecodedImageSharesTheCompiledFirmware)
 {
     StageCache cache;
-    auto image = cache.companionImage("CntToLedsAndRfm", "Mica2");
     auto decoded = cache.companionDecode("CntToLedsAndRfm", "Mica2");
     ASSERT_NE(decoded, nullptr);
-    EXPECT_EQ(&decoded->program(), image.get())
+    const auto &app = appByName("CntToLedsAndRfm");
+    auto build =
+        cache.build(app, configFor(ConfigId::Baseline, app.platform));
+    EXPECT_EQ(&decoded->program(), &build->image)
         << "the decode must wrap the cached image, not a copy";
     EXPECT_EQ(cache.companionBuilds(), 1u);
     // Decode requests hit the same memo entry.
@@ -300,63 +296,17 @@ TEST(StageCacheCompanions, DecodedImageSharesTheCompiledFirmware)
 
 TEST(SimMatrix, LegacyModeMatchesThreadedCellForCell)
 {
-    // The acceptance gate of the threaded core at the driver level:
-    // the legacy reference interpreter and the direct-threaded
-    // event-horizon core must agree on every cell, uart log included.
-    BuildReport builds = smallBuilds();
-
-    SimParams legacyP;
-    legacyP.jobs = 1;
-    legacyP.mode = sim::ExecMode::Legacy;
-    SimReport legacy = runSim(builds, legacyP);
-
-    SimParams thrP;
-    thrP.jobs = 2;
-    SimReport thr = runSim(builds, thrP);
+    // The acceptance gate of the threaded core at the matrix level:
+    // the legacy reference interpreter under lockstep scheduling and
+    // the direct-threaded core with lookahead windows must agree on
+    // every cell, uart log included.
+    Experiment e = smallMatrix();
+    e.options().jobs = 2;
+    ExperimentReport thr = e.run();
+    ASSERT_TRUE(thr.allOk());
 
     std::string why;
-    EXPECT_TRUE(SimDriver::reportsEquivalent(legacy, thr, &why)) << why;
-}
-
-TEST(SimReport, JoinedCsvMergesStaticAndDynamicColumns)
-{
-    BuildReport builds = smallBuilds();
-    SimReport rep = runSim(builds);
-
-    std::ostringstream os;
-    rep.joinCsv(builds, os);
-    std::istringstream in(os.str());
-    std::string header;
-    ASSERT_TRUE(std::getline(in, header));
-    EXPECT_NE(header.find("code_bytes"), std::string::npos);
-    EXPECT_NE(header.find("duty_cycle"), std::string::npos);
-    EXPECT_NE(header.find("surviving_checks"), std::string::npos);
-    size_t rows = 0;
-    std::string line;
-    while (std::getline(in, line))
-        ++rows;
-    EXPECT_EQ(rows, rep.records.size());
-    EXPECT_NE(os.str().find("\"safe, FLIDs\""), std::string::npos);
-}
-
-TEST(SimReport, JoinedJsonRoundTripsStructure)
-{
-    BuildReport builds = smallBuilds();
-    SimReport rep = runSim(builds);
-
-    std::ostringstream os;
-    rep.joinJson(builds, os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"kind\": \"joined_report\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"code_bytes\":"), std::string::npos);
-    EXPECT_NE(json.find("\"duty_cycle\":"), std::string::npos);
-    size_t open = 0, close = 0;
-    for (char c : json) {
-        open += c == '{';
-        close += c == '}';
-    }
-    EXPECT_EQ(open, close);
+    EXPECT_TRUE(e.verifySerialEquivalence(thr, &why)) << why;
 }
 
 TEST(SimReport, JoinRejectsAMismatchedBuildReport)
@@ -373,51 +323,6 @@ TEST(SimReport, JoinRejectsAMismatchedBuildReport)
     std::ostringstream os;
     EXPECT_THROW(rep.joinCsv(other, os), FatalError);
     EXPECT_THROW(rep.joinJson(other, os), FatalError);
-}
-
-TEST(SimReport, CsvHasHeaderOneRowPerCellAndQuotedLabels)
-{
-    BuildReport builds = smallBuilds();
-    SimReport rep = runSim(builds);
-
-    std::ostringstream os;
-    rep.emitCsv(os);
-    std::istringstream in(os.str());
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line.substr(0, 4), "app,");
-    EXPECT_NE(line.find("duty_cycle"), std::string::npos);
-    size_t rows = 0;
-    while (std::getline(in, line))
-        ++rows;
-    EXPECT_EQ(rows, rep.records.size());
-    // Config labels contain commas and must be quoted.
-    EXPECT_NE(os.str().find("\"safe, FLIDs\""), std::string::npos);
-}
-
-TEST(SimReport, JsonRoundTripsStructure)
-{
-    BuildReport builds = smallBuilds();
-    SimReport rep = runSim(builds);
-
-    std::ostringstream os;
-    rep.emitJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"kind\": \"sim_report\""), std::string::npos);
-    EXPECT_NE(json.find("\"num_apps\": 3"), std::string::npos);
-    EXPECT_NE(json.find("\"duty_cycle\":"), std::string::npos);
-    size_t open = 0, close = 0, records = 0;
-    for (char c : json) {
-        open += c == '{';
-        close += c == '}';
-    }
-    EXPECT_EQ(open, close);
-    size_t pos = 0;
-    while ((pos = json.find("\"app\":", pos)) != std::string::npos) {
-        ++records;
-        pos += 6;
-    }
-    EXPECT_EQ(records, rep.records.size());
 }
 
 } // namespace
