@@ -10,6 +10,10 @@
 #ifndef STOS_BENCH_BENCH_UTIL_H
 #define STOS_BENCH_BENCH_UTIL_H
 
+#include <cerrno>
+#include <climits>
+#include <cstdint>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -150,11 +154,52 @@ struct BenchCli {
     bool recoverySet = false;  ///< --recovery= given explicitly
     double cellTimeout = 0.0;
 
+    /** A whole non-negative decimal no larger than `max`. */
+    static bool
+    parseCount(const char *s, unsigned long long max,
+               unsigned long long *out)
+    {
+        errno = 0;
+        *out = std::strtoull(s, nullptr, 10);
+        return *s && s[std::strspn(s, "0123456789")] == '\0' &&
+               errno == 0 && *out <= max;
+    }
+
+    /** A finite non-negative number of seconds. */
+    static bool
+    parseSeconds(const char *s, double *out)
+    {
+        char *end = nullptr;
+        errno = 0;
+        *out = std::strtod(s, &end);
+        return *s && *end == '\0' && errno == 0 && std::isfinite(*out) &&
+               *out >= 0;
+    }
+
     static BenchCli
     parse(int argc, char **argv, double defaultSeconds = 3.0)
     {
         BenchCli f;
         f.seconds = core::simSeconds(defaultSeconds);
+        auto usage = [&] {
+            fprintf(stderr,
+                    "usage: %s [--serial] [--corpus=paper|full] "
+                    "[--jobs N] [--csv PATH] [--json PATH] "
+                    "[--joined-csv PATH] [--joined-json PATH] "
+                    "[--cache-dir PATH] [--cache-stats] "
+                    "[--faults=SPEC] [--fault-seed N] "
+                    "[--fault-companions] [--recovery=POLICY] "
+                    "[--cell-timeout SECS]\n",
+                    argv[0]);
+            std::exit(2);
+        };
+        auto badValue = [&](const char *flag, const char *value,
+                            const char *want) {
+            fprintf(stderr, "%s needs %s, got '%s'\n", flag, want,
+                    value);
+            usage();
+        };
+        unsigned long long count = 0;
         for (int i = 1; i < argc; ++i) {
             if (!std::strcmp(argv[i], "--serial")) {
                 f.serial = true;
@@ -166,7 +211,9 @@ struct BenchCli {
                     std::exit(2);
                 }
             } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-                f.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+                if (!parseCount(argv[++i], UINT_MAX, &count))
+                    badValue("--jobs", argv[i], "a whole number >= 0");
+                f.jobs = static_cast<unsigned>(count);
             } else if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) {
                 f.csvPath = argv[++i];
             } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
@@ -192,7 +239,10 @@ struct BenchCli {
                 }
             } else if (!std::strcmp(argv[i], "--fault-seed") &&
                        i + 1 < argc) {
-                f.faults.seed = std::strtoull(argv[++i], nullptr, 10);
+                if (!parseCount(argv[++i], UINT64_MAX, &count))
+                    badValue("--fault-seed", argv[i],
+                             "a whole number >= 0");
+                f.faults.seed = count;
             } else if (!std::strcmp(argv[i], "--fault-companions")) {
                 f.faults.faultCompanions = true;
             } else if (!std::strncmp(argv[i], "--recovery=", 11)) {
@@ -206,18 +256,11 @@ struct BenchCli {
                 f.recoverySet = true;
             } else if (!std::strcmp(argv[i], "--cell-timeout") &&
                        i + 1 < argc) {
-                f.cellTimeout = std::atof(argv[++i]);
+                if (!parseSeconds(argv[++i], &f.cellTimeout))
+                    badValue("--cell-timeout", argv[i],
+                             "a finite number of seconds >= 0");
             } else {
-                fprintf(stderr,
-                        "usage: %s [--serial] [--corpus=paper|full] "
-                        "[--jobs N] [--csv PATH] [--json PATH] "
-                        "[--joined-csv PATH] [--joined-json PATH] "
-                        "[--cache-dir PATH] [--cache-stats] "
-                        "[--faults=SPEC] [--fault-seed N] "
-                        "[--fault-companions] [--recovery=POLICY] "
-                        "[--cell-timeout SECS]\n",
-                        argv[0]);
-                std::exit(2);
+                usage();
             }
         }
         return f;
