@@ -60,7 +60,7 @@ smallBuilds()
 /** The companion decode's firmware, identified by address. */
 const backend::MProgram *
 companionFirmware(StageCache &cache, const std::string &name,
-               const std::string &platform)
+                  const std::string &platform)
 {
     return &cache.companionDecode(name, platform)->program();
 }
