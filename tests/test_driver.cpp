@@ -4,8 +4,8 @@
  * deterministic ordering under any thread count, parallel-vs-serial
  * result equivalence, frontend memoization accounting, failure
  * isolation, the canned Figure-2/3 matrices, the build-equivalence
- * gate itself, and error escaping in the BuildReport emitters (whose
- * bytes tests/golden/reports/ pins).
+ * gate itself, and the BuildReport emitters on real matrix output
+ * (tests/golden/reports/ pins their exact bytes).
  */
 #include <gtest/gtest.h>
 
@@ -269,6 +269,47 @@ TEST(BuildMatrix, Figure3MatrixCoversEveryCell)
         EXPECT_EQ(rep.at(a, 0).config, configName(ConfigId::Baseline));
         EXPECT_GT(rep.at(a, 0).result->codeBytes, 0u);
     }
+}
+
+TEST(BuildReport, CsvHasHeaderOneRowPerCellAndQuotedLabels)
+{
+    BuildReport rep = smallExperiment(2).run().builds;
+    std::ostringstream os;
+    rep.emitCsv(os);
+    std::istringstream in(os.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line.substr(0, 4), "app,");
+    EXPECT_NE(line.find("code_bytes"), std::string::npos);
+    size_t rows = 0;
+    while (std::getline(in, line))
+        ++rows;
+    EXPECT_EQ(rows, rep.records.size());
+    // Config labels contain commas and must be RFC-4180 quoted.
+    EXPECT_NE(os.str().find("\"safe, FLIDs\""), std::string::npos);
+}
+
+TEST(BuildReport, JsonEmissionIsBalancedAndComplete)
+{
+    BuildReport rep = smallExperiment(2).run().builds;
+    std::ostringstream os;
+    rep.emitJson(os);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"kind\": \"build_report\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"code_bytes\":"), std::string::npos);
+    size_t open = 0, close = 0, records = 0;
+    for (char c : json) {
+        open += c == '{';
+        close += c == '}';
+    }
+    EXPECT_EQ(open, close);
+    size_t pos = 0;
+    while ((pos = json.find("\"app\":", pos)) != std::string::npos) {
+        ++records;
+        pos += 6;
+    }
+    EXPECT_EQ(records, rep.records.size());
 }
 
 TEST(BuildReport, FailedCellsEmitWithEscapedErrors)

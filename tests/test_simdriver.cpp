@@ -5,8 +5,8 @@
  * platform, concurrent lookups race-free, persistent across runs),
  * parallel-vs-serial and threaded-vs-legacy SimReport equivalence
  * across every Figure-3 configuration, matrix shape/ordering, failure
- * isolation, and join shape checking. The emitted report bytes are
- * pinned by tests/golden/reports/ (test_golden).
+ * isolation, and the CSV/JSON report emitters on real matrix output
+ * (tests/golden/reports/ pins their exact bytes).
  */
 #include <gtest/gtest.h>
 
@@ -309,6 +309,47 @@ TEST(SimMatrix, LegacyModeMatchesThreadedCellForCell)
     EXPECT_TRUE(e.verifySerialEquivalence(thr, &why)) << why;
 }
 
+TEST(SimReport, JoinedCsvMergesStaticAndDynamicColumns)
+{
+    BuildReport builds = smallBuilds();
+    SimReport rep = runSim(builds);
+
+    std::ostringstream os;
+    rep.joinCsv(builds, os);
+    std::istringstream in(os.str());
+    std::string header;
+    ASSERT_TRUE(std::getline(in, header));
+    EXPECT_NE(header.find("code_bytes"), std::string::npos);
+    EXPECT_NE(header.find("duty_cycle"), std::string::npos);
+    EXPECT_NE(header.find("surviving_checks"), std::string::npos);
+    size_t rows = 0;
+    std::string line;
+    while (std::getline(in, line))
+        ++rows;
+    EXPECT_EQ(rows, rep.records.size());
+    EXPECT_NE(os.str().find("\"safe, FLIDs\""), std::string::npos);
+}
+
+TEST(SimReport, JoinedJsonRoundTripsStructure)
+{
+    BuildReport builds = smallBuilds();
+    SimReport rep = runSim(builds);
+
+    std::ostringstream os;
+    rep.joinJson(builds, os);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"kind\": \"joined_report\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"code_bytes\":"), std::string::npos);
+    EXPECT_NE(json.find("\"duty_cycle\":"), std::string::npos);
+    size_t open = 0, close = 0;
+    for (char c : json) {
+        open += c == '{';
+        close += c == '}';
+    }
+    EXPECT_EQ(open, close);
+}
+
 TEST(SimReport, JoinRejectsAMismatchedBuildReport)
 {
     BuildReport builds = smallBuilds();
@@ -323,6 +364,51 @@ TEST(SimReport, JoinRejectsAMismatchedBuildReport)
     std::ostringstream os;
     EXPECT_THROW(rep.joinCsv(other, os), FatalError);
     EXPECT_THROW(rep.joinJson(other, os), FatalError);
+}
+
+TEST(SimReport, CsvHasHeaderOneRowPerCellAndQuotedLabels)
+{
+    BuildReport builds = smallBuilds();
+    SimReport rep = runSim(builds);
+
+    std::ostringstream os;
+    rep.emitCsv(os);
+    std::istringstream in(os.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line.substr(0, 4), "app,");
+    EXPECT_NE(line.find("duty_cycle"), std::string::npos);
+    size_t rows = 0;
+    while (std::getline(in, line))
+        ++rows;
+    EXPECT_EQ(rows, rep.records.size());
+    // Config labels contain commas and must be quoted.
+    EXPECT_NE(os.str().find("\"safe, FLIDs\""), std::string::npos);
+}
+
+TEST(SimReport, JsonRoundTripsStructure)
+{
+    BuildReport builds = smallBuilds();
+    SimReport rep = runSim(builds);
+
+    std::ostringstream os;
+    rep.emitJson(os);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"kind\": \"sim_report\""), std::string::npos);
+    EXPECT_NE(json.find("\"num_apps\": 3"), std::string::npos);
+    EXPECT_NE(json.find("\"duty_cycle\":"), std::string::npos);
+    size_t open = 0, close = 0, records = 0;
+    for (char c : json) {
+        open += c == '{';
+        close += c == '}';
+    }
+    EXPECT_EQ(open, close);
+    size_t pos = 0;
+    while ((pos = json.find("\"app\":", pos)) != std::string::npos) {
+        ++records;
+        pos += 6;
+    }
+    EXPECT_EQ(records, rep.records.size());
 }
 
 } // namespace
