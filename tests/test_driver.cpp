@@ -12,6 +12,7 @@
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "core/experiment.h"
 #include "core/pool.h"
@@ -190,11 +191,19 @@ TEST(RunOnPool, WorkerExceptionsRethrowOnTheCallerNotTerminate)
     // jobs<=1 path.
     for (unsigned jobs : {1u, 4u}) {
         std::atomic<size_t> ran{0};
+        std::atomic<bool> threw{false};
         EXPECT_THROW(
             core::runOnPool(jobs, 64,
                             [&](size_t k) {
-                                if (k == 3)
+                                if (k == 3) {
+                                    threw = true;
                                     throw std::runtime_error("cell 3");
+                                }
+                                // Later jobs wait for job 3, so a
+                                // descheduled worker holding it cannot
+                                // let the others drain the queue.
+                                while (k > 3 && !threw)
+                                    std::this_thread::yield();
                                 ran.fetch_add(1);
                             }),
             std::runtime_error)
