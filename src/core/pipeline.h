@@ -229,6 +229,8 @@ struct SimOutcome {
     uint32_t packetsDropped = 0;
     uint32_t packetsCorrupted = 0;
     uint32_t packetsDuplicated = 0;
+
+    bool operator==(const SimOutcome &) const = default;
 };
 
 /**

@@ -543,18 +543,20 @@ SimDriver::recordsEquivalent(const SimRecord &a, const SimRecord &b,
                                 (a.ok ? b.error : a.error));
     if (!a.ok)
         return a.error == b.error || differs(why, "error text differs");
-    // Every reported outcome column, trap log included, then the UART
-    // bytes the report only counts.
+    // Every outcome field compares exactly, doubles included; the
+    // columns only name the first difference for `why`.
+    if (a.outcome == b.outcome)
+        return true;
+    const std::string cell = a.app + "/" + a.config + ": ";
     for (const Column &c : kOutcome) {
         std::string va = c.value({&a, nullptr, &a}).s;
         std::string vb = c.value({&b, nullptr, &b}).s;
         if (va != vb)
-            return differs(why, a.app + "/" + a.config + ": " + c.name +
-                                    " " + va + " != " + vb);
+            return differs(why, cell + c.name + " " + va + " != " + vb);
     }
     if (a.outcome.uartLog != b.outcome.uartLog)
-        return differs(why, a.app + "/" + a.config + ": uartLog differs");
-    return true;
+        return differs(why, cell + "uartLog differs");
+    return differs(why, cell + "outcome differs below the printed digits");
 }
 
 bool

@@ -195,7 +195,7 @@ class BuildDriver {
 /** Simulation-matrix equivalence (serial/parallel, legacy/threaded). */
 class SimDriver {
   public:
-    /** Field-for-field equivalence of two sim records (not timing). */
+    /** Identity, status and exact SimOutcome equality (not timing). */
     static bool recordsEquivalent(const SimRecord &a, const SimRecord &b,
                                   std::string *why = nullptr);
     /** Cell-for-cell equivalence of two reports. */

@@ -350,6 +350,33 @@ TEST(SimReport, JoinedJsonRoundTripsStructure)
     EXPECT_EQ(open, close);
 }
 
+TEST(SimEquivalence, OutcomesCompareExactlyNotAsPrinted)
+{
+    SimRecord a;
+    a.app = "BlinkTask";
+    a.config = "baseline";
+    a.ok = true;
+    a.outcome.dutyCycle = 0.25;
+    a.outcome.uartLog = "ok";
+    std::string why;
+    ASSERT_TRUE(SimDriver::recordsEquivalent(a, a, &why)) << why;
+
+    // The report prints ratios to 9 digits; the gate must not.
+    SimRecord b = a;
+    b.outcome.dutyCycle += 1e-12;
+    EXPECT_FALSE(SimDriver::recordsEquivalent(a, b, &why));
+    EXPECT_NE(why.find("BlinkTask/baseline"), std::string::npos) << why;
+
+    b = a;
+    b.outcome.availability -= 1e-12;
+    EXPECT_FALSE(SimDriver::recordsEquivalent(a, b, &why));
+
+    b = a;
+    b.outcome.uartLog = "no";
+    EXPECT_FALSE(SimDriver::recordsEquivalent(a, b, &why));
+    EXPECT_NE(why.find("uartLog"), std::string::npos) << why;
+}
+
 TEST(SimReport, JoinRejectsAMismatchedBuildReport)
 {
     BuildReport builds = smallBuilds();
