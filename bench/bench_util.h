@@ -165,15 +165,19 @@ struct BenchCli {
                errno == 0 && *out <= max;
     }
 
-    /** A finite non-negative number of seconds. */
+    /** A finite non-negative decimal number of seconds: digits, an
+     *  optional fraction and exponent, and nothing else (no sign,
+     *  whitespace, hex, inf or nan, which strtod would take). */
     static bool
     parseSeconds(const char *s, double *out)
     {
+        if (!*s || !std::strchr("0123456789.", *s) ||
+            s[std::strspn(s, "0123456789.eE+-")] != '\0')
+            return false;
         char *end = nullptr;
         errno = 0;
         *out = std::strtod(s, &end);
-        return *s && *end == '\0' && errno == 0 && std::isfinite(*out) &&
-               *out >= 0;
+        return *end == '\0' && errno == 0 && std::isfinite(*out);
     }
 
     static BenchCli

@@ -40,6 +40,8 @@ TEST(BenchCli, AcceptsWellFormedNumbers)
     EXPECT_EQ(cli.faults.seed, 18446744073709551615ull);
     EXPECT_DOUBLE_EQ(cli.cellTimeout, 2.5);
     EXPECT_EQ(parse({"--jobs", "0", "--cell-timeout", "0"}).jobs, 0u);
+    EXPECT_DOUBLE_EQ(parse({"--cell-timeout", ".5"}).cellTimeout, 0.5);
+    EXPECT_DOUBLE_EQ(parse({"--cell-timeout", "1e-3"}).cellTimeout, 1e-3);
 }
 
 TEST(BenchCliDeathTest, RejectsMalformedJobs)
@@ -55,7 +57,7 @@ TEST(BenchCliDeathTest, RejectsMalformedJobs)
 TEST(BenchCliDeathTest, RejectsMalformedCellTimeout)
 {
     for (const char *bad : {"abc", "-1", "", "1.5s", "inf", "nan",
-                            "1e999"}) {
+                            "1e999", " 2", "2 ", "+2", "0x10"}) {
         EXPECT_EXIT(parse({"--cell-timeout", bad}),
                     ::testing::ExitedWithCode(2),
                     "--cell-timeout needs .*usage:")
