@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -191,19 +192,17 @@ TEST(RunOnPool, WorkerExceptionsRethrowOnTheCallerNotTerminate)
     // jobs<=1 path.
     for (unsigned jobs : {1u, 4u}) {
         std::atomic<size_t> ran{0};
-        std::atomic<bool> threw{false};
         EXPECT_THROW(
             core::runOnPool(jobs, 64,
                             [&](size_t k) {
-                                if (k == 3) {
-                                    threw = true;
+                                if (k == 3)
                                     throw std::runtime_error("cell 3");
-                                }
-                                // Later jobs wait for job 3, so a
-                                // descheduled worker holding it cannot
-                                // let the others drain the queue.
-                                while (k > 3 && !threw)
-                                    std::this_thread::yield();
+                                // Jobs outlast the unwinding of job
+                                // 3's exception, so trivial jobs
+                                // cannot drain the queue before the
+                                // failing worker flags the batch.
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(5));
                                 ran.fetch_add(1);
                             }),
             std::runtime_error)
