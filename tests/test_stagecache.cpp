@@ -1,6 +1,8 @@
 /**
  * @file
- * StageCache tests: exactly-once stage execution under concurrent
+ * StageCache tests: the per-stage serving contract (StageHits flags
+ * and counter deltas when a request is executed, reused or served
+ * from the store), exactly-once stage execution under concurrent
  * requests, failure caching and rethrow, fingerprint sensitivity
  * (changing only CxpropOptions must NOT invalidate the safety stage;
  * changing SafetyConfig must), companion entries aliasing the
@@ -9,6 +11,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <array>
+#include <filesystem>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -19,6 +25,7 @@
 namespace stos {
 namespace {
 
+namespace fs = std::filesystem;
 using namespace stos::core;
 using namespace stos::tinyos;
 
@@ -32,6 +39,133 @@ figure3Matrix()
     exp.addConfig(ConfigId::Baseline);
     exp.addConfigs(figure3Configs());
     return exp;
+}
+
+/** Request `stage`'s product of (app, cfg) from `cache`. */
+void
+request(StageCache &cache, Stage stage, const AppInfo &app,
+        const PipelineConfig &cfg, StageHits *hits)
+{
+    switch (stage) {
+      case Stage::Frontend: cache.frontend(app, hits); break;
+      case Stage::Safety: cache.safety(app, cfg, hits); break;
+      case Stage::Opt: cache.opt(app, cfg, hits); break;
+      case Stage::Backend: cache.build(app, cfg, hits); break;
+    }
+}
+
+/** One stage's counters as {executed, reused, diskHits}. */
+using Counts = std::array<size_t, 3>;
+/** Every stage's counters, indexed by Stage. */
+using AllCounts = std::array<Counts, 4>;
+
+AllCounts
+counts(const StageCacheStats &s)
+{
+    AllCounts out;
+    const StageStats *per[] = {&s.frontend, &s.safety, &s.opt,
+                               &s.backend};
+    for (size_t i = 0; i < 4; ++i)
+        out[i] = {per[i]->executed, per[i]->reused, per[i]->diskHits};
+    return out;
+}
+
+std::array<bool, 4>
+flags(const StageHits &h)
+{
+    return {h.frontend, h.safety, h.opt, h.backend};
+}
+
+TEST(StageCache, ServingContractPerStageAndWay)
+{
+    // The serving contract, stage by stage: a request is served
+    // exactly one way, the StageHits flags mark the served prefix of
+    // the chain, and the counters move by exactly that request.
+    enum Way {
+        Cold,     ///< executed with every upstream stage
+        Rebuilt,  ///< executed on an upstream product from the store
+        Reused,   ///< served from the in-memory memo
+        DiskHit,  ///< served from the store
+    };
+    enum Counter { Exec, Reuse, Disk };
+    const auto &app = appByName("BlinkTask");
+    const std::pair<Stage, ConfigId> rows[] = {
+        {Stage::Frontend, ConfigId::SafeFlidCxprop},
+        {Stage::Safety, ConfigId::SafeFlidCxprop},
+        {Stage::Safety, ConfigId::Baseline},  // unsafe pass-through
+        {Stage::Opt, ConfigId::SafeFlidCxprop},
+        {Stage::Backend, ConfigId::SafeFlidCxprop},
+    };
+    for (const auto &[stage, config] : rows) {
+        const size_t s = static_cast<size_t>(stage);
+        const PipelineConfig cfg = configFor(config, app.platform);
+        const std::string label =
+            std::string(stageName(stage)) + "/" + configName(config);
+        const fs::path dir =
+            fs::temp_directory_path() /
+            ("stos-stagecache-contract-" + std::to_string(::getpid()));
+        fs::remove_all(dir);
+        ArtifactStore store(CacheOptions{dir.string()});
+
+        auto serve = [&](StageCache &cache, Way way) {
+            AllCounts before = counts(cache.stats());
+            StageHits hits;
+            request(cache, stage, app, cfg, &hits);
+            AllCounts delta = counts(cache.stats());
+            for (size_t i = 0; i < 4; ++i)
+                for (size_t k = 0; k < 3; ++k)
+                    delta[i][k] -= before[i][k];
+
+            AllCounts wantDelta{};
+            std::array<bool, 4> wantFlags{};
+            for (size_t i = 0; i <= s; ++i)
+                wantFlags[i] = way == Reused || way == DiskHit;
+            switch (way) {
+              case Cold:
+                for (size_t i = 0; i <= s; ++i)
+                    wantDelta[i][Exec] = 1;
+                break;
+              case Rebuilt:
+                wantDelta[s][Exec] = 1;
+                if (s > 0)
+                    wantDelta[s - 1][Disk] = 1;
+                for (size_t i = 0; i < s; ++i)
+                    wantFlags[i] = true;
+                break;
+              case Reused: wantDelta[s][Reuse] = 1; break;
+              case DiskHit: wantDelta[s][Disk] = 1; break;
+            }
+            EXPECT_EQ(flags(hits), wantFlags) << label << " way " << way;
+            EXPECT_EQ(delta, wantDelta) << label << " way " << way;
+        };
+
+        {
+            StageCache cache(&store);  // empty store
+            serve(cache, Cold);
+            serve(cache, Reused);
+        }
+        {
+            StageCache cache(&store);  // warmed store
+            serve(cache, DiskHit);
+            serve(cache, Reused);
+        }
+        const std::string key =
+            stage == Stage::Frontend ? StageCache::appKey(app)
+            : stage == Stage::Safety ? StageCache::safetyKey(app, cfg)
+            : stage == Stage::Opt    ? StageCache::optKey(app, cfg)
+                                     : StageCache::buildKey(app, cfg);
+        ASSERT_TRUE(fs::remove(store.pathFor(stage, key))) << label;
+        {
+            StageCache cache(&store);  // this stage's artifact removed
+            serve(cache, Rebuilt);
+            serve(cache, Reused);
+        }
+        {
+            StageCache cache(&store);  // the rebuild wrote it back
+            serve(cache, DiskHit);
+        }
+        fs::remove_all(dir);
+    }
 }
 
 TEST(StageCache, ExecutesEachStageExactlyOnceUnderContention)
