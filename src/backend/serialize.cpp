@@ -102,11 +102,11 @@ readMFunc(BinReader &r)
     MFunc f;
     f.id = r.u32();
     f.name = r.str();
-    size_t nBlocks = r.u64();
+    size_t nBlocks = r.count();
     f.blocks.reserve(nBlocks);
     for (size_t i = 0; i < nBlocks; ++i) {
         MBlock bb;
-        size_t nInstrs = r.u64();
+        size_t nInstrs = r.count();
         bb.instrs.reserve(nInstrs);
         for (size_t j = 0; j < nInstrs; ++j)
             bb.instrs.push_back(readMInstr(r));
@@ -155,16 +155,16 @@ readProgram(BinReader &r)
 {
     MProgram p;
     p.target = readTarget(r);
-    size_t nFuncs = r.u64();
+    size_t nFuncs = r.count();
     p.funcs.reserve(nFuncs);
     for (size_t i = 0; i < nFuncs; ++i)
         p.funcs.push_back(readMFunc(r));
     p.entry = r.u32();
-    size_t nVecs = r.u64();
+    size_t nVecs = r.count();
     p.vectorTable.reserve(nVecs);
     for (size_t i = 0; i < nVecs; ++i)
         p.vectorTable.push_back(r.i32());
-    size_t nData = r.u64();
+    size_t nData = r.count();
     p.data.reserve(nData);
     for (size_t i = 0; i < nData; ++i) {
         MProgram::DataItem d;

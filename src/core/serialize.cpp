@@ -34,7 +34,7 @@ std::map<std::string, uint32_t>
 readCountMap(BinReader &r)
 {
     std::map<std::string, uint32_t> m;
-    size_t n = r.u64();
+    size_t n = r.count();
     for (size_t i = 0; i < n; ++i) {
         std::string k = r.str();
         m[k] = r.u32();
@@ -134,7 +134,7 @@ std::shared_ptr<SourceManager>
 readSourceManager(BinReader &r)
 {
     auto sm = std::make_shared<SourceManager>();
-    size_t n = r.u64();
+    size_t n = r.count();
     for (size_t i = 0; i < n; ++i) {
         std::string name = r.str();
         std::string text = r.str();

@@ -41,7 +41,7 @@ TypeTable
 TypeTable::deserialize(BinReader &r)
 {
     TypeTable tt;
-    size_t n = r.u64();
+    size_t n = r.count();
     tt.types_.clear();
     tt.types_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
@@ -118,7 +118,7 @@ readInstr(BinReader &r)
     in.type = r.u32();
     in.bop = static_cast<BinOp>(r.u8());
     in.uop = static_cast<UnOp>(r.u8());
-    size_t nArgs = r.u64();
+    size_t nArgs = r.count();
     in.args.reserve(nArgs);
     for (size_t i = 0; i < nArgs; ++i) {
         Operand a;
@@ -180,11 +180,11 @@ readFunction(BinReader &r)
     Function f;
     f.name = r.str();
     f.retType = r.u32();
-    size_t nParams = r.u64();
+    size_t nParams = r.count();
     f.params.reserve(nParams);
     for (size_t i = 0; i < nParams; ++i)
         f.params.push_back(r.u32());
-    size_t nVRegs = r.u64();
+    size_t nVRegs = r.count();
     f.vregs.reserve(nVRegs);
     for (size_t i = 0; i < nVRegs; ++i) {
         VReg v;
@@ -192,7 +192,7 @@ readFunction(BinReader &r)
         v.name = r.str();
         f.vregs.push_back(std::move(v));
     }
-    size_t nLocals = r.u64();
+    size_t nLocals = r.count();
     f.locals.reserve(nLocals);
     for (size_t i = 0; i < nLocals; ++i) {
         Local l;
@@ -200,13 +200,13 @@ readFunction(BinReader &r)
         l.type = r.u32();
         f.locals.push_back(std::move(l));
     }
-    size_t nBlocks = r.u64();
+    size_t nBlocks = r.count();
     f.blocks.reserve(nBlocks);
     for (size_t i = 0; i < nBlocks; ++i) {
         BasicBlock bb;
         bb.id = r.u32();
         bb.name = r.str();
-        size_t nInstrs = r.u64();
+        size_t nInstrs = r.count();
         bb.instrs.reserve(nInstrs);
         for (size_t j = 0; j < nInstrs; ++j)
             bb.instrs.push_back(readInstr(r));
@@ -309,11 +309,11 @@ readModule(BinReader &r)
 {
     Module m(r.str());
     m.types() = TypeTable::deserialize(r);
-    size_t nStructs = r.u64();
+    size_t nStructs = r.count();
     for (size_t i = 0; i < nStructs; ++i) {
         StructType s;
         s.name = r.str();
-        size_t nFields = r.u64();
+        size_t nFields = r.count();
         s.fields.reserve(nFields);
         for (size_t j = 0; j < nFields; ++j) {
             StructField f;
@@ -323,13 +323,13 @@ readModule(BinReader &r)
         }
         m.addStruct(std::move(s));
     }
-    size_t nGlobals = r.u64();
+    size_t nGlobals = r.count();
     for (size_t i = 0; i < nGlobals; ++i)
         m.addGlobal(readGlobal(r));
-    size_t nFuncs = r.u64();
+    size_t nFuncs = r.count();
     for (size_t i = 0; i < nFuncs; ++i)
         m.addFunction(readFunction(r));
-    size_t nHwRegs = r.u64();
+    size_t nHwRegs = r.count();
     for (size_t i = 0; i < nHwRegs; ++i) {
         HwReg h;
         h.name = r.str();
@@ -337,11 +337,11 @@ readModule(BinReader &r)
         h.bits = r.u8();
         m.addHwReg(std::move(h));
     }
-    size_t nRacy = r.u64();
+    size_t nRacy = r.count();
     m.racyGlobals().reserve(nRacy);
     for (size_t i = 0; i < nRacy; ++i)
         m.racyGlobals().push_back(r.u32());
-    size_t nFlids = r.u64();
+    size_t nFlids = r.count();
     m.flidTable().reserve(nFlids);
     for (size_t i = 0; i < nFlids; ++i) {
         FlidEntry e;

@@ -122,16 +122,28 @@ class BinReader {
         std::memcpy(&v, &bits, sizeof v);
         return v;
     }
+    /**
+     * A length or element-count prefix, validated against the
+     * remaining bytes: every serialized element occupies at least one
+     * byte, so a larger count is corrupt and throws TruncatedData
+     * instead of driving a huge allocation.
+     */
+    size_t count()
+    {
+        uint64_t n = u64();
+        need(n);
+        return static_cast<size_t>(n);
+    }
     std::string str()
     {
-        size_t n = len();
+        size_t n = count();
         std::string s(buf_.substr(pos_, n));
         pos_ += n;
         return s;
     }
     std::vector<uint8_t> bytes()
     {
-        size_t n = len();
+        size_t n = count();
         const auto *p =
             reinterpret_cast<const uint8_t *>(buf_.data() + pos_);
         pos_ += n;
@@ -142,14 +154,6 @@ class BinReader {
     bool atEnd() const { return pos_ == buf_.size(); }
 
   private:
-    /** Length prefix, validated against the remaining bytes so a
-     *  corrupted length can't drive a huge allocation. */
-    size_t len()
-    {
-        uint64_t n = u64();
-        need(n);
-        return static_cast<size_t>(n);
-    }
     void need(uint64_t n)
     {
         if (n > buf_.size() - pos_)

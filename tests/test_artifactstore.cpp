@@ -3,10 +3,10 @@
  * ArtifactStore tests: serialization round-trips are byte-identical
  * for every stage product across the whole app corpus, the store's
  * load/store contract (hits, misses, stats), every corruption mode
- * (truncation, version-stamp mismatch, key mismatch) degrading to a
- * miss — never a wrong answer — read-only mode, the maxBytes
- * eviction cap, and two Experiments sharing one directory so the
- * second process executes zero pipeline stages.
+ * (truncation, version-stamp mismatch, key mismatch, a hash-valid
+ * artifact with a corrupt element count) degrading to a miss — never
+ * a wrong or failed answer — and two Experiments sharing one
+ * directory so the second process executes zero pipeline stages.
  */
 #include <gtest/gtest.h>
 
@@ -305,6 +305,54 @@ TEST(ArtifactStore, CorruptedBackendArtifactTriggersOneCleanRebuild)
     third.build(app, cfg);
     EXPECT_EQ(third.stats().backend.executed, 0u);
     EXPECT_EQ(third.stats().backend.diskHits, 1u);
+}
+
+TEST(ArtifactStore, HashValidArtifactWithABadCountIsAMiss)
+{
+    // A serializer that changes shape without a format-version bump
+    // leaves hash-valid artifacts whose element counts are garbage.
+    // Decoding one must degrade to a miss and one clean rebuild, not
+    // to an allocation failure that fails the cell.
+    TempDir dir("badcount");
+    const auto &app = appByName("BlinkTask");
+    ExperimentOptions opts;
+    opts.simulate = false;
+    opts.cache.dir = dir.str();
+    auto declare = [&] {
+        Experiment exp(opts);
+        exp.addApp(app);
+        exp.addConfig(ConfigId::Baseline);
+        return exp;
+    };
+    BuildReport cold = declare().run().builds;
+    ASSERT_TRUE(cold.allOk());
+
+    // The payload opens with the module name (u64 length + bytes);
+    // the TypeTable's u64 element count follows it.
+    const std::string key = StageCache::buildKey(
+        app, configFor(ConfigId::Baseline, app.platform));
+    {
+        ArtifactStore store(CacheOptions{dir.str()});
+        std::string blob;
+        ASSERT_TRUE(store.load(Stage::Backend, key, &blob));
+        BinReader r(blob);
+        const size_t countAt = 8 + r.str().size();
+        ASSERT_LE(countAt + 8, blob.size());
+        blob.replace(countAt, 8, 8, '\x7f');
+        store.store(Stage::Backend, key, blob);  // re-hashed: valid
+    }
+
+    BuildReport warm = declare().run().builds;
+    ASSERT_EQ(warm.records.size(), 1u);
+    EXPECT_TRUE(warm.allOk()) << warm.records[0].error;
+    EXPECT_EQ(warm.backendRuns, 1u)
+        << "the undecodable artifact must degrade to one rebuild";
+    EXPECT_EQ(warm.backendDiskHits, 0u);
+    EXPECT_EQ(warm.optDiskHits, 1u);
+    std::string why;
+    EXPECT_TRUE(BuildDriver::recordsEquivalent(cold.records[0],
+                                               warm.records[0], &why))
+        << why;
 }
 
 } // namespace
