@@ -325,17 +325,16 @@ struct BenchCli {
         std::unique_ptr<core::ArtifactStore> store;
         if (!cacheDir.empty())
             store = std::make_unique<core::ArtifactStore>(
-                core::CacheOptions{cacheDir, false, 0});
+                core::CacheOptions{cacheDir});
         core::StageCache cache(store.get());
         out = exp.run(cache);
         printf("[%s]\n", out.summary().c_str());
         if (cacheStats && store) {
             core::ArtifactStoreStats s = store->stats();
             printf("[cache %s: %zu disk hits, %zu misses, %zu corrupt, "
-                   "%zu writes, %zu evictions, %llu KiB read, "
-                   "%llu KiB written]\n",
+                   "%zu writes, %llu KiB read, %llu KiB written]\n",
                    cacheDir.c_str(), s.diskHits, s.misses, s.corrupt,
-                   s.writes, s.evictions,
+                   s.writes,
                    static_cast<unsigned long long>(s.bytesRead / 1024),
                    static_cast<unsigned long long>(s.bytesWritten /
                                                    1024));

@@ -105,7 +105,7 @@ main(int argc, char **argv)
     std::unique_ptr<ArtifactStore> store;
     if (!cli.cacheDir.empty())
         store = std::make_unique<ArtifactStore>(
-            CacheOptions{cli.cacheDir, false, 0});
+            CacheOptions{cli.cacheDir});
     StageCache cache(store.get());
 
     BuildReport builds = exp.buildMatrix(cache);

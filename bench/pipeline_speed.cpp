@@ -389,7 +389,7 @@ runCacheGate(unsigned jobs, const std::string &dir)
     // Corruption gate: truncate one backend artifact; the next run
     // must treat it as a miss and rebuild exactly that one cell —
     // correctly — while everything else still disk-hits.
-    ArtifactStore store(CacheOptions{dir, false, 0});
+    ArtifactStore store(CacheOptions{dir});
     const auto &app0 = tinyos::allApps().front();
     PipelineConfig cfg0 = configFor(ConfigId::Baseline, app0.platform);
     std::string victim =
@@ -456,7 +456,7 @@ runStageProbe(const std::string &dir, const std::string &jsonPath)
     CxpropTotals cx;
     std::vector<std::string> buildKeys;
     {
-        ArtifactStore store(CacheOptions{dir, false, 0});
+        ArtifactStore store(CacheOptions{dir});
         auto put = [&](Stage stage, const std::string &key,
                        const auto &product) {
             auto t0 = Clock::now();
@@ -506,7 +506,7 @@ runStageProbe(const std::string &dir, const std::string &jsonPath)
         }
     }
     {
-        ArtifactStore store(CacheOptions{dir, true, 0});
+        ArtifactStore store(CacheOptions{dir});
         for (const auto &bk : buildKeys) {
             auto t0 = Clock::now();
             std::string blob;

@@ -8,10 +8,8 @@
  */
 #include "core/artifactstore.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <vector>
 
 #include "support/binio.h"
 #include "support/util.h"
@@ -118,9 +116,8 @@ ArtifactStore::load(Stage stage, const std::string &key,
     }
     if (!ok) {
         // Unlink the rejected artifact so the rebuild's write-back
-        // replaces it (and a read-only process stops re-parsing it).
-        if (!opts_.readOnly)
-            fs::remove(path, ec);
+        // replaces it.
+        fs::remove(path, ec);
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.corrupt;
         ++stats_.misses;
@@ -136,9 +133,6 @@ void
 ArtifactStore::store(Stage stage, const std::string &key,
                      std::string_view payload)
 {
-    if (opts_.readOnly)
-        return;
-
     support::BinWriter w;
     for (char c : kMagic)
         w.u8(static_cast<uint8_t>(c));
@@ -186,56 +180,9 @@ ArtifactStore::store(Stage stage, const std::string &key,
         fs::remove(tmp, ec);
         return;
     }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.writes;
-        stats_.bytesWritten += payload.size();
-    }
-    if (opts_.maxBytes > 0)
-        evictToFit();
-}
-
-void
-ArtifactStore::evictToFit()
-{
-    // Scan the directory and drop oldest-mtime artifacts until the
-    // total fits the cap. Serialized under the mutex so concurrent
-    // writers don't double-evict; cross-process races just mean a
-    // remove() of an already-removed file (ignored via error_code).
     std::lock_guard<std::mutex> lock(mu_);
-    struct Item {
-        fs::path path;
-        uint64_t size;
-        fs::file_time_type mtime;
-    };
-    std::vector<Item> items;
-    uint64_t total = 0;
-    std::error_code ec;
-    for (const auto &de : fs::directory_iterator(opts_.dir, ec)) {
-        if (de.path().extension() != kExt)
-            continue;
-        std::error_code fec;
-        uint64_t sz = de.file_size(fec);
-        if (fec)
-            continue;
-        items.push_back({de.path(), sz, de.last_write_time(fec)});
-        total += sz;
-    }
-    if (total <= opts_.maxBytes)
-        return;
-    std::sort(items.begin(), items.end(),
-              [](const Item &a, const Item &b) {
-                  return a.mtime < b.mtime;
-              });
-    for (const Item &it : items) {
-        if (total <= opts_.maxBytes)
-            break;
-        std::error_code rec;
-        if (fs::remove(it.path, rec)) {
-            total -= it.size;
-            ++stats_.evictions;
-        }
-    }
+    ++stats_.writes;
+    stats_.bytesWritten += payload.size();
 }
 
 ArtifactStoreStats

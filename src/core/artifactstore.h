@@ -5,7 +5,10 @@
  * product is persisted under its chained content key
  * (appKey|safety|opt|backend fingerprints), so any process that
  * derives the same key reads the same artifact instead of re-running
- * the stage; a directory can be shared across processes and CI runs.
+ * the stage; a directory can be shared across processes of one build
+ * of the toolchain. Keys fingerprint the app and library sources and
+ * the config, not the compiler's own code, so a store written by
+ * another build may serve stale products and must not be reused.
  *
  * Durability discipline:
  *  - writes go to a temp file, then an atomic rename — a crashed or
@@ -41,9 +44,9 @@ enum class Stage { Frontend, Safety, Opt, Backend };
 const char *stageName(Stage s);
 
 /**
- * Store format version. Stamped into every artifact and into the CI
- * cache key; an artifact written by any other version is invalidated
- * (treated as a miss) on read. Bump whenever any serialized struct
+ * Store format version. Stamped into every artifact; an artifact
+ * written by any other version is invalidated (treated as a miss) on
+ * read. Bump whenever any serialized struct
  * (ir/serialize.cpp, backend/serialize.cpp, core/serialize.cpp)
  * changes shape.
  */
@@ -53,13 +56,6 @@ inline constexpr uint32_t kStoreFormatVersion = 3;
 struct CacheOptions {
     /** Store directory (created on demand). Empty = in-memory only. */
     std::string dir;
-    /** Serve disk hits but never write back (shared read-only cache). */
-    bool readOnly = false;
-    /**
-     * Soft size cap: after each write, oldest artifacts (by mtime)
-     * are evicted until the directory fits. 0 = unbounded.
-     */
-    uint64_t maxBytes = 0;
 };
 
 /** Store activity counters (monotonic over the store's lifetime). */
@@ -68,7 +64,6 @@ struct ArtifactStoreStats {
     size_t misses = 0;       ///< loads with no artifact on disk
     size_t corrupt = 0;      ///< artifacts rejected (version/hash/key)
     size_t writes = 0;       ///< artifacts written back
-    size_t evictions = 0;    ///< artifacts removed by the size cap
     uint64_t bytesRead = 0;  ///< payload bytes of served hits
     uint64_t bytesWritten = 0;
 };
@@ -90,23 +85,16 @@ class ArtifactStore {
      */
     bool load(Stage stage, const std::string &key, std::string *payload);
 
-    /**
-     * Persist an artifact (no-op in read-only mode). Crash-safe:
-     * temp file + atomic rename. Applies the maxBytes cap after the
-     * write.
-     */
+    /** Persist an artifact. Crash-safe: temp file + atomic rename. */
     void store(Stage stage, const std::string &key,
                std::string_view payload);
 
     /** The artifact file path for (stage, key) — tests corrupt it. */
     std::string pathFor(Stage stage, const std::string &key) const;
 
-    const CacheOptions &options() const { return opts_; }
     ArtifactStoreStats stats() const;
 
   private:
-    void evictToFit();
-
     CacheOptions opts_;
     mutable std::mutex mu_;
     ArtifactStoreStats stats_;

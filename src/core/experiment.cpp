@@ -10,10 +10,7 @@
  *
  * With options().cache.dir set, run() fronts its StageCache with an
  * ArtifactStore: stage products load from disk instead of executing
- * and write back after a live run. After a disk-backed run the
- * intermediate products (frontend/safety/opt) are released from
- * memory — the store can always re-materialize them — so steady-state
- * memory holds final builds only.
+ * and write back after a live run.
  */
 #include "core/experiment.h"
 
@@ -449,12 +446,6 @@ Experiment::run(StageCache &cache) const
         rep.sims = simulateBuilds(rep.builds, cache);
         rep.simulated = true;
     }
-
-    // With a writable store holding every intermediate, drop the
-    // frontend/safety/opt memo entries — steady-state memory keeps
-    // final builds only; a rare later request re-loads from disk.
-    if (cache.store() && !cache.store()->options().readOnly)
-        cache.releaseIntermediateProducts();
     return rep;
 }
 

@@ -1,13 +1,13 @@
 /**
  * @file
- * StageCache implementation. Every stage follows the same pattern:
- * resolve the entry under the map mutex, then execute the stage body
- * at most once via the entry's once_flag (concurrent requesters block
- * on the first execution and share the product; failures are cached
- * and rethrown). A stage body requests its upstream product through
- * the cache, so chains nest strictly downstream -> upstream and can
- * never deadlock. Counters are relaxed atomics — they are statistics,
- * not synchronization.
+ * StageCache implementation. Every stage runs through one memo body:
+ * resolve the entry under the map mutex, then run the stage at most
+ * once via the entry's once_flag (concurrent requesters block on the
+ * first execution and share the product; failures are cached and
+ * rethrown). A stage body requests its upstream product through the
+ * cache, so chains nest strictly downstream -> upstream and can never
+ * deadlock. Counters are relaxed atomics — they are statistics, not
+ * synchronization.
  *
  * With a backing ArtifactStore attached, the once-body first consults
  * the store: a disk hit materializes the product without running the
@@ -116,228 +116,157 @@ StageCache::writeBack(Stage stage, const std::string &key,
 }
 
 //---------------------------------------------------------------------
-// Entries
+// The memo body
 //---------------------------------------------------------------------
 
-template <typename T>
-std::shared_ptr<StageCache::Entry<T>>
-StageCache::entryFor(EntryMap<T> &map, const std::string &key)
+namespace {
+
+/**
+ * Record how one request for `stage` was served. A request chain
+ * stops at its first hit, so a served stage marks itself and every
+ * stage upstream of it; an executed stage clears its own flag (its
+ * body's upstream request already recorded the stages above it).
+ */
+void
+markHits(StageHits *hits, Stage stage, bool served)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto &slot = map[key];
-    if (!slot)
-        slot = std::make_shared<Entry<T>>();
-    return slot;
+    if (!hits)
+        return;
+    bool *flags[] = {&hits->frontend, &hits->safety, &hits->opt,
+                     &hits->backend};
+    const size_t s = static_cast<size_t>(stage);
+    if (!served)
+        *flags[s] = false;
+    for (size_t i = 0; served && i <= s; ++i)
+        *flags[i] = true;
 }
+
+} // namespace
+
+template <typename T, typename K, typename Body>
+std::shared_ptr<StageCache::Entry<T>>
+StageCache::once(EntryMap<T, K> &map, const K &key, bool *ran, Body body)
+{
+    std::shared_ptr<Entry<T>> entry;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto &slot = map[key];
+        if (!slot)
+            slot = std::make_shared<Entry<T>>();
+        entry = slot;
+    }
+    *ran = false;
+    std::call_once(entry->once, [&] {
+        *ran = true;
+        try {
+            entry->value = body();
+        } catch (...) {
+            entry->error = std::current_exception();
+        }
+    });
+    return entry;
+}
+
+template <typename T, typename Body>
+std::shared_ptr<const T>
+StageCache::memo(EntryMap<T> &map, Stage stage, const std::string &key,
+                 StageHits *hits, Body body)
+{
+    Counters &n = counters_[static_cast<size_t>(stage)];
+    bool ran, disk = false;
+    auto entry = once(map, key, &ran, [&] {
+        if (auto product = tryLoad<T>(stage, key)) {
+            disk = true;
+            n.diskHits.fetch_add(1, std::memory_order_relaxed);
+            return product;
+        }
+        n.executed.fetch_add(1, std::memory_order_relaxed);
+        auto product = std::make_shared<const T>(body());
+        writeBack(stage, key, *product);
+        return product;
+    });
+    if (!ran)
+        n.reused.fetch_add(1, std::memory_order_relaxed);
+    markHits(hits, stage, !ran || disk);
+    if (entry->error)
+        std::rethrow_exception(entry->error);
+    return entry->value;
+}
+
+//---------------------------------------------------------------------
+// Stages
+//---------------------------------------------------------------------
 
 std::shared_ptr<const FrontendProduct>
 StageCache::frontend(const tinyos::AppInfo &app, StageHits *hits)
 {
-    const std::string key = appKey(app);
-    auto entry = entryFor(frontends_, key);
-    bool ran = false, disk = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        if ((entry->value = tryLoad<FrontendProduct>(Stage::Frontend,
-                                                     key))) {
-            disk = true;
-            feDisk_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        try {
-            entry->value = std::make_shared<const FrontendProduct>(
-                runFrontend(app.name, app.source));
-            writeBack(Stage::Frontend, key, *entry->value);
-        } catch (...) {
-            entry->error = std::current_exception();
-        }
-        feExec_.fetch_add(1, std::memory_order_relaxed);
+    return memo(frontends_, Stage::Frontend, appKey(app), hits, [&] {
+        return runFrontend(app.name, app.source);
     });
-    if (!ran)
-        feReuse_.fetch_add(1, std::memory_order_relaxed);
-    if (hits)
-        hits->frontend = !ran || disk;
-    if (entry->error)
-        std::rethrow_exception(entry->error);
-    return entry->value;
 }
 
 std::shared_ptr<const SafetyProduct>
 StageCache::safety(const tinyos::AppInfo &app, const PipelineConfig &cfg,
                    StageHits *hits)
 {
-    const std::string key = safetyKey(app, cfg);
-    auto entry = entryFor(safeties_, key);
-    bool ran = false, disk = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        if ((entry->value = tryLoad<SafetyProduct>(Stage::Safety, key))) {
-            disk = true;
-            saDisk_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        try {
-            auto fe = frontend(app, hits);
-            if (!cfg.safe) {
-                // Unsafe pass-through: alias the frontend's module
-                // rather than storing a clone — the product pins the
-                // FrontendProduct alive but adds no module bytes.
-                SafetyProduct sp;
-                sp.module = std::shared_ptr<const ir::Module>(
-                    fe, &fe->module);
-                entry->value =
-                    std::make_shared<const SafetyProduct>(std::move(sp));
-            } else {
-                entry->value = std::make_shared<const SafetyProduct>(
-                    runSafetyStage(fe->module.clone(),
-                                   fe->sourceManager.get(), cfg));
-            }
-            writeBack(Stage::Safety, key, *entry->value);
-        } catch (...) {
-            entry->error = std::current_exception();
-        }
-        saExec_.fetch_add(1, std::memory_order_relaxed);
+    return memo(safeties_, Stage::Safety, safetyKey(app, cfg), hits, [&] {
+        auto fe = frontend(app, hits);
+        if (cfg.safe)
+            return runSafetyStage(fe->module.clone(),
+                                  fe->sourceManager.get(), cfg);
+        // Unsafe pass-through: alias the frontend's module rather
+        // than storing a clone — the product pins the FrontendProduct
+        // alive but adds no module bytes.
+        SafetyProduct sp;
+        sp.module = std::shared_ptr<const ir::Module>(fe, &fe->module);
+        return sp;
     });
-    if (!ran) {
-        saReuse_.fetch_add(1, std::memory_order_relaxed);
-        if (hits)
-            hits->frontend = true;  // served transitively
-    }
-    if (disk && hits)
-        hits->frontend = true;  // the whole upstream chain was skipped
-    if (hits)
-        hits->safety = !ran || disk;
-    if (entry->error)
-        std::rethrow_exception(entry->error);
-    return entry->value;
 }
 
 std::shared_ptr<const OptProduct>
 StageCache::opt(const tinyos::AppInfo &app, const PipelineConfig &cfg,
                 StageHits *hits)
 {
-    const std::string key = optKey(app, cfg);
-    auto entry = entryFor(opts_, key);
-    bool ran = false, disk = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        if ((entry->value = tryLoad<OptProduct>(Stage::Opt, key))) {
-            disk = true;
-            opDisk_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        try {
-            auto sp = safety(app, cfg, hits);
-            // Pass config to the stage with the upstream product; the
-            // no-cxprop pass-through shares sp's module pointer inside
-            // runOptStage (no clone, no copy of the module).
-            entry->value = std::make_shared<const OptProduct>(
-                runOptStage({sp->module, sp->report}, cfg));
-            writeBack(Stage::Opt, key, *entry->value);
-        } catch (...) {
-            entry->error = std::current_exception();
-        }
-        opExec_.fetch_add(1, std::memory_order_relaxed);
+    return memo(opts_, Stage::Opt, optKey(app, cfg), hits, [&] {
+        // The no-cxprop pass-through shares sp's module pointer inside
+        // runOptStage (no clone, no copy of the module).
+        auto sp = safety(app, cfg, hits);
+        return runOptStage({sp->module, sp->report}, cfg);
     });
-    if (!ran) {
-        opReuse_.fetch_add(1, std::memory_order_relaxed);
-        if (hits) {
-            hits->frontend = true;
-            hits->safety = true;
-        }
-    }
-    if (disk && hits) {
-        hits->frontend = true;
-        hits->safety = true;
-    }
-    if (hits)
-        hits->opt = !ran || disk;
-    if (entry->error)
-        std::rethrow_exception(entry->error);
-    return entry->value;
 }
 
 std::shared_ptr<const BuildResult>
 StageCache::build(const tinyos::AppInfo &app, const PipelineConfig &cfg,
                   StageHits *hits)
 {
-    const std::string key = buildKey(app, cfg);
-    auto entry = entryFor(builds_, key);
-    bool ran = false, disk = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        if ((entry->value = tryLoad<BuildResult>(Stage::Backend, key))) {
-            disk = true;
-            beDisk_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        try {
-            auto op = opt(app, cfg, hits);
-            entry->value = std::make_shared<const BuildResult>(
-                runBackendStage(
-                    {op->module, op->safetyReport, op->report}, cfg));
-            writeBack(Stage::Backend, key, *entry->value);
-        } catch (...) {
-            entry->error = std::current_exception();
-        }
-        beExec_.fetch_add(1, std::memory_order_relaxed);
+    return memo(builds_, Stage::Backend, buildKey(app, cfg), hits, [&] {
+        auto op = opt(app, cfg, hits);
+        return runBackendStage({op->module, op->safetyReport, op->report},
+                               cfg);
     });
-    if (!ran) {
-        beReuse_.fetch_add(1, std::memory_order_relaxed);
-        if (hits) {
-            hits->frontend = true;
-            hits->safety = true;
-            hits->opt = true;
-        }
-    }
-    if (disk && hits) {
-        hits->frontend = true;
-        hits->safety = true;
-        hits->opt = true;
-    }
-    if (hits)
-        hits->backend = !ran || disk;
-    if (entry->error)
-        std::rethrow_exception(entry->error);
-    return entry->value;
 }
 
 //---------------------------------------------------------------------
-// Companions
+// Companions & stats
 //---------------------------------------------------------------------
 
 std::shared_ptr<const sim::DecodedProgram>
 StageCache::companionDecode(const std::string &name,
                             const std::string &platform, bool *builtHere)
 {
-    std::shared_ptr<Entry<sim::DecodedProgram>> entry;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto &slot = companions_[{name, platform}];
-        if (!slot)
-            slot = std::make_shared<Entry<sim::DecodedProgram>>();
-        entry = slot;
-    }
-    bool ran = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        try {
-            const auto &app = tinyos::appByName(name);
-            PipelineConfig base = configFor(ConfigId::Baseline, platform);
-            // The firmware itself is the ordinary backend entry of
-            // (app, Baseline, platform) — shared with any matrix that
-            // builds the same cell; this entry just aliases it and
-            // memoizes the decode every simulating mote shares.
-            auto br = build(app, base);
-            entry->value = std::make_shared<const sim::DecodedProgram>(
-                std::shared_ptr<const backend::MProgram>(br, &br->image));
-        } catch (...) {
-            entry->error = std::current_exception();
-        }
-        coBuilds_.fetch_add(1, std::memory_order_relaxed);
+    bool ran;
+    auto entry = once(companions_, std::make_pair(name, platform), &ran,
+                      [&] {
+        // The firmware itself is the ordinary backend entry of (app,
+        // Baseline, platform) — shared with any matrix that builds the
+        // same cell; this entry just aliases it and memoizes the
+        // decode every simulating mote shares.
+        auto br = build(tinyos::appByName(name),
+                        configFor(ConfigId::Baseline, platform));
+        return std::make_shared<const sim::DecodedProgram>(
+            std::shared_ptr<const backend::MProgram>(br, &br->image));
     });
-    if (!ran)
-        coHits_.fetch_add(1, std::memory_order_relaxed);
+    (ran ? coBuilds_ : coHits_).fetch_add(1, std::memory_order_relaxed);
     if (builtHere)
         *builtHere = ran;
     if (entry->error)
@@ -345,31 +274,14 @@ StageCache::companionDecode(const std::string &name,
     return entry->value;
 }
 
-//---------------------------------------------------------------------
-// Memory release & stats
-//---------------------------------------------------------------------
-
-void
-StageCache::releaseIntermediateProducts()
-{
-    // Entries still referenced by in-flight requesters stay alive via
-    // their shared_ptrs; dropping the maps only releases the cache's
-    // own pins. builds_ and companions_ are kept — they are the final
-    // products drivers keep consuming.
-    std::lock_guard<std::mutex> lock(mu_);
-    frontends_.clear();
-    safeties_.clear();
-    opts_.clear();
-}
-
 StageCacheStats
 StageCache::stats() const
 {
     StageCacheStats s;
-    s.frontend = {feExec_.load(), feReuse_.load(), feDisk_.load()};
-    s.safety = {saExec_.load(), saReuse_.load(), saDisk_.load()};
-    s.opt = {opExec_.load(), opReuse_.load(), opDisk_.load()};
-    s.backend = {beExec_.load(), beReuse_.load(), beDisk_.load()};
+    StageStats *out[] = {&s.frontend, &s.safety, &s.opt, &s.backend};
+    for (size_t i = 0; i < counters_.size(); ++i)
+        *out[i] = {counters_[i].executed.load(), counters_[i].reused.load(),
+                   counters_[i].diskHits.load()};
     return s;
 }
 

@@ -8,19 +8,18 @@
  * and share one safety run per app; Baseline/C7 share the unsafe
  * pass-through; repeated runs over one cache (equivalence gates)
  * rebuild nothing at all. Companion mote firmware is an ordinary
- * backend entry plus a memoized decode, replacing the bespoke
- * CompanionCache.
+ * backend entry plus a memoized decode.
  *
  * The first requester of a key executes the stage; concurrent
  * requesters block on that execution and share the immutable product.
  * Failures are cached and rethrown to every requester. All products
  * are immutable after construction, so sharing needs no further
- * locking. (The bespoke CompanionCache wrapper this replaced has been
- * removed; the companion entry points below are the one API.)
+ * locking.
  */
 #ifndef STOS_CORE_STAGECACHE_H
 #define STOS_CORE_STAGECACHE_H
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -138,30 +137,36 @@ class StageCache {
     size_t companionBuilds() const { return coBuilds_.load(); }
     size_t companionHits() const { return coHits_.load(); }
 
-    /**
-     * Drop the frontend/safety/opt entry maps, releasing every
-     * intermediate product whose downstream entries have already
-     * materialized (builds_ and companions_ are kept). Callers that
-     * still hold a product pointer keep it alive; a later request for
-     * a released key simply re-materializes it (from the store when
-     * one is attached, else by re-running the stage). Drivers call
-     * this after a matrix completes when a writable store holds the
-     * intermediates, cutting steady-state memory to final builds only.
-     */
-    void releaseIntermediateProducts();
-
   private:
     template <typename T> struct Entry {
         std::once_flag once;
         std::shared_ptr<const T> value;
         std::exception_ptr error;
     };
-    template <typename T>
-    using EntryMap = std::map<std::string, std::shared_ptr<Entry<T>>>;
+    template <typename T, typename K = std::string>
+    using EntryMap = std::map<K, std::shared_ptr<Entry<T>>>;
 
-    template <typename T>
-    std::shared_ptr<Entry<T>> entryFor(EntryMap<T> &map,
-                                       const std::string &key);
+    /**
+     * Resolve the entry of `key` and run `body` (which returns the
+     * product) at most once for it, caching a thrown error in the
+     * entry. `*ran` says whether this call ran the body.
+     */
+    template <typename T, typename K, typename Body>
+    std::shared_ptr<Entry<T>> once(EntryMap<T, K> &map, const K &key,
+                                   bool *ran, Body body);
+
+    /**
+     * The memo body every stage shares: serve (stage, key) from the
+     * memo, else from the store, else by running `body` (which
+     * requests its upstream product and runs the stage function) and
+     * writing the product back. Counts the request and records how it
+     * was served in `hits`, then returns the product or rethrows the
+     * cached failure.
+     */
+    template <typename T, typename Body>
+    std::shared_ptr<const T> memo(EntryMap<T> &map, Stage stage,
+                                  const std::string &key, StageHits *hits,
+                                  Body body);
 
     /** Try to materialize (stage, key) from the store; a decode
      *  failure on a hash-valid artifact is treated as a miss. */
@@ -171,20 +176,20 @@ class StageCache {
     template <typename T>
     void writeBack(Stage stage, const std::string &key, const T &product);
 
+    struct Counters {
+        std::atomic<size_t> executed{0}, reused{0}, diskHits{0};
+    };
+
     ArtifactStore *store_ = nullptr;
     mutable std::mutex mu_;
     EntryMap<FrontendProduct> frontends_;
     EntryMap<SafetyProduct> safeties_;
     EntryMap<OptProduct> opts_;
     EntryMap<BuildResult> builds_;
-    std::map<std::pair<std::string, std::string>,
-             std::shared_ptr<Entry<sim::DecodedProgram>>>
+    EntryMap<sim::DecodedProgram, std::pair<std::string, std::string>>
         companions_;
 
-    std::atomic<size_t> feExec_{0}, feReuse_{0}, feDisk_{0};
-    std::atomic<size_t> saExec_{0}, saReuse_{0}, saDisk_{0};
-    std::atomic<size_t> opExec_{0}, opReuse_{0}, opDisk_{0};
-    std::atomic<size_t> beExec_{0}, beReuse_{0}, beDisk_{0};
+    std::array<Counters, 4> counters_;  ///< indexed by Stage
     std::atomic<size_t> coBuilds_{0}, coHits_{0};
 };
 

@@ -12,10 +12,8 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 
 #include "core/experiment.h"
 #include "core/stagecache.h"
@@ -85,7 +83,7 @@ TEST(ArtifactSerialization, RoundTripsByteIdenticallyForEveryApp)
 TEST(ArtifactStore, StoresAndLoadsTheExactPayload)
 {
     TempDir dir("roundtrip");
-    ArtifactStore store(CacheOptions{dir.str(), false, 0});
+    ArtifactStore store(CacheOptions{dir.str()});
     const std::string key = "app|safety|opt|backend";
     const std::string payload{"\x01\x00two\xff three", 13};
 
@@ -104,7 +102,7 @@ TEST(ArtifactStore, StoresAndLoadsTheExactPayload)
 
     // A second store over the same directory sees the artifact — the
     // cross-process contract, minus the process boundary.
-    ArtifactStore other(CacheOptions{dir.str(), false, 0});
+    ArtifactStore other(CacheOptions{dir.str()});
     ASSERT_TRUE(other.load(Stage::Backend, key, &out));
     EXPECT_EQ(out, payload);
     // Stages are namespaced: the same key under another stage misses.
@@ -114,7 +112,7 @@ TEST(ArtifactStore, StoresAndLoadsTheExactPayload)
 TEST(ArtifactStore, TruncatedArtifactIsAMissAndIsUnlinked)
 {
     TempDir dir("truncated");
-    ArtifactStore store(CacheOptions{dir.str(), false, 0});
+    ArtifactStore store(CacheOptions{dir.str()});
     const std::string key = "k";
     store.store(Stage::Opt, key, std::string(256, 'x'));
 
@@ -133,7 +131,7 @@ TEST(ArtifactStore, TruncatedArtifactIsAMissAndIsUnlinked)
 TEST(ArtifactStore, VersionStampMismatchInvalidates)
 {
     TempDir dir("version");
-    ArtifactStore store(CacheOptions{dir.str(), false, 0});
+    ArtifactStore store(CacheOptions{dir.str()});
     const std::string key = "k";
     store.store(Stage::Frontend, key, "payload");
 
@@ -164,7 +162,7 @@ TEST(ArtifactStore, StoredKeyMismatchIsAMiss)
     // key inside the artifact is the authority. Simulate a hash
     // collision by renaming one key's artifact onto another's path.
     TempDir dir("keymismatch");
-    ArtifactStore store(CacheOptions{dir.str(), false, 0});
+    ArtifactStore store(CacheOptions{dir.str()});
     store.store(Stage::Backend, "keyA", "payloadA");
     fs::rename(store.pathFor(Stage::Backend, "keyA"),
                store.pathFor(Stage::Backend, "keyB"));
@@ -172,60 +170,6 @@ TEST(ArtifactStore, StoredKeyMismatchIsAMiss)
     std::string out;
     EXPECT_FALSE(store.load(Stage::Backend, "keyB", &out));
     EXPECT_EQ(store.stats().corrupt, 1u);
-}
-
-TEST(ArtifactStore, ReadOnlyModeServesHitsButNeverWrites)
-{
-    TempDir dir("readonly");
-    {
-        ArtifactStore writer(CacheOptions{dir.str(), false, 0});
-        writer.store(Stage::Backend, "k", "payload");
-    }
-    ArtifactStore ro(CacheOptions{dir.str(), true, 0});
-    std::string out;
-    ASSERT_TRUE(ro.load(Stage::Backend, "k", &out));
-    EXPECT_EQ(out, "payload");
-
-    ro.store(Stage::Backend, "other", "never lands");
-    EXPECT_EQ(ro.stats().writes, 0u);
-    EXPECT_FALSE(ro.load(Stage::Backend, "other", &out));
-
-    // Exactly one artifact in the directory: the writer's.
-    size_t files = 0;
-    for (const auto &e : fs::directory_iterator(dir.path))
-        files += e.is_regular_file();
-    EXPECT_EQ(files, 1u);
-}
-
-TEST(ArtifactStore, MaxBytesEvictsOldestArtifactsFirst)
-{
-    TempDir dir("evict");
-    const std::string payload(4096, 'p');
-    ArtifactStore probe(CacheOptions{dir.str(), false, 0});
-    probe.store(Stage::Backend, "probe", payload);
-    const auto artifactSize =
-        fs::file_size(probe.pathFor(Stage::Backend, "probe"));
-    fs::remove(probe.pathFor(Stage::Backend, "probe"));
-
-    // Room for two artifacts; write three with distinct mtimes.
-    ArtifactStore store(
-        CacheOptions{dir.str(), false, 2 * artifactSize + 1});
-    for (const char *key : {"first", "second", "third"}) {
-        store.store(Stage::Backend, key, payload);
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-
-    std::string out;
-    EXPECT_GE(store.stats().evictions, 1u);
-    EXPECT_FALSE(store.load(Stage::Backend, "first", &out))
-        << "the oldest artifact must be the one evicted";
-    EXPECT_TRUE(store.load(Stage::Backend, "third", &out));
-
-    uint64_t total = 0;
-    for (const auto &e : fs::directory_iterator(dir.path))
-        if (e.is_regular_file())
-            total += e.file_size();
-    EXPECT_LE(total, 2 * artifactSize + 1);
 }
 
 TEST(ArtifactStore, SecondExperimentOverASharedDirectoryRunsNothing)
@@ -276,7 +220,7 @@ TEST(ArtifactStore, CorruptedBackendArtifactTriggersOneCleanRebuild)
     const auto &app = appByName("BlinkTask");
     PipelineConfig cfg = configFor(ConfigId::SafeFlid, app.platform);
 
-    ArtifactStore store(CacheOptions{dir.str(), false, 0});
+    ArtifactStore store(CacheOptions{dir.str()});
     std::shared_ptr<const BuildResult> cold;
     {
         StageCache cache(&store);
