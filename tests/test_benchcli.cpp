@@ -4,10 +4,15 @@
  * non-negative decimals (and, for the cell timeout, finite
  * non-negative seconds); anything else prints a diagnostic and the
  * usage line and exits with status 2 instead of silently turning into
- * "all cores", a wrapped job count, or a disabled watchdog.
+ * "all cores", a wrapped job count, or a disabled watchdog. And
+ * --cache-dir binds run() to an artifact store, so a repeat run over
+ * a warmed directory executes no pipeline stage.
  */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -74,6 +79,35 @@ TEST(BenchCliDeathTest, RejectsMalformedFaultSeed)
                     "--fault-seed needs .*usage:")
             << "'" << bad << "'";
     }
+}
+
+TEST(BenchCli, CacheDirServesARepeatRunWithoutExecutingAStage)
+{
+    namespace fs = std::filesystem;
+    const std::string dir =
+        (fs::temp_directory_path() /
+         ("stos-benchcli-cache-" + std::to_string(::getpid())))
+            .string();
+    fs::remove_all(dir);
+    const BenchCli cli = parse({"--cache-dir", dir.c_str()});
+    auto run = [&] {
+        core::Experiment exp(cli.options(/*simulate=*/false));
+        exp.addApp(tinyos::appByName("BlinkTask"));
+        exp.addConfig(core::ConfigId::Baseline);
+        exp.addConfig(core::ConfigId::SafeFlid);
+        core::ExperimentReport rep;
+        EXPECT_EQ(cli.run(exp, rep), 0);
+        return rep.builds;
+    };
+    core::BuildReport cold = run();
+    EXPECT_EQ(cold.backendRuns, cold.records.size());
+    core::BuildReport warm = run();
+    EXPECT_EQ(warm.frontendParses + warm.safetyRuns + warm.optRuns +
+                  warm.backendRuns,
+              0u)
+        << "a warmed --cache-dir must serve the repeat run entirely";
+    EXPECT_EQ(warm.backendDiskHits, warm.records.size());
+    fs::remove_all(dir);
 }
 
 } // namespace

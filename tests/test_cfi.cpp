@@ -3,7 +3,8 @@
  * Control-flow integrity suite (src/cfi/ + the backend shadow stack).
  * Covers: label-class computation and the SafetyReport counters, the
  * CFI column family (distinct names, distinct stage fingerprints, the
- * CfiOnly isolation column), behaviour transparency on clean apps
+ * CfiOnly isolation column, stage sharing across cfi_overhead's
+ * columns), behaviour transparency on clean apps
  * (identical uart output with and without CFI, byte-identical
  * counters on both interpreter cores), IR-interpreter agreement on
  * the forward-edge check, and the attack regression suite: corrupted
@@ -16,6 +17,7 @@
 
 #include <set>
 
+#include "core/experiment.h"
 #include "core/pipeline.h"
 #include "ir/interp.h"
 #include "ir/printer.h"
@@ -103,6 +105,29 @@ TEST(CfiColumns, FamilyIsDistinctAndFingerprintedSeparately)
     EXPECT_FALSE(configFor(ConfigId::CfiOnly, "Mica2").safety
                      .memoryChecks);
     EXPECT_TRUE(configFor(ConfigId::CfiOnly, "Mica2").safety.cfi);
+}
+
+TEST(CfiColumns, OverheadMatrixSharesOneSafetyRunPerFingerprint)
+{
+    // cfi_overhead's six columns over the whole corpus, build only.
+    // They span 4 safety fingerprints per app (unsafe, Flid, Flid+CFI,
+    // CFI-only): each inline+cXprop column reuses its FLID twin's
+    // safety run. Every column is a distinct opt+backend chain.
+    Experiment exp;
+    exp.options().simulate = false;
+    exp.addAllApps();
+    exp.addConfigs({ConfigId::Baseline, ConfigId::SafeFlid,
+                    ConfigId::SafeFlidCfi, ConfigId::SafeFlidInlineCxprop,
+                    ConfigId::SafeFlidInlineCxpropCfi, ConfigId::CfiOnly});
+    BuildReport rep = exp.run().builds;
+    ASSERT_TRUE(rep.allOk());
+    const size_t apps = rep.numApps, cells = rep.records.size();
+    ASSERT_EQ(cells, 6 * apps);
+    EXPECT_EQ(rep.safetyRuns, 4 * apps);
+    EXPECT_EQ(rep.safetyReuses, 2 * apps);
+    EXPECT_EQ(rep.optRuns, cells);
+    EXPECT_EQ(rep.optReuses, 0u);
+    EXPECT_EQ(rep.backendRuns, cells);
 }
 
 TEST(CfiPass, LabelsChecksAndReturnSitesAreReported)

@@ -325,15 +325,18 @@ TEST(StageCache, Figure3CachedMatchesColdByteForByte)
 
     ASSERT_TRUE(cached.allOk());
     ASSERT_TRUE(cold.allOk());
-    EXPECT_EQ(cached.frontendParses, cached.numApps);
-    EXPECT_EQ(cached.safetyRuns, 5 * cached.numApps)
+    const size_t apps = cached.numApps, cells = cached.records.size();
+    EXPECT_EQ(cached.frontendParses, apps);
+    EXPECT_EQ(cached.frontendReuses, cells - apps);
+    EXPECT_EQ(cached.safetyRuns, 5 * apps)
         << "unsafe + VerboseRam + VerboseRom + Terse + Flid per app";
-    EXPECT_EQ(cached.optRuns, cached.records.size())
-        << "every Figure-3 column has a distinct opt fingerprint chain";
-    EXPECT_EQ(cached.backendRuns, cached.records.size());
-    EXPECT_EQ(cached.safetyReuses, 3 * cached.numApps)
+    EXPECT_EQ(cached.safetyReuses, 3 * apps)
         << "C5/C6 reuse C4's safety run; C7 reuses Baseline's";
-    EXPECT_GT(cached.stageReuses(), 0u);
+    EXPECT_EQ(cached.optRuns, cells)
+        << "every Figure-3 column has a distinct opt fingerprint chain";
+    EXPECT_EQ(cached.optReuses, 0u);
+    EXPECT_EQ(cached.backendRuns, cells);
+    EXPECT_EQ(cached.backendReuses, 0u);
 
     ASSERT_EQ(cached.records.size(), cold.records.size());
     for (size_t i = 0; i < cached.records.size(); ++i) {
