@@ -20,8 +20,6 @@
  */
 #include "core/stagecache.h"
 
-#include <functional>
-
 #include "support/binio.h"
 
 namespace stos::core {
@@ -135,9 +133,11 @@ markHits(StageHits *hits, Stage stage, bool served)
     bool *flags[] = {&hits->frontend, &hits->safety, &hits->opt,
                      &hits->backend};
     const size_t s = static_cast<size_t>(stage);
-    if (!served)
+    if (!served) {
         *flags[s] = false;
-    for (size_t i = 0; served && i <= s; ++i)
+        return;
+    }
+    for (size_t i = 0; i <= s; ++i)
         *flags[i] = true;
 }
 
@@ -155,7 +155,6 @@ StageCache::once(EntryMap<T, K> &map, const K &key, bool *ran, Body body)
             slot = std::make_shared<Entry<T>>();
         entry = slot;
     }
-    *ran = false;
     std::call_once(entry->once, [&] {
         *ran = true;
         try {
@@ -173,7 +172,7 @@ StageCache::memo(EntryMap<T> &map, Stage stage, const std::string &key,
                  StageHits *hits, Body body)
 {
     Counters &n = counters_[static_cast<size_t>(stage)];
-    bool ran, disk = false;
+    bool ran = false, disk = false;
     auto entry = once(map, key, &ran, [&] {
         if (auto product = tryLoad<T>(stage, key)) {
             disk = true;
@@ -254,7 +253,7 @@ std::shared_ptr<const sim::DecodedProgram>
 StageCache::companionDecode(const std::string &name,
                             const std::string &platform, bool *builtHere)
 {
-    bool ran;
+    bool ran = false;
     auto entry = once(companions_, std::make_pair(name, platform), &ran,
                       [&] {
         // The firmware itself is the ordinary backend entry of (app,

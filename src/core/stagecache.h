@@ -149,7 +149,7 @@ class StageCache {
     /**
      * Resolve the entry of `key` and run `body` (which returns the
      * product) at most once for it, caching a thrown error in the
-     * entry. `*ran` says whether this call ran the body.
+     * entry. Sets `*ran` when this call ran the body.
      */
     template <typename T, typename K, typename Body>
     std::shared_ptr<Entry<T>> once(EntryMap<T, K> &map, const K &key,
