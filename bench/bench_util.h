@@ -136,8 +136,10 @@ emitTo(const std::string &path, Emit emit)
  *                 (a runaway cell fails with a diagnostic, 0 = off)
  *
  * parse() resolves the simulated duration from
- * SAFE_TINYOS_SIM_SECONDS (falling back to the bench's default), so
- * `seconds` is authoritative for table headers.
+ * SAFE_TINYOS_SIM_SECONDS (a plain decimal number of seconds > 0 whose
+ * cycle count fits the simulator, else the usage error; unset falls
+ * back to the bench's default), so `seconds` is authoritative for
+ * table headers.
  */
 struct BenchCli {
     bool serial = false;
@@ -184,7 +186,7 @@ struct BenchCli {
     parse(int argc, char **argv, double defaultSeconds = 3.0)
     {
         BenchCli f;
-        f.seconds = core::simSeconds(defaultSeconds);
+        f.seconds = defaultSeconds;
         auto usage = [&] {
             fprintf(stderr,
                     "usage: %s [--serial] [--corpus=paper|full] "
@@ -203,6 +205,20 @@ struct BenchCli {
                     value);
             usage();
         };
+        if (const char *env = std::getenv("SAFE_TINYOS_SIM_SECONDS")) {
+            bool ok = parseSeconds(env, &f.seconds) && f.seconds > 0;
+            try {
+                for (const auto &t : {backend::TargetInfo::mica2(),
+                                      backend::TargetInfo::telosb()})
+                    core::simCycles(f.seconds, t.clockHz);
+            } catch (const FatalError &) {
+                ok = false;
+            }
+            if (!ok)
+                badValue("SAFE_TINYOS_SIM_SECONDS", env,
+                         "a number of seconds > 0 that fits the "
+                         "simulator's cycle counter");
+        }
         unsigned long long count = 0;
         for (int i = 1; i < argc; ++i) {
             if (!std::strcmp(argv[i], "--serial")) {

@@ -19,9 +19,9 @@ namespace stos::backend {
  * top of the toolchain (paper §3.1: it removes the "easy" checks).
  */
 struct GccOptions {
-    bool optimize = true;       ///< block-local folding + weak DCE
-    bool lateInline = false;    ///< let "GCC" do the inlining instead
-    uint32_t inlineBudget = 48; ///< same budget as the early inliner
+    /** Let "GCC" do the inlining instead, with the early inliner's
+     *  budget and two rounds. */
+    bool lateInline = false;
 };
 
 struct GccReport {

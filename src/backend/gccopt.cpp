@@ -202,12 +202,9 @@ runGccStyleOpts(Module &m, const GccOptions &opts)
     GccReport rep;
     if (opts.lateInline) {
         opt::InlineOptions io;
-        io.sizeBudget = opts.inlineBudget;
         io.maxRounds = 2;
         rep.sitesInlined = opt::inlineFunctions(m, io);
     }
-    if (!opts.optimize)
-        return rep;
     for (auto &f : m.funcs()) {
         if (f.dead)
             continue;

@@ -4,7 +4,7 @@
  */
 #include "core/pipeline.h"
 
-#include <cstdlib>
+#include <cmath>
 
 #include "frontend/frontend.h"
 #include "ir/verifier.h"
@@ -268,11 +268,11 @@ safetyFingerprint(const PipelineConfig &cfg)
     if (!cfg.safe)
         return "unsafe";
     const safety::SafetyConfig &s = cfg.safety;
-    return strfmt("safe:mode=%d,ccopt=%d,naive=%d,tags=%d,lock=%d,"
+    return strfmt("safe:mode=%d,ccopt=%d,naive=%d,tags=%d,"
                   "mem=%d,cfi=%d,%s",
                   static_cast<int>(s.errorMode),
                   s.ccuredOptimizer ? 1 : 0, s.naiveRuntime ? 1 : 0,
-                  s.insertCheckTags ? 1 : 0, s.lockRacyChecks ? 1 : 0,
+                  s.insertCheckTags ? 1 : 0,
                   s.memoryChecks ? 1 : 0, s.cfi ? 1 : 0,
                   concurrencyFingerprint(s.concurrency).c_str());
 }
@@ -283,15 +283,10 @@ optFingerprint(const PipelineConfig &cfg)
     if (!cfg.runCxprop)
         return "nocx";
     const opt::CxpropOptions &o = cfg.cxprop;
-    return strfmt("cx:iv=%d,bits=%d,inl=%d,budget=%u,single=%d,"
-                  "inlrounds=%d,rounds=%d,atom=%d,chk=%d,copy=%d,"
-                  "dce=%d,%s",
+    return strfmt("cx:iv=%d,bits=%d,inl=%d,atom=%d,copy=%d,dce=%d,%s",
                   o.domains.intervals ? 1 : 0,
                   o.domains.knownBits ? 1 : 0, o.inlineFirst ? 1 : 0,
-                  o.inlineOpts.sizeBudget,
-                  o.inlineOpts.inlineSingleCallSite ? 1 : 0,
-                  o.inlineOpts.maxRounds, o.maxRounds,
-                  o.optimizeAtomics ? 1 : 0, o.removeChecks ? 1 : 0,
+                  o.optimizeAtomics ? 1 : 0,
                   o.copyProp ? 1 : 0, o.strongDce ? 1 : 0,
                   concurrencyFingerprint(o.concurrency).c_str());
 }
@@ -299,10 +294,8 @@ optFingerprint(const PipelineConfig &cfg)
 std::string
 backendFingerprint(const PipelineConfig &cfg)
 {
-    return strfmt("be:%s,opt=%d,late=%d,budget=%u",
-                  cfg.platform.c_str(), cfg.backend.gcc.optimize ? 1 : 0,
-                  cfg.backend.gcc.lateInline ? 1 : 0,
-                  cfg.backend.gcc.inlineBudget);
+    return strfmt("be:%s,late=%d", cfg.platform.c_str(),
+                  cfg.backend.gcc.lateInline ? 1 : 0);
 }
 
 BuildResult
@@ -323,15 +316,18 @@ buildApp(const tinyos::AppInfo &app, const PipelineConfig &cfg)
     return buildSource(app.name, app.source, cfg);
 }
 
-double
-simSeconds(double fallback)
+uint64_t
+simCycles(double seconds, uint32_t clockHz)
 {
-    if (const char *env = std::getenv("SAFE_TINYOS_SIM_SECONDS")) {
-        double v = std::atof(env);
-        if (v > 0)
-            return v;
-    }
-    return fallback;
+    // Casting a product at or above 2^64 to uint64_t is undefined
+    // behaviour (in practice a garbage count), so reject it here.
+    const double cycles = seconds * static_cast<double>(clockHz);
+    if (!std::isfinite(seconds) || seconds < 0 || !(cycles < 0x1p64))
+        throw FatalError(strfmt("cannot simulate %g seconds at %u Hz: "
+                                "need a finite duration >= 0 whose "
+                                "cycle count fits in 64 bits",
+                                seconds, clockHz));
+    return static_cast<uint64_t>(cycles);
 }
 
 namespace {
@@ -371,8 +367,7 @@ simulateInContext(const backend::MProgram &image,
                   const std::vector<const backend::MProgram *> &companions,
                   double seconds, const sim::NetworkOptions &netOpts)
 {
-    uint64_t cycles = static_cast<uint64_t>(
-        seconds * static_cast<double>(image.target.clockHz));
+    uint64_t cycles = simCycles(seconds, image.target.clockHz);
     sim::Network net(netOpts);
     net.addMote(image, 1);
     uint8_t nextId = 2;
@@ -388,9 +383,8 @@ simulateDecoded(
         &companions,
     double seconds, const sim::NetworkOptions &netOpts)
 {
-    uint64_t cycles = static_cast<uint64_t>(
-        seconds *
-        static_cast<double>(image->program().target.clockHz));
+    uint64_t cycles =
+        simCycles(seconds, image->program().target.clockHz);
     sim::Network net(netOpts);
     net.addMote(image, 1);
     uint8_t nextId = 2;

@@ -257,8 +257,12 @@ SimOutcome simulateDecoded(
         &companions,
     double seconds, const sim::NetworkOptions &net = {});
 
-/** Default simulated duration (overridable via SAFE_TINYOS_SIM_SECONDS). */
-double simSeconds(double fallback);
+/**
+ * The cycle count of `seconds` of simulated time at `clockHz`. Throws
+ * FatalError when `seconds` is not finite, is negative, or gives a
+ * count that does not fit in uint64_t.
+ */
+uint64_t simCycles(double seconds, uint32_t clockHz);
 
 } // namespace stos::core
 

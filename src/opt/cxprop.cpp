@@ -24,6 +24,9 @@ using namespace stos::analysis;
 
 namespace {
 
+/** Outer analyze-and-transform rounds; most programs settle sooner. */
+constexpr int kMaxRounds = 6;
+
 /** Size in bytes of an abstract memory object, if known. */
 std::optional<uint32_t>
 objSize(const Module &m, const MemObj &o)
@@ -573,7 +576,7 @@ class Engine {
             AbsVal v = ev(0);
             bool safe = (v.kind == AbsVal::Ptr && v.nonNull) ||
                         (v.kind == AbsVal::Int && (v.lo > 0 || v.hi < 0));
-            if (safe && rep && opts_.removeChecks) {
+            if (safe && rep) {
                 ++rep->checksRemoved;
                 return true;
             }
@@ -604,7 +607,7 @@ class Engine {
                 if (size && lowerOk && v.offLo >= 0 &&
                     v.offHi + static_cast<int64_t>(in.auxA) <=
                         static_cast<int64_t>(*size)) {
-                    if (rep && opts_.removeChecks) {
+                    if (rep) {
                         ++rep->checksRemoved;
                         return true;
                     }
@@ -617,7 +620,7 @@ class Engine {
             auto c = v.asConst();
             if (c && *c >= 1 &&
                 *c <= static_cast<int64_t>(mod_.funcs().size())) {
-                if (rep && opts_.removeChecks) {
+                if (rep) {
                     ++rep->checksRemoved;
                     return true;
                 }
@@ -635,7 +638,7 @@ class Engine {
                 const ir::Global &tbl = mod_.globalAt(in.args[1].index);
                 size_t idx = static_cast<size_t>(*c);
                 if (idx < tbl.init.size() && tbl.init[idx] == in.auxA) {
-                    if (rep && opts_.removeChecks) {
+                    if (rep) {
                         ++rep->checksRemoved;
                         return true;
                     }
@@ -646,7 +649,7 @@ class Engine {
           case Opcode::ChkAlign: {
             AbsVal v = ev(0);
             if (in.auxA <= 1) {
-                if (rep && opts_.removeChecks) {
+                if (rep) {
                     ++rep->checksRemoved;
                     return true;
                 }
@@ -902,12 +905,12 @@ runCxprop(Module &m, const CxpropOptions &opts)
 {
     CxpropReport rep;
     if (opts.inlineFirst)
-        rep.funcsInlined = inlineFunctions(m, opts.inlineOpts);
+        rep.funcsInlined = inlineFunctions(m);
     const bool debugChecks = std::getenv("CXPROP_DEBUG_CHECKS") != nullptr;
     const bool debugRounds = std::getenv("STOS_CXPROP_DEBUG") != nullptr;
 
     bool atomicsDone = false;
-    for (int round = 0; round < opts.maxRounds; ++round) {
+    for (int round = 0; round < kMaxRounds; ++round) {
         rep.rounds = round + 1;
         uint32_t before = rep.checksRemoved + rep.instrsConstFolded +
                           rep.branchesFolded;

@@ -22,10 +22,7 @@ struct CxpropOptions {
     DomainConfig domains;
     /** Run the custom inliner first (configuration 4 of Figure 2). */
     bool inlineFirst = false;
-    InlineOptions inlineOpts;
-    int maxRounds = 6;
     bool optimizeAtomics = true;
-    bool removeChecks = true;
     bool copyProp = true;
     bool strongDce = true;
     analysis::ConcurrencyOptions concurrency;

@@ -14,6 +14,9 @@ using namespace stos::ir;
 
 namespace {
 
+/** Largest callee inlined at every call site (4x with a hint). */
+constexpr uint32_t kSizeBudget = 48;
+
 size_t
 instrCount(const Function &f)
 {
@@ -158,12 +161,12 @@ inlineFunctions(Module &m, const InlineOptions &opts)
             if (cg.isRecursive(calleeId))
                 return false;
             size_t size = instrCount(callee);
-            uint32_t budget = opts.sizeBudget;
+            uint32_t budget = kSizeBudget;
             if (callee.attrs.inlineHint)
                 budget *= 4;
             if (size <= budget)
                 return true;
-            if (opts.inlineSingleCallSite && siteCount[calleeId] == 1 &&
+            if (siteCount[calleeId] == 1 &&
                 !cg.isAddressTaken(calleeId)) {
                 return true;
             }

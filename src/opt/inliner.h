@@ -14,9 +14,12 @@
 
 namespace stos::opt {
 
+/**
+ * A callee is inlined when it has at most 48 instructions (192 with
+ * an inline hint) or when it has a single call site and its address
+ * is never taken.
+ */
 struct InlineOptions {
-    uint32_t sizeBudget = 48;     ///< max callee instruction count
-    bool inlineSingleCallSite = true;
     int maxRounds = 4;
 };
 

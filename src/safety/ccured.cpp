@@ -353,7 +353,9 @@ class Transformer {
                     checks = std::move(kept);
                 }
 
-                bool needLock = cfg_.lockRacyChecks && racy &&
+                // §2.2: wrap checks on racy variables in atomic
+                // sections.
+                bool needLock = racy &&
                                 atomicDepth == 0 && !checks.empty() &&
                                 funcCanBePreempted(f, conc);
                 if (needLock) {

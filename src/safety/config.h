@@ -42,8 +42,6 @@ struct SafetyConfig {
      * link-time DCE.
      */
     bool insertCheckTags = false;
-    /** §2.2: wrap checks on racy variables in atomic sections. */
-    bool lockRacyChecks = true;
     /**
      * Emit CCured memory-safety checks (pointer-kind inference plus
      * dynamic bounds/null/wild instrumentation). Off for the CfiOnly

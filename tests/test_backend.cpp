@@ -227,17 +227,5 @@ TEST(GccOpts, RemovesRedundantChecks)
     EXPECT_GT(rep.checksRemoved, 0u);
 }
 
-TEST(GccOpts, OptimizeFlagGates)
-{
-    const char *src = "u16 main() { return 6 * 7; }";
-    Module m1 = compile(src);
-    GccOptions off;
-    off.optimize = false;
-    MProgram unopt = build(m1, TargetInfo::mica2(), {off});
-    Module m2 = compile(src);
-    MProgram opt = build(m2);
-    EXPECT_LE(opt.codeBytes(), unopt.codeBytes());
-}
-
 } // namespace
 } // namespace stos

@@ -2,14 +2,17 @@
  * @file
  * BenchCli command-line parsing: numeric flags accept whole
  * non-negative decimals (and, for the cell timeout, finite
- * non-negative seconds); anything else prints a diagnostic and the
+ * non-negative seconds; for SAFE_TINYOS_SIM_SECONDS, seconds above 0
+ * whose cycle count fits); anything else prints a diagnostic and the
  * usage line and exits with status 2 instead of silently turning into
- * "all cores", a wrapped job count, or a disabled watchdog. And
+ * "all cores", a wrapped job count, a disabled watchdog or a figure
+ * of zeros. And
  * --cache-dir binds run() to an artifact store, so a repeat run over
  * a warmed directory executes no pipeline stage.
  */
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -79,6 +82,24 @@ TEST(BenchCliDeathTest, RejectsMalformedFaultSeed)
                     "--fault-seed needs .*usage:")
             << "'" << bad << "'";
     }
+}
+
+TEST(BenchCliDeathTest, RejectsMalformedSimSeconds)
+{
+    // A duration that is not a plain decimal above 0, or whose cycle
+    // count overflows (inf, 1e30), is a usage error, not a figure of
+    // zeros or a silent fall-back to the default.
+    for (const char *bad : {"inf", "1e30", "abc", "0", "-1", "nan",
+                            "1e999", " 2"}) {
+        ::setenv("SAFE_TINYOS_SIM_SECONDS", bad, 1);
+        EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(2),
+                    "SAFE_TINYOS_SIM_SECONDS needs .*usage:")
+            << "'" << bad << "'";
+    }
+    ::setenv("SAFE_TINYOS_SIM_SECONDS", "0.25", 1);
+    EXPECT_DOUBLE_EQ(parse({}).seconds, 0.25);
+    ::unsetenv("SAFE_TINYOS_SIM_SECONDS");
+    EXPECT_DOUBLE_EQ(parse({}).seconds, 3.0);
 }
 
 TEST(BenchCli, CacheDirServesARepeatRunWithoutExecutingAStage)

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "core/experiment.h"
@@ -177,6 +178,24 @@ TEST(Experiment, SerialReferenceGateHolds)
     ASSERT_TRUE(rep.allOk());
     std::string why;
     EXPECT_TRUE(exp.verifySerialEquivalence(rep, &why)) << why;
+}
+
+TEST(Experiment, UnsimulableDurationFailsEachCellWithADiagnostic)
+{
+    // A duration whose cycle count overflows must fail each cell
+    // with a diagnostic, not report it simulated at a 0% duty cycle.
+    ExperimentOptions opts = fastOptions();
+    opts.seconds = std::numeric_limits<double>::infinity();
+    Experiment exp = smallExperiment(opts);
+    ExperimentReport rep = exp.run();
+    EXPECT_TRUE(rep.builds.allOk());
+    ASSERT_FALSE(rep.sims.records.empty());
+    for (const SimRecord &r : rep.sims.records) {
+        EXPECT_FALSE(r.ok) << r.app << " / " << r.config;
+        EXPECT_NE(r.error.find("cannot simulate inf seconds"),
+                  std::string::npos)
+            << r.error;
+    }
 }
 
 TEST(Experiment, ReportsEquivalentDetectsDivergence)

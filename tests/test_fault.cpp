@@ -528,23 +528,47 @@ TEST(CfiTrapLog, CfiTrapsFlowThroughLogRebootAndEmitters)
 
 TEST(FaultedExperiment, SerialEquivalenceGateCoversFaults)
 {
-    Experiment exp;
-    exp.options().jobs = 2;
-    exp.options().seconds = 0.25;
-    exp.options().faults.seed = 11;
-    exp.options().faults.memFlips = 6;
-    exp.options().faults.regFlips = 3;
-    exp.options().faults.radioLoss = 0.2;
-    exp.options().faults.radioCorrupt = 0.1;
-    exp.options().faults.recovery = RecoveryPolicy::RebootOnTrap;
-    exp.addApp(tinyos::appByName("CntToLedsAndRfm"));
-    exp.addApp(tinyos::appByName("GenericBase"));
-    exp.addConfig(ConfigId::Baseline);
-    exp.addConfig(ConfigId::SafeFlid);
-    ExperimentReport rep = exp.run();
-    ASSERT_TRUE(rep.allOk());
-    std::string why;
-    EXPECT_TRUE(exp.verifySerialEquivalence(rep, &why)) << why;
+    // Two campaigns over the same cells: state flips with radio loss
+    // and corruption, and fault_resilience's default campaign (20
+    // memory and 8 register flips), which is the one that traps.
+    FaultOptions mixed;
+    mixed.seed = 11;
+    mixed.memFlips = 6;
+    mixed.regFlips = 3;
+    mixed.radioLoss = 0.2;
+    mixed.radioCorrupt = 0.1;
+    FaultOptions resilience;
+    resilience.memFlips = 20;
+    resilience.regFlips = 8;
+    uint64_t traps = 0;
+    for (FaultOptions faults : {mixed, resilience}) {
+        faults.recovery = RecoveryPolicy::RebootOnTrap;
+        Experiment exp;
+        exp.options().jobs = 2;
+        exp.options().seconds = 0.25;
+        exp.options().faults = faults;
+        exp.addApp(tinyos::appByName("CntToLedsAndRfm"));
+        exp.addApp(tinyos::appByName("GenericBase"));
+        exp.addConfig(ConfigId::Baseline);
+        exp.addConfig(ConfigId::SafeFlid);
+        ExperimentReport rep = exp.run();
+        ASSERT_TRUE(rep.allOk());
+        std::string why;
+        EXPECT_TRUE(exp.verifySerialEquivalence(rep, &why)) << why;
+
+        // The recovery counters every faulted record must keep sane.
+        for (const SimRecord &r : rep.sims.records) {
+            const SimOutcome &o = r.outcome;
+            const std::string cell = r.app + " / " + r.config;
+            EXPECT_GE(o.availability, 0.0) << cell;
+            EXPECT_LE(o.availability, 1.0) << cell;
+            EXPECT_LE(o.trapLog.size(), kMaxTrapLog) << cell;
+            if (!o.trapLog.empty())
+                EXPECT_EQ(o.failedFlid, o.trapLog.front().flid) << cell;
+            traps += o.traps;
+        }
+    }
+    EXPECT_GT(traps, 0u) << "no campaign injected a trap anywhere";
 }
 
 } // namespace

@@ -10,7 +10,9 @@
  * way: every cell of that matrix simulated for 3 s on the default
  * core, with its cycle and instruction counters, halt/wedge state,
  * first trap FLID, hashes of the UART and trap logs, and the number
- * of superinstructions the decode of its image fused.
+ * of superinstructions the decode of its image fused. The same run
+ * also checks the clean corpus's invariants: no failed, wedged or
+ * trapping cell, and every CFI column larger than its non-CFI twin.
  * Any intentional change is re-blessed by rerunning with
  * STOS_UPDATE_GOLDEN=1 and reviewing the fixture diff.
  */
@@ -19,6 +21,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "backend/serialize.h"
 #include "core/experiment.h"
@@ -305,6 +308,52 @@ TEST(GoldenManifest, WholeMatrix)
 TEST(GoldenManifest, Simulator)
 {
     checkGoldenText("sim_manifest", simManifest());
+}
+
+/**
+ * What the same run must show for the clean corpus under every
+ * column: every cell builds and simulates without wedging, and no
+ * cell traps (a CFI trap here is a false positive). Each CFI column
+ * also out-sizes its non-CFI twin for every app, because the label
+ * table, forward checks and shadow-stack ops are real code the
+ * backend priced in.
+ */
+TEST(GoldenManifest, CleanCorpusInvariants)
+{
+    using core::ConfigId;
+    const core::ExperimentReport &rep = matrixReport();
+    const size_t apps = rep.builds.numApps;
+    EXPECT_GE(apps, 25u);
+    ASSERT_EQ(rep.builds.records.size(), 11 * apps);
+    ASSERT_EQ(rep.sims.records.size(), 11 * apps);
+    for (const auto &b : rep.builds.records)
+        ASSERT_TRUE(b.ok) << b.app << " / " << b.config << ": " << b.error;
+    for (const auto &s : rep.sims.records) {
+        const std::string cell = s.app + " / " + s.config;
+        EXPECT_TRUE(s.ok) << cell << ": " << s.error;
+        EXPECT_FALSE(s.outcome.wedged) << cell;
+        EXPECT_EQ(s.outcome.traps, 0u) << cell;
+        EXPECT_EQ(s.outcome.cfiTraps, 0u) << cell;
+    }
+    const std::pair<ConfigId, ConfigId> twins[] = {
+        {ConfigId::SafeFlidCfi, ConfigId::SafeFlid},
+        {ConfigId::SafeFlidInlineCxpropCfi, ConfigId::SafeFlidInlineCxprop},
+        {ConfigId::CfiOnly, ConfigId::Baseline},
+    };
+    for (const auto &[cfi, twin] : twins) {
+        size_t compared = 0;
+        for (const auto &b : rep.builds.records) {
+            if (b.config != core::configName(cfi))
+                continue;
+            const core::BuildRecord *t =
+                rep.builds.find(b.app, core::configName(twin));
+            ASSERT_NE(t, nullptr) << b.app;
+            EXPECT_GT(b.result->codeBytes, t->result->codeBytes)
+                << b.app << ": " << b.config << " vs " << t->config;
+            ++compared;
+        }
+        EXPECT_EQ(compared, apps) << core::configName(cfi);
+    }
 }
 
 /**

@@ -6,8 +6,9 @@
  * requests, failure caching and rethrow, fingerprint sensitivity
  * (changing only CxpropOptions must NOT invalidate the safety stage;
  * changing SafetyConfig must), companion entries aliasing the
- * matrix's Baseline cells, and full Figure-3-matrix byte-identity of
- * cached vs cold builds.
+ * matrix's Baseline cells, and on the full Figure-3 matrix: cached vs
+ * cold byte-identity, the cXprop skip-ratio floor, and a warm and a
+ * truncated-artifact run over the artifact store.
  */
 #include <gtest/gtest.h>
 
@@ -313,15 +314,32 @@ TEST(StageCache, CompanionAliasesTheMatrixBaselineCell)
     EXPECT_EQ(cache.companionHits(), 1u);
 }
 
+/** Executions of each stage in `b`, indexed by Stage. */
+std::array<size_t, 4>
+stageRuns(const BuildReport &b)
+{
+    return {b.frontendParses, b.safetyRuns, b.optRuns, b.backendRuns};
+}
+
 TEST(StageCache, Figure3CachedMatchesColdByteForByte)
 {
     // The acceptance gate of the whole redesign: on the full Figure-3
     // matrix, safety executions equal the number of distinct
     // (app, safety-fingerprint) pairs — 5 error-mode variants per app,
     // not 8 cells — while every cached BuildResult stays
-    // byte-identical to a cold per-cell compile.
-    BuildReport cached = figure3Matrix().run().builds;
-    BuildReport cold = figure3Matrix().runSerialReference().builds;
+    // byte-identical to a cold per-cell compile. The cached run
+    // writes a fresh artifact store, which must then serve a warm run
+    // without executing a stage, and turn a truncated artifact into
+    // exactly one correct rebuild.
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("stos-stagecache-figure3-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    Experiment exp = figure3Matrix();
+    exp.options().cache.dir = dir.string();
+    ExperimentReport cachedRep = exp.run();
+    ExperimentReport cold = exp.runSerialReference();
+    const BuildReport &cached = cachedRep.builds;
 
     ASSERT_TRUE(cached.allOk());
     ASSERT_TRUE(cold.allOk());
@@ -337,14 +355,53 @@ TEST(StageCache, Figure3CachedMatchesColdByteForByte)
     EXPECT_EQ(cached.optReuses, 0u);
     EXPECT_EQ(cached.backendRuns, cells);
     EXPECT_EQ(cached.backendReuses, 0u);
+    std::string why;
+    EXPECT_TRUE(Experiment::reportsEquivalent(cold, cachedRep, &why))
+        << why;
 
-    ASSERT_EQ(cached.records.size(), cold.records.size());
-    for (size_t i = 0; i < cached.records.size(); ++i) {
-        std::string why;
-        EXPECT_TRUE(BuildDriver::recordsEquivalent(
-            cold.records[i], cached.records[i], &why))
-            << why;
+    // The incremental cXprop fixpoint must keep skipping functions
+    // whose inputs did not change. The ratio is a deterministic
+    // function of the corpus and the analysis, so a fixed floor
+    // cannot flake.
+    uint64_t analyses = 0, skipped = 0;
+    for (const auto &r : cached.records) {
+        const opt::CxpropReport &cx = r.result->cxpropReport;
+        if (cx.rounds > 0) {
+            analyses += cx.funcAnalyses;
+            skipped += cx.funcAnalysesSkipped;
+        }
     }
+    ASSERT_GT(analyses, 0u);
+    EXPECT_GE(static_cast<double>(skipped) / static_cast<double>(analyses),
+              0.3)
+        << skipped << " of " << analyses << " function analyses skipped";
+
+    // Warm: every cell loads its backend artifact; no stage runs.
+    ExperimentReport warm = exp.run();
+    ASSERT_TRUE(warm.allOk());
+    EXPECT_EQ(stageRuns(warm.builds), (std::array<size_t, 4>{}));
+    EXPECT_EQ(warm.builds.backendDiskHits, cells);
+    EXPECT_TRUE(Experiment::reportsEquivalent(cold, warm, &why)) << why;
+
+    // The store detects a truncated backend artifact, and the cell
+    // degrades to a miss: one backend rebuild over the disk-hit opt
+    // product, nothing else.
+    ArtifactStore store(CacheOptions{dir.string()});
+    const AppInfo &app0 = allApps().front();
+    const std::string victim = store.pathFor(
+        Stage::Backend,
+        StageCache::buildKey(app0,
+                             configFor(ConfigId::Baseline, app0.platform)));
+    fs::resize_file(victim, fs::file_size(victim) / 2);
+    StageCache cache(&store);
+    ExperimentReport rebuilt = exp.run(cache);
+    ASSERT_TRUE(rebuilt.allOk());
+    EXPECT_EQ(store.stats().corrupt, 1u);
+    EXPECT_EQ(stageRuns(rebuilt.builds),
+              (std::array<size_t, 4>{0, 0, 0, 1}));
+    EXPECT_TRUE(Experiment::reportsEquivalent(cold, rebuilt, &why))
+        << why;
+    fs::remove_all(dir);
 }
 
 TEST(StageCache, PersistentCacheServesARepeatRunEntirely)
