@@ -120,9 +120,9 @@ emitTo(const std::string &path, Emit emit)
  *   --cache-dir PATH    back the run's StageCache with an on-disk
  *                 artifact store at PATH: stage products persist
  *                 across processes, and a warmed directory serves a
- *                 repeat run without executing a single stage
- *   --cache-stats print the artifact-store counters (disk hits,
- *                 misses, corrupt rejects, bytes) after the run
+ *                 repeat run without executing a single stage; the
+ *                 store's counters (disk hits, misses, corrupt
+ *                 rejects, bytes) print after the run
  *   --faults=SPEC fault campaign for the simulation phase, e.g.
  *                 "mem=8,reg=4,crash=1,loss=0.1,corrupt=0.05,dup=0.02"
  *                 (sim/fault.h taxonomy)
@@ -150,7 +150,6 @@ struct BenchCli {
     std::string joinedCsvPath;
     std::string joinedJsonPath;
     std::string cacheDir;
-    bool cacheStats = false;
     double seconds = 0.0;
     sim::FaultOptions faults;
     bool recoverySet = false;  ///< --recovery= given explicitly
@@ -192,7 +191,7 @@ struct BenchCli {
                     "usage: %s [--serial] [--corpus=paper|full] "
                     "[--jobs N] [--csv PATH] [--json PATH] "
                     "[--joined-csv PATH] [--joined-json PATH] "
-                    "[--cache-dir PATH] [--cache-stats] "
+                    "[--cache-dir PATH] "
                     "[--faults=SPEC] [--fault-seed N] "
                     "[--fault-companions] [--recovery=POLICY] "
                     "[--cell-timeout SECS]\n",
@@ -247,8 +246,6 @@ struct BenchCli {
             } else if (!std::strcmp(argv[i], "--cache-dir") &&
                        i + 1 < argc) {
                 f.cacheDir = argv[++i];
-            } else if (!std::strcmp(argv[i], "--cache-stats")) {
-                f.cacheStats = true;
             } else if (!std::strncmp(argv[i], "--faults=", 9)) {
                 std::string err;
                 if (!sim::parseFaultSpec(argv[i] + 9, &f.faults,
@@ -312,7 +309,6 @@ struct BenchCli {
         o.jobs = jobs;
         o.simulate = simulate;
         o.seconds = seconds;
-        o.cache.dir = cacheDir;
         o.faults = faults;
         o.cellTimeout = cellTimeout;
         return o;
@@ -336,8 +332,7 @@ struct BenchCli {
                     "matrix\n");
             return 2;
         }
-        // Bind the artifact store here (not inside exp.run()) so the
-        // store's counters survive the run for --cache-stats.
+        // The store outlives the run, so its counters print after it.
         std::unique_ptr<core::ArtifactStore> store;
         if (!cacheDir.empty())
             store = std::make_unique<core::ArtifactStore>(
@@ -345,7 +340,7 @@ struct BenchCli {
         core::StageCache cache(store.get());
         out = exp.run(cache);
         printf("[%s]\n", out.summary().c_str());
-        if (cacheStats && store) {
+        if (store) {
             core::ArtifactStoreStats s = store->stats();
             printf("[cache %s: %zu disk hits, %zu misses, %zu corrupt, "
                    "%zu writes, %llu KiB read, %llu KiB written]\n",

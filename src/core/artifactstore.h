@@ -31,7 +31,9 @@
 #ifndef STOS_CORE_ARTIFACTSTORE_H
 #define STOS_CORE_ARTIFACTSTORE_H
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -41,7 +43,23 @@ namespace stos::core {
 /** The stages of the build graph, in dataflow order. */
 enum class Stage { Frontend, Safety, Opt, Backend };
 
+/** Every stage, in dataflow order: what per-stage loops walk. */
+inline constexpr Stage kStages[] = {Stage::Frontend, Stage::Safety,
+                                    Stage::Opt, Stage::Backend};
+inline constexpr size_t kNumStages = std::size(kStages);
+
 const char *stageName(Stage s);
+
+/** One T per stage, indexed by Stage (value-initialized). */
+template <typename T> struct PerStage {
+    std::array<T, kNumStages> each{};
+
+    T &operator[](Stage s) { return each[static_cast<size_t>(s)]; }
+    const T &operator[](Stage s) const
+    {
+        return each[static_cast<size_t>(s)];
+    }
+};
 
 /**
  * Store format version. Stamped into every artifact; an artifact
@@ -52,9 +70,9 @@ const char *stageName(Stage s);
  */
 inline constexpr uint32_t kStoreFormatVersion = 3;
 
-/** How an Experiment (or bench --cache-dir) binds to a store. */
+/** Where an ArtifactStore lives (bench --cache-dir). */
 struct CacheOptions {
-    /** Store directory (created on demand). Empty = in-memory only. */
+    /** Store directory (created on demand). */
     std::string dir;
 };
 

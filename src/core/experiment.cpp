@@ -7,10 +7,6 @@
  * workers hits distinct apps and the per-app stage entries fill
  * without contention, while results land in app-major record slots so
  * report order is deterministic under any thread count.
- *
- * With options().cache.dir set, run() fronts its StageCache with an
- * ArtifactStore: stage products load from disk instead of executing
- * and write back after a live run.
  */
 #include "core/experiment.h"
 
@@ -102,28 +98,6 @@ Experiment::addAllApps()
 }
 
 Experiment &
-Experiment::addPaperApps()
-{
-    return addApps(tinyos::paperApps());
-}
-
-Experiment &
-Experiment::addAppsByTag(const std::string &tag)
-{
-    return addApps(tinyos::appsByTag(tag));
-}
-
-Experiment &
-Experiment::addAppsOn(const std::string &platform)
-{
-    for (const auto &app : tinyos::allApps()) {
-        if (app.platform == platform)
-            apps_.push_back(app);
-    }
-    return *this;
-}
-
-Experiment &
 Experiment::addConfig(ConfigId id)
 {
     configs_.push_back(
@@ -206,18 +180,14 @@ buildCells(const std::vector<tinyos::AppInfo> &apps,
                                       static_cast<uint32_t>(cfgIdx)};
         rec.companions = app.companions;
         auto cellStart = Clock::now();
-        StageHits hits;
         try {
-            rec.result = buildCell(app, spec.make(app.platform), hits);
+            rec.result =
+                buildCell(app, spec.make(app.platform), rec.reused);
             rec.ok = true;
         } catch (const std::exception &e) {
             rec.ok = false;
             rec.error = e.what();
         }
-        rec.frontendReused = hits.frontend;
-        rec.safetyReused = hits.safety;
-        rec.optReused = hits.opt;
-        rec.backendReused = hits.backend;
         rec.millis = millisSince(cellStart);
     });
     report.wallMillis = millisSince(start);
@@ -229,7 +199,9 @@ buildCells(const std::vector<tinyos::AppInfo> &apps,
 BuildReport
 Experiment::buildMatrix(StageCache &cache) const
 {
-    StageCacheStats before = cache.stats();
+    PerStage<StageStats> before;
+    for (Stage s : kStages)
+        before[s] = cache.stats(s);
     ArtifactStoreStats storeBefore;
     if (cache.store())
         storeBefore = cache.store()->stats();
@@ -246,31 +218,20 @@ Experiment::buildMatrix(StageCache &cache) const
     // per-cell reuse comes from the chain flags (a request chain
     // stops at its first cache hit, so raw request counters would
     // under-report upstream reuse). Disk hits are counted apart from
-    // executions: a warmed store yields *Runs == 0.
-    StageCacheStats after = cache.stats();
-    report.frontendParses =
-        after.frontend.executed - before.frontend.executed;
-    report.safetyRuns = after.safety.executed - before.safety.executed;
-    report.optRuns = after.opt.executed - before.opt.executed;
-    report.backendRuns = after.backend.executed - before.backend.executed;
-    report.frontendDiskHits =
-        after.frontend.diskHits - before.frontend.diskHits;
-    report.safetyDiskHits = after.safety.diskHits - before.safety.diskHits;
-    report.optDiskHits = after.opt.diskHits - before.opt.diskHits;
-    report.backendDiskHits =
-        after.backend.diskHits - before.backend.diskHits;
+    // executions: a warmed store yields zero runs.
+    for (Stage s : kStages) {
+        StageStats after = cache.stats(s);
+        report.stages[s].runs = after.executed - before[s].executed;
+        report.stages[s].diskHits = after.diskHits - before[s].diskHits;
+        for (const auto &r : report.records)
+            report.stages[s].reuses += r.reused[s] ? 1 : 0;
+    }
     if (cache.store()) {
         ArtifactStoreStats storeAfter = cache.store()->stats();
         report.cacheBytesRead =
             storeAfter.bytesRead - storeBefore.bytesRead;
         report.cacheBytesWritten =
             storeAfter.bytesWritten - storeBefore.bytesWritten;
-    }
-    for (const auto &r : report.records) {
-        report.frontendReuses += r.frontendReused ? 1 : 0;
-        report.safetyReuses += r.safetyReused ? 1 : 0;
-        report.optReuses += r.optReused ? 1 : 0;
-        report.backendReuses += r.backendReused ? 1 : 0;
     }
     return report;
 }
@@ -289,10 +250,8 @@ Experiment::buildMatrixCold() const
                 buildSource(app.name, app.source, cfg));
         });
     // Every cell ran the whole pipeline by itself.
-    report.frontendParses = report.records.size();
-    report.safetyRuns = report.records.size();
-    report.optRuns = report.records.size();
-    report.backendRuns = report.records.size();
+    for (Stage s : kStages)
+        report.stages[s].runs = report.records.size();
     return report;
 }
 
@@ -430,10 +389,7 @@ Experiment::simulateReference(const BuildReport &builds) const
 ExperimentReport
 Experiment::run() const
 {
-    std::unique_ptr<ArtifactStore> store;
-    if (!opts_.cache.dir.empty())
-        store = std::make_unique<ArtifactStore>(opts_.cache);
-    StageCache cache(store.get());
+    StageCache cache;
     return run(cache);
 }
 

@@ -9,18 +9,18 @@
  * simulations over the same worker pool, returning one combined
  * report.
  *
- * This facade IS the engine: the thread-pooled build loop, the
- * simulation loop, and the artifact-store plumbing all live here.
- * Point options().cache.dir at a directory and every stage product
- * persists on disk under its content key — a second process (or CI
- * run) over the same matrix executes zero stages. run() is the one
- * fast path and runSerialReference() the one reference it is gated
- * against; no option chooses between them.
+ * This facade IS the engine: the thread-pooled build loop and the
+ * simulation loop both live here. To persist stage products, run
+ * over a StageCache bound to an ArtifactStore — StageCache(&store) —
+ * and a second process (or CI run) over the same matrix executes
+ * zero stages. run() is the one fast path and runSerialReference()
+ * the one reference it is gated against; no option chooses between
+ * them.
  *
  * Typical use (what every figure bench does via BenchCli):
  *
  *   Experiment exp(opts);
- *   exp.addAppsOn("Mica2")
+ *   exp.addApps(cli.corpusApps("Mica2"))
  *      .addConfig(ConfigId::Baseline)
  *      .addConfigs(figure3Configs());
  *   ExperimentReport rep = exp.run();
@@ -46,15 +46,6 @@ struct ExperimentOptions {
     bool simulate = true;
     /** Simulated duration per cell, in seconds of mote time. */
     double seconds = 3.0;
-    /**
-     * On-disk artifact store binding (core/artifactstore.h). With a
-     * non-empty dir, run() fronts its StageCache with an
-     * ArtifactStore there: stage products persist across processes,
-     * and a warmed directory serves a repeat run without executing a
-     * single stage. Default (empty dir) is in-memory-only, exactly
-     * the pre-store behaviour.
-     */
-    CacheOptions cache;
     /**
      * Fault campaign applied to every simulated cell (sim/fault.h).
      * The campaign seed is re-mixed with each cell's app name so every
@@ -107,12 +98,6 @@ class Experiment {
     Experiment &addApps(const std::vector<tinyos::AppInfo> &apps);
     /** The whole registry corpus (paper + expanded families). */
     Experiment &addAllApps();
-    /** The paper's twelve benchmark applications. */
-    Experiment &addPaperApps();
-    /** Registry apps of one scenario family / tag ("routing", ...). */
-    Experiment &addAppsByTag(const std::string &tag);
-    /** Registry apps on one platform (the Figure-3(c) row set). */
-    Experiment &addAppsOn(const std::string &platform);
 
     //--- columns --------------------------------------------------
     Experiment &addConfig(ConfigId id);
@@ -135,16 +120,13 @@ class Experiment {
      * The fast path: build the matrix through the stage graph on the
      * worker pool, then simulate it on the threaded core with
      * lookahead windows and memoized companion decodes. This overload
-     * runs over a fresh per-run StageCache —
-     * fronted by an ArtifactStore when options().cache.dir is set,
-     * in which case "fresh" only means the in-memory memo: stage
-     * products still flow from and to the shared directory.
+     * runs over a fresh in-memory StageCache.
      */
     ExperimentReport run() const;
     /**
-     * As above over the caller's persistent cache: repeated runs
-     * rebuild nothing. The cache's own store binding wins;
-     * options().cache is ignored here.
+     * As above over the caller's cache: repeated runs rebuild
+     * nothing, and a cache bound to an ArtifactStore loads stage
+     * products from and writes them to its directory.
      */
     ExperimentReport run(StageCache &cache) const;
 
@@ -173,7 +155,7 @@ class Experiment {
      * rebuilds, the legacy interpreter under fixed-quantum lockstep
      * networks. This is what every memoized, parallel, and threaded
      * layer is gated against. Honours simulate, seconds, faults and
-     * cellTimeout; ignores jobs and cache.
+     * cellTimeout; ignores jobs.
      */
     ExperimentReport runSerialReference() const;
 

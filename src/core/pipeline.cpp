@@ -251,17 +251,6 @@ runBackendStage(OptProduct op, const PipelineConfig &cfg)
 // Fingerprints
 //---------------------------------------------------------------------
 
-namespace {
-
-std::string
-concurrencyFingerprint(const analysis::ConcurrencyOptions &c)
-{
-    return strfmt("norace=%d,followptr=%d", c.suppressNorace ? 1 : 0,
-                  c.followPointers ? 1 : 0);
-}
-
-} // namespace
-
 std::string
 safetyFingerprint(const PipelineConfig &cfg)
 {
@@ -269,12 +258,11 @@ safetyFingerprint(const PipelineConfig &cfg)
         return "unsafe";
     const safety::SafetyConfig &s = cfg.safety;
     return strfmt("safe:mode=%d,ccopt=%d,naive=%d,tags=%d,"
-                  "mem=%d,cfi=%d,%s",
+                  "mem=%d,cfi=%d",
                   static_cast<int>(s.errorMode),
                   s.ccuredOptimizer ? 1 : 0, s.naiveRuntime ? 1 : 0,
                   s.insertCheckTags ? 1 : 0,
-                  s.memoryChecks ? 1 : 0, s.cfi ? 1 : 0,
-                  concurrencyFingerprint(s.concurrency).c_str());
+                  s.memoryChecks ? 1 : 0, s.cfi ? 1 : 0);
 }
 
 std::string
@@ -283,12 +271,11 @@ optFingerprint(const PipelineConfig &cfg)
     if (!cfg.runCxprop)
         return "nocx";
     const opt::CxpropOptions &o = cfg.cxprop;
-    return strfmt("cx:iv=%d,bits=%d,inl=%d,atom=%d,copy=%d,dce=%d,%s",
+    return strfmt("cx:iv=%d,bits=%d,inl=%d,atom=%d,copy=%d,dce=%d",
                   o.domains.intervals ? 1 : 0,
                   o.domains.knownBits ? 1 : 0, o.inlineFirst ? 1 : 0,
                   o.optimizeAtomics ? 1 : 0,
-                  o.copyProp ? 1 : 0, o.strongDce ? 1 : 0,
-                  concurrencyFingerprint(o.concurrency).c_str());
+                  o.copyProp ? 1 : 0, o.strongDce ? 1 : 0);
 }
 
 std::string

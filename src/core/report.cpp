@@ -54,8 +54,8 @@ enum class Only { Both, Csv, Json };
  * CSV cell and no JSON key.
  */
 struct Column {
-    const char *name;
-    Value (*value)(const Row &);
+    std::string name;
+    std::function<Value(const Row &)> value;
     bool (*present)(const Row &) = nullptr;
     Only only = Only::Both;
 };
@@ -66,6 +66,17 @@ operator+(Columns a, const Columns &b)
 {
     a.insert(a.end(), b.begin(), b.end());
     return a;
+}
+
+/**
+ * The report's name of a per-stage counter or flag: `<stage>_<what>`,
+ * except that the frontend's runs are its `parses`.
+ */
+std::string
+stageKey(Stage s, const std::string &what)
+{
+    return std::string(stageName(s)) + "_" +
+           (s == Stage::Frontend && what == "runs" ? "parses" : what);
 }
 
 bool built(const Row &r) { return r.b->ok; }
@@ -139,20 +150,25 @@ const Columns kOutcome = {
      simulated},
 };
 
+/** One `<stage>_reused` flag per stage of a built cell. */
+Columns
+reusedColumns()
+{
+    Columns cols;
+    for (Stage s : kStages)
+        cols.push_back({stageKey(s, "reused"), [s](const Row &r) {
+                            return flag(r.b->reused[s]);
+                        }});
+    return cols;
+}
+
 const Columns kBuildTable =
     kIdentity +
     Columns{
         {"ok", [](const Row &r) { return flag(r.b->ok); }},
         {"error", [](const Row &r) { return text(r.b->error); }},
-        {"frontend_reused",
-         [](const Row &r) { return flag(r.b->frontendReused); }},
-        {"safety_reused",
-         [](const Row &r) { return flag(r.b->safetyReused); }},
-        {"opt_reused", [](const Row &r) { return flag(r.b->optReused); }},
-        {"backend_reused",
-         [](const Row &r) { return flag(r.b->backendReused); }},
     } +
-    kSizes +
+    reusedColumns() + kSizes +
     Columns{
         {"checks_inserted",
          [](const Row &r) {
@@ -278,13 +294,13 @@ writeCsv(std::ostream &os, const Columns &cols,
 
 /** `  "name": value,` — one top-level JSON field. */
 std::string
-field(const char *name, const std::string &value)
+field(const std::string &name, const std::string &value)
 {
-    return strfmt("  \"%s\": %s,\n", name, value.c_str());
+    return strfmt("  \"%s\": %s,\n", name.c_str(), value.c_str());
 }
 
 std::string
-field(const char *name, uint64_t value)
+field(const std::string &name, uint64_t value)
 {
     return field(name, std::to_string(value));
 }
@@ -303,22 +319,16 @@ shapeFields(const char *kind, const MatrixReport<Record> &m)
 std::string
 stageCounterFields(const BuildReport &b)
 {
-    return field("frontend_parses", b.frontendParses) +
-           field("frontend_reuses", b.frontendReuses) +
-           field("safety_runs", b.safetyRuns) +
-           field("safety_reuses", b.safetyReuses) +
-           field("opt_runs", b.optRuns) +
-           field("opt_reuses", b.optReuses) +
-           field("backend_runs", b.backendRuns) +
-           field("backend_reuses", b.backendReuses) +
-           field("stage_reuses", b.stageReuses()) +
-           // A warmed --cache-dir run shows every *_runs above as 0
-           // with the work accounted for here instead.
-           field("frontend_disk_hits", b.frontendDiskHits) +
-           field("safety_disk_hits", b.safetyDiskHits) +
-           field("opt_disk_hits", b.optDiskHits) +
-           field("backend_disk_hits", b.backendDiskHits) +
-           field("disk_hits", b.diskHits()) +
+    std::string s;
+    for (Stage st : kStages)
+        s += field(stageKey(st, "runs"), b.stages[st].runs) +
+             field(stageKey(st, "reuses"), b.stages[st].reuses);
+    s += field("stage_reuses", b.stageReuses());
+    // A warmed --cache-dir run shows every *_runs above as 0 with the
+    // work accounted for here instead.
+    for (Stage st : kStages)
+        s += field(stageKey(st, "disk_hits"), b.stages[st].diskHits);
+    return s + field("disk_hits", b.diskHits()) +
            field("cache_bytes_read", b.cacheBytesRead) +
            field("cache_bytes_written", b.cacheBytesWritten);
 }
@@ -359,19 +369,22 @@ writeJson(std::ostream &os, const std::string &fields,
 std::string
 BuildReport::summary() const
 {
+    std::string runs, disk;
+    for (Stage st : kStages) {
+        const char *sep = st == Stage::Frontend ? "" : ", ";
+        runs += strfmt("%s%s %zu/%zu", sep, stageName(st),
+                       stages[st].runs, stages[st].reuses);
+        disk += strfmt("%s%s %zu", sep, stageName(st),
+                       stages[st].diskHits);
+    }
     std::string s =
         strfmt("%zu apps x %zu configs = %zu builds in %.0f ms "
-               "(%u jobs; stage runs/reuses: frontend %zu/%zu, "
-               "safety %zu/%zu, opt %zu/%zu, backend %zu/%zu)",
+               "(%u jobs; stage runs/reuses: %s)",
                numApps, numConfigs, records.size(), wallMillis,
-               jobsUsed, frontendParses, frontendReuses, safetyRuns,
-               safetyReuses, optRuns, optReuses, backendRuns,
-               backendReuses);
+               jobsUsed, runs.c_str());
     if (diskHits() > 0 || cacheBytesWritten > 0)
-        s += strfmt(" (disk hits: frontend %zu, safety %zu, opt %zu, "
-                    "backend %zu; %llu KiB read, %llu KiB written)",
-                    frontendDiskHits, safetyDiskHits, optDiskHits,
-                    backendDiskHits,
+        s += strfmt(" (disk hits: %s; %llu KiB read, %llu KiB written)",
+                    disk.c_str(),
                     static_cast<unsigned long long>(cacheBytesRead /
                                                     1024),
                     static_cast<unsigned long long>(cacheBytesWritten /

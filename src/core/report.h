@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/stagecache.h"
 
 namespace stos::core {
 
@@ -85,10 +86,8 @@ struct BuildRecord : CellId {
     /** The app's sensor-network companions (from its AppInfo), so
      *  the simulation phase needs no registry lookup. */
     std::vector<std::string> companions;
-    bool frontendReused = false; ///< frontend served from the cache
-    bool safetyReused = false;   ///< safety stage served from the cache
-    bool optReused = false;      ///< opt stage served from the cache
-    bool backendReused = false;  ///< whole build served from the cache
+    /** The stages served from the cache (backend: the whole build). */
+    StageHits reused;
     bool ok = false;
     std::string error;        ///< populated when the build failed
     /**
@@ -99,33 +98,34 @@ struct BuildRecord : CellId {
     double millis = 0.0;      ///< wall time of this cell's build
 };
 
+/** What one stage did over a build phase. */
+struct StageCount {
+    size_t runs = 0;     ///< stage executions
+    size_t reuses = 0;   ///< cells whose stage was served from the cache
+    size_t diskHits = 0; ///< products loaded from the artifact store
+};
+
 /** The built matrix with its stage-graph counters. */
 struct BuildReport : MatrixReport<BuildRecord> {
-    size_t frontendParses = 0;  ///< frontend runs actually executed
-    size_t frontendReuses = 0;  ///< cells served from the memo
-    size_t safetyRuns = 0;      ///< safety stage executions
-    size_t safetyReuses = 0;    ///< cells whose safety stage was shared
-    size_t optRuns = 0;         ///< opt stage executions
-    size_t optReuses = 0;       ///< cells whose opt stage was shared
-    size_t backendRuns = 0;     ///< backend stage executions
-    size_t backendReuses = 0;   ///< cells served whole from the cache
-    size_t frontendDiskHits = 0; ///< frontends loaded from the store
-    size_t safetyDiskHits = 0;   ///< safety products loaded from disk
-    size_t optDiskHits = 0;      ///< opt products loaded from disk
-    size_t backendDiskHits = 0;  ///< whole builds loaded from disk
+    PerStage<StageCount> stages;
     uint64_t cacheBytesRead = 0;    ///< artifact payload bytes read
     uint64_t cacheBytesWritten = 0; ///< artifact payload bytes written
 
     /** Total post-frontend stage reuse (the stage-cache win). */
     size_t stageReuses() const
     {
-        return safetyReuses + optReuses + backendReuses;
+        size_t n = 0;
+        for (Stage s : {Stage::Safety, Stage::Opt, Stage::Backend})
+            n += stages[s].reuses;
+        return n;
     }
     /** Stage products this run materialized from the artifact store. */
     size_t diskHits() const
     {
-        return frontendDiskHits + safetyDiskHits + optDiskHits +
-               backendDiskHits;
+        size_t n = 0;
+        for (Stage s : kStages)
+            n += stages[s].diskHits;
+        return n;
     }
     /** One-line stats string for benchmark headers. */
     std::string summary() const;

@@ -130,15 +130,12 @@ markHits(StageHits *hits, Stage stage, bool served)
 {
     if (!hits)
         return;
-    bool *flags[] = {&hits->frontend, &hits->safety, &hits->opt,
-                     &hits->backend};
-    const size_t s = static_cast<size_t>(stage);
     if (!served) {
-        *flags[s] = false;
+        (*hits)[stage] = false;
         return;
     }
-    for (size_t i = 0; i <= s; ++i)
-        *flags[i] = true;
+    for (size_t i = 0; i <= static_cast<size_t>(stage); ++i)
+        hits->each[i] = true;
 }
 
 } // namespace
@@ -171,7 +168,7 @@ std::shared_ptr<const T>
 StageCache::memo(EntryMap<T> &map, Stage stage, const std::string &key,
                  StageHits *hits, Body body)
 {
-    Counters &n = counters_[static_cast<size_t>(stage)];
+    Counters &n = counters_[stage];
     bool ran = false, disk = false;
     auto entry = once(map, key, &ran, [&] {
         if (auto product = tryLoad<T>(stage, key)) {
@@ -273,15 +270,18 @@ StageCache::companionDecode(const std::string &name,
     return entry->value;
 }
 
+StageStats
+StageCache::stats(Stage stage) const
+{
+    const Counters &n = counters_[stage];
+    return {n.executed.load(), n.reused.load(), n.diskHits.load()};
+}
+
 StageCacheStats
 StageCache::stats() const
 {
-    StageCacheStats s;
-    StageStats *out[] = {&s.frontend, &s.safety, &s.opt, &s.backend};
-    for (size_t i = 0; i < counters_.size(); ++i)
-        *out[i] = {counters_[i].executed.load(), counters_[i].reused.load(),
-                   counters_[i].diskHits.load()};
-    return s;
+    return {stats(Stage::Frontend), stats(Stage::Safety),
+            stats(Stage::Opt), stats(Stage::Backend)};
 }
 
 } // namespace stos::core

@@ -19,7 +19,6 @@
 #ifndef STOS_CORE_STAGECACHE_H
 #define STOS_CORE_STAGECACHE_H
 
-#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -51,12 +50,7 @@ struct StageCacheStats {
  * stage served from the cache implies everything upstream of it was
  * too (the chain never re-executes above a hit).
  */
-struct StageHits {
-    bool frontend = false;
-    bool safety = false;
-    bool opt = false;
-    bool backend = false;
-};
+using StageHits = PerStage<bool>;
 
 class StageCache {
   public:
@@ -132,6 +126,8 @@ class StageCache {
      * (drivers derive per-cell reuse from StageHits instead).
      */
     StageCacheStats stats() const;
+    /** One stage's counters. */
+    StageStats stats(Stage stage) const;
 
     /** Companion entries materialized / served from the memo. */
     size_t companionBuilds() const { return coBuilds_.load(); }
@@ -189,7 +185,7 @@ class StageCache {
     EntryMap<sim::DecodedProgram, std::pair<std::string, std::string>>
         companions_;
 
-    std::array<Counters, 4> counters_;  ///< indexed by Stage
+    PerStage<Counters> counters_;
     std::atomic<size_t> coBuilds_{0}, coHits_{0};
 };
 

@@ -69,6 +69,11 @@ class Lowerer {
     }
 
   private:
+    /**
+     * The module's type table. Interning a type can grow the table
+     * and move its entries, so this file binds `Type` values
+     * (`const Type t = tt().get(id)`), never references.
+     */
     TypeTable &tt() { return mod_.types(); }
 
     //--- type resolution ---------------------------------------------
@@ -238,7 +243,7 @@ class Lowerer {
     buildInitBytes(TypeId t, const Initializer &init,
                    std::vector<uint8_t> &bytes, size_t off, SourceLoc loc)
     {
-        const Type &ty = tt().get(t);
+        const Type ty = tt().get(t);
         if (init.isString) {
             if (ty.kind != TypeKind::Array ||
                 mod_.typeSize(ty.elem) != 1) {
@@ -338,7 +343,7 @@ class Lowerer {
                 Function fn;
                 fn.name = f.name;
                 fn.retType = resolve(f.retType);
-                const Type &rt = tt().get(fn.retType);
+                const Type rt = tt().get(fn.retType);
                 if (rt.kind == TypeKind::Array ||
                     rt.kind == TypeKind::Struct) {
                     diags_.error(f.loc,
@@ -362,7 +367,7 @@ class Lowerer {
                     fn.attrs.usedFromStart = true;
                 for (const auto &p : f.params) {
                     TypeId pt = resolve(p.type);
-                    const Type &pty = tt().get(pt);
+                    const Type pty = tt().get(pt);
                     if (pty.kind == TypeKind::Array ||
                         pty.kind == TypeKind::Struct) {
                         diags_.error(f.loc, "aggregate parameter " + p.name +
@@ -644,7 +649,7 @@ class Lowerer {
             diags_.error(s.loc, "void variable " + s.declName);
             return;
         }
-        const Type &ty = tt().get(t);
+        const Type ty = tt().get(t);
         bool needsMem = addrTaken_.count(s.declName) ||
                         ty.kind == TypeKind::Array ||
                         ty.kind == TypeKind::Struct;
@@ -700,7 +705,7 @@ class Lowerer {
     uint32_t
     intBits(TypeId t)
     {
-        const Type &ty = tt().get(t);
+        const Type ty = tt().get(t);
         if (ty.kind == TypeKind::Bool)
             return 8;
         return ty.bits;
@@ -709,7 +714,7 @@ class Lowerer {
     bool
     intSigned(TypeId t)
     {
-        const Type &ty = tt().get(t);
+        const Type ty = tt().get(t);
         return ty.kind == TypeKind::Int && ty.isSigned;
     }
 
@@ -735,8 +740,8 @@ class Lowerer {
     {
         if (v.type == to)
             return v;
-        const Type &from = tt().get(v.type);
-        const Type &dst = tt().get(to);
+        const Type from = tt().get(v.type);
+        const Type dst = tt().get(to);
         // int <-> int / bool
         if (isIntLike(v.type) && isIntLike(to)) {
             return {Operand::vreg(builder_->cast(to, v.op)), to};
@@ -763,7 +768,7 @@ class Lowerer {
     RVal
     truthy(RVal v, SourceLoc loc)
     {
-        const Type &ty = tt().get(v.type);
+        const Type ty = tt().get(v.type);
         if (ty.kind == TypeKind::Bool)
             return v;
         if (ty.kind == TypeKind::Int || ty.kind == TypeKind::Ptr ||
@@ -782,7 +787,7 @@ class Lowerer {
     {
         if (lv.kind == LVal::None || lv.type == kInvalidType)
             return {Operand::immInt(0), tt().u16()};
-        const Type &ty = tt().get(lv.type);
+        const Type ty = tt().get(lv.type);
         switch (lv.kind) {
           case LVal::VRegSlot:
             return {Operand::vreg(lv.vreg), lv.type};
@@ -816,7 +821,7 @@ class Lowerer {
     {
         if (lv.kind == LVal::None || lv.type == kInvalidType)
             return;
-        const Type &ty = tt().get(lv.type);
+        const Type ty = tt().get(lv.type);
         if (ty.kind == TypeKind::Struct || ty.kind == TypeKind::Array) {
             emitAggregateCopy(lv, v, loc);
             return;
@@ -850,7 +855,7 @@ class Lowerer {
             diags_.error(loc, "bad aggregate assignment target");
             return;
         }
-        const Type &sty = tt().get(src.type);
+        const Type sty = tt().get(src.type);
         if (sty.kind != TypeKind::Ptr ||
             sty.pointee != dst.type) {
             diags_.error(loc, "aggregate assignment type mismatch");
@@ -929,7 +934,7 @@ class Lowerer {
             if (e.uop != UnaryOp::Deref)
                 break;
             RVal p = lowerExpr(*e.a);
-            const Type &pt = tt().get(p.type);
+            const Type pt = tt().get(p.type);
             if (pt.kind != TypeKind::Ptr) {
                 diags_.error(e.loc, "dereference of non-pointer");
                 return {};
@@ -942,7 +947,7 @@ class Lowerer {
           }
           case ExprKind::Index: {
             RVal base = lowerExpr(*e.a);
-            const Type &bt = tt().get(base.type);
+            const Type bt = tt().get(base.type);
             if (bt.kind != TypeKind::Ptr) {
                 diags_.error(e.loc, "indexing a non-pointer");
                 return {};
@@ -966,7 +971,7 @@ class Lowerer {
             Operand baseAddr;
             if (e.isArrow) {
                 RVal p = lowerExpr(*e.a);
-                const Type &pt = tt().get(p.type);
+                const Type pt = tt().get(p.type);
                 if (pt.kind != TypeKind::Ptr ||
                     tt().get(pt.pointee).kind != TypeKind::Struct) {
                     diags_.error(e.loc, "-> needs a struct pointer");
@@ -1053,7 +1058,7 @@ class Lowerer {
             }
             if (lv.kind == LVal::None || lv.type == kInvalidType)
                 return rhs;
-            const Type &lt = tt().get(lv.type);
+            const Type lt = tt().get(lv.type);
             if (lt.kind != TypeKind::Struct && lt.kind != TypeKind::Array)
                 rhs = coerce(rhs, lv.type, e.loc);
             assignTo(lv, rhs, e.loc);
@@ -1103,7 +1108,7 @@ class Lowerer {
             RVal old = rvalueOf(lv, e.loc);
             if (lv.kind == LVal::None || lv.type == kInvalidType)
                 return old;
-            const Type &ty = tt().get(lv.type);
+            const Type ty = tt().get(lv.type);
             RVal one = {Operand::immInt(1), lv.type};
             RVal next;
             if (ty.kind == TypeKind::Ptr) {
@@ -1175,7 +1180,7 @@ class Lowerer {
                 diags_.error(e.loc, "cannot take address of this");
                 return {Operand::immInt(0), tt().ptrTy(tt().u8())};
             }
-            const Type &ty = tt().get(lv.type);
+            const Type ty = tt().get(lv.type);
             if (ty.kind == TypeKind::Array) {
                 TypeId pt = tt().ptrTy(ty.elem);
                 uint32_t d = builder_->cast(pt, lv.addr);
@@ -1191,8 +1196,8 @@ class Lowerer {
     RVal
     lowerBinaryOp(BinaryOp op, RVal a, RVal b, SourceLoc loc)
     {
-        const Type &at = tt().get(a.type);
-        const Type &bt = tt().get(b.type);
+        const Type at = tt().get(a.type);
+        const Type bt = tt().get(b.type);
         // Pointer arithmetic: p + n / p - n.
         if (at.kind == TypeKind::Ptr && isIntLike(b.type) &&
             (op == BinaryOp::Add || op == BinaryOp::Sub)) {

@@ -6,14 +6,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <cstdlib>
-#include <cstdio>
 #include <map>
 
 #include "analysis/callgraph.h"
 #include "analysis/concurrency.h"
 #include "analysis/pointsto.h"
-#include "ir/printer.h"
 #include "opt/passes.h"
 #include "support/util.h"
 
@@ -81,10 +78,9 @@ isScalar(const TypeTable &tt, TypeId t)
  */
 class Engine {
   public:
-    Engine(Module &m, const CxpropOptions &opts, CxpropReport &rep,
-           bool debugChecks)
+    Engine(Module &m, const CxpropOptions &opts, CxpropReport &rep)
         : mod_(m), opts_(opts), rep_(rep), cg_(m), pts_(m),
-          conc_(m, cg_, pts_, opts.concurrency), debugChecks_(debugChecks)
+          conc_(m, cg_, pts_)
     {
         size_t nf = m.funcs().size();
         size_t ng = m.globals().size();
@@ -593,12 +589,6 @@ class Engine {
           case Opcode::ChkBounds:
           case Opcode::ChkWild: {
             AbsVal v = ev(0);
-            // Set CXPROP_DEBUG_CHECKS in the environment to trace why
-            // individual checks survive.
-            if (rep && debugChecks_) {
-                fprintf(stderr, "check in %s: %s flid=%u\n",
-                        f.name.c_str(), v.toString().c_str(), in.flid);
-            }
             if (v.kind == AbsVal::Ptr && v.exactObj) {
                 auto size = objSize(mod_, v.obj);
                 bool lowerOk = in.op == Opcode::ChkUBound
@@ -878,7 +868,6 @@ class Engine {
     CallGraph cg_;
     PointsTo pts_;
     ConcurrencyAnalysis conc_;
-    bool debugChecks_;
     /** Summary slots: globals, then return summaries, then params. */
     std::vector<AbsVal> slots_;
     std::vector<uint32_t> paramBase_;  ///< first param slot per function
@@ -906,15 +895,12 @@ runCxprop(Module &m, const CxpropOptions &opts)
     CxpropReport rep;
     if (opts.inlineFirst)
         rep.funcsInlined = inlineFunctions(m);
-    const bool debugChecks = std::getenv("CXPROP_DEBUG_CHECKS") != nullptr;
-    const bool debugRounds = std::getenv("STOS_CXPROP_DEBUG") != nullptr;
-
     bool atomicsDone = false;
     for (int round = 0; round < kMaxRounds; ++round) {
         rep.rounds = round + 1;
         uint32_t before = rep.checksRemoved + rep.instrsConstFolded +
                           rep.branchesFolded;
-        Engine engine(m, opts, rep, debugChecks);
+        Engine engine(m, opts, rep);
         engine.analyzeToFixpoint();
         engine.transformAll();
 
@@ -947,15 +933,6 @@ runCxprop(Module &m, const CxpropOptions &opts)
             rep.atomicsRemoved +=
                 ar.nestedRemoved + ar.handlerAtomicsRemoved;
             rep.atomicSavesDowngraded += ar.savesDowngraded;
-        }
-        if (debugRounds) {
-            std::fprintf(stderr, "=== after cxprop round %d ===\n",
-                         round + 1);
-            for (auto &f : m.funcs()) {
-                if (!f.dead && f.name == "main")
-                    std::fprintf(stderr, "%s\n",
-                                 ir::functionToString(m, f).c_str());
-            }
         }
         uint32_t after = rep.checksRemoved + rep.instrsConstFolded +
                          rep.branchesFolded;

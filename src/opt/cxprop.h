@@ -11,7 +11,6 @@
 #ifndef STOS_OPT_CXPROP_H
 #define STOS_OPT_CXPROP_H
 
-#include "analysis/concurrency.h"
 #include "ir/module.h"
 #include "opt/absval.h"
 #include "opt/inliner.h"
@@ -25,7 +24,6 @@ struct CxpropOptions {
     bool optimizeAtomics = true;
     bool copyProp = true;
     bool strongDce = true;
-    analysis::ConcurrencyOptions concurrency;
 };
 
 struct CxpropReport {

@@ -55,7 +55,7 @@ class Transformer {
         CallGraph cg(mod_);
         PointsTo pts(mod_);
         if (cfg_.memoryChecks) {
-            ConcurrencyAnalysis conc(mod_, cg, pts, cfg_.concurrency);
+            ConcurrencyAnalysis conc(mod_, cg, pts);
             mod_.racyGlobals().assign(conc.racyGlobals().begin(),
                                       conc.racyGlobals().end());
             report_.racyGlobals =

@@ -12,8 +12,6 @@
 #include <map>
 #include <string>
 
-#include "analysis/concurrency.h"
-
 namespace stos::safety {
 
 enum class ErrorMode : uint8_t {
@@ -54,7 +52,6 @@ struct SafetyConfig {
      * check. Subsumes ChkFnPtr at instrumented call sites.
      */
     bool cfi = false;
-    analysis::ConcurrencyOptions concurrency;
 };
 
 /** What the safety stage did, for tests and benchmarks. */

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "support/binio.h"
+
 namespace stos::sim {
 
 namespace {
@@ -35,17 +37,6 @@ double
 unitUniform(uint64_t &state)
 {
     return static_cast<double>(splitmix(state) >> 11) * 0x1.0p-53;
-}
-
-uint64_t
-fnv1a(const void *data, size_t n, uint64_t h = 0xCBF29CE484222325ull)
-{
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001B3ull;
-    }
-    return h;
 }
 
 } // namespace
@@ -192,7 +183,8 @@ radioFaultsFor(const FaultOptions &o, uint8_t src, uint8_t dst,
                uint64_t at, const std::vector<uint8_t> &bytes)
 {
     RadioFaultDecision d;
-    uint64_t h = fnv1a(bytes.data(), bytes.size());
+    uint64_t h = support::fnv1a64(std::string_view(
+        reinterpret_cast<const char *>(bytes.data()), bytes.size()));
     uint64_t state =
         mix64(o.seed ^ mix64(h ^ (at * 0x9E3779B97F4A7C15ull) ^
                              (static_cast<uint64_t>(src) << 8) ^ dst));
@@ -213,7 +205,7 @@ radioFaultsFor(const FaultOptions &o, uint8_t src, uint8_t dst,
 uint64_t
 mixSeed(uint64_t seed, const std::string &label)
 {
-    return mix64(seed ^ fnv1a(label.data(), label.size()));
+    return mix64(seed ^ support::fnv1a64(label));
 }
 
 } // namespace stos::sim

@@ -47,8 +47,7 @@ enum class ExecMode {
     Legacy,  ///< reference core: per-step re-derivation + hub polls
     /**
      * Direct-threaded core: executes a DecodedProgram with
-     * computed-goto dispatch (portable switch fallback behind
-     * STOS_THREADED_SWITCH) and adaptive event horizons — identical
+     * computed-goto dispatch and adaptive event horizons — identical
      * observable behaviour to Legacy.
      */
     Threaded,

@@ -7,10 +7,9 @@
  * (sim/decoded.cpp) — with computed-goto dispatch: every handler ends
  * by jumping straight to the next handler through a label table, so
  * the branch predictor sees one indirect branch per opcode site
- * instead of a single shared dispatch branch. On
- * non-GNU-compatible compilers, or when STOS_THREADED_SWITCH is
- * defined, the same handler bodies compile as a portable
- * switch-in-a-loop instead.
+ * instead of a single shared dispatch branch. Labels-as-values is a
+ * GNU extension; the library already requires a GNU-compatible
+ * compiler.
  *
  * Equivalence contract (held by tests/test_sim_equivalence.cpp, the
  * frozen simulator manifest, and the differential fuzzer): this core
@@ -53,16 +52,6 @@
 #include <algorithm>
 
 #include "support/arith.h"
-
-// Computed-goto dispatch needs the GNU labels-as-values extension;
-// anything else gets the portable switch fallback. Define
-// STOS_THREADED_SWITCH to force the fallback (it is what the CI
-// matrix uses to keep both dispatch paths honest).
-#if defined(__GNUC__) && !defined(STOS_THREADED_SWITCH)
-#define STOS_CGOTO 1
-#else
-#define STOS_CGOTO 0
-#endif
 
 namespace stos::sim {
 
@@ -267,7 +256,6 @@ Machine::runThreaded(uint64_t target)
             goto out;                                                  \
     } while (0)
 
-#if STOS_CGOTO
 #define OP(name) L_##name:
 #define NEXT()                                                         \
     do {                                                               \
@@ -295,13 +283,6 @@ Machine::runThreaded(uint64_t target)
         static_assert(kNumMOps == 61,
                       "dispatch table must cover every opcode");
         NEXT();
-#else
-#define OP(name) case MOp::name:
-#define NEXT() continue
-        for (;;) {
-            in = &code[ip];
-            switch (in->op) {
-#endif
 
         OP(Ldi)
         {
@@ -992,11 +973,6 @@ Machine::runThreaded(uint64_t target)
             EXIT_CHEAP();
             NEXT();
         }
-
-#if !STOS_CGOTO
-            }  // switch
-        }      // for
-#endif
 
     out:
         SYNC();

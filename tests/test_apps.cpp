@@ -55,6 +55,8 @@ TEST(AppRegistry, ExpandedFamiliesArePopulated)
           "logging", "stress"}) {
         EXPECT_GE(appsByTag(family).size(), 2u) << family;
     }
+    EXPECT_GE(appsByTag("routing").size(), 3u)
+        << "Surge + the relay family";
     // appsByTag matches the family field and the tag list alike.
     EXPECT_EQ(appsByTag("paper").size(), 12u);
     for (const auto &app : appsByTag("routing"))

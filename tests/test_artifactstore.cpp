@@ -180,29 +180,28 @@ TEST(ArtifactStore, SecondExperimentOverASharedDirectoryRunsNothing)
     TempDir dir("shared");
     ExperimentOptions opts;
     opts.simulate = false;
-    opts.cache.dir = dir.str();
-    auto declare = [&] {
+    auto build = [&] {
         Experiment exp(opts);
         exp.addApp(appByName("BlinkTask"));
         exp.addApp(appByName("SenseToRfm"));
         exp.addConfig(ConfigId::Baseline);
         exp.addConfig(ConfigId::SafeFlid);
-        return exp;
+        ArtifactStore store(CacheOptions{dir.str()});
+        StageCache cache(&store);
+        return exp.run(cache).builds;
     };
 
-    BuildReport cold = declare().run().builds;
+    BuildReport cold = build();
     ASSERT_TRUE(cold.allOk());
     EXPECT_EQ(cold.diskHits(), 0u);
     EXPECT_GT(cold.cacheBytesWritten, 0u);
 
-    BuildReport warm = declare().run().builds;
+    BuildReport warm = build();
     ASSERT_TRUE(warm.allOk());
-    EXPECT_EQ(warm.frontendParses, 0u);
-    EXPECT_EQ(warm.safetyRuns, 0u);
-    EXPECT_EQ(warm.optRuns, 0u);
-    EXPECT_EQ(warm.backendRuns, 0u)
-        << "a warmed directory must serve the repeat run entirely";
-    EXPECT_EQ(warm.backendDiskHits, warm.records.size());
+    for (Stage s : kStages)
+        EXPECT_EQ(warm.stages[s].runs, 0u)
+            << "a warmed directory must serve the repeat run entirely";
+    EXPECT_EQ(warm.stages[Stage::Backend].diskHits, warm.records.size());
     EXPECT_GT(warm.cacheBytesRead, 0u);
 
     ASSERT_EQ(cold.records.size(), warm.records.size());
@@ -261,14 +260,15 @@ TEST(ArtifactStore, HashValidArtifactWithABadCountIsAMiss)
     const auto &app = appByName("BlinkTask");
     ExperimentOptions opts;
     opts.simulate = false;
-    opts.cache.dir = dir.str();
-    auto declare = [&] {
+    auto build = [&] {
         Experiment exp(opts);
         exp.addApp(app);
         exp.addConfig(ConfigId::Baseline);
-        return exp;
+        ArtifactStore store(CacheOptions{dir.str()});
+        StageCache cache(&store);
+        return exp.run(cache).builds;
     };
-    BuildReport cold = declare().run().builds;
+    BuildReport cold = build();
     ASSERT_TRUE(cold.allOk());
 
     // The payload opens with the module name (u64 length + bytes);
@@ -286,13 +286,13 @@ TEST(ArtifactStore, HashValidArtifactWithABadCountIsAMiss)
         store.store(Stage::Backend, key, blob);  // re-hashed: valid
     }
 
-    BuildReport warm = declare().run().builds;
+    BuildReport warm = build();
     ASSERT_EQ(warm.records.size(), 1u);
     EXPECT_TRUE(warm.allOk()) << warm.records[0].error;
-    EXPECT_EQ(warm.backendRuns, 1u)
+    EXPECT_EQ(warm.stages[Stage::Backend].runs, 1u)
         << "the undecodable artifact must degrade to one rebuild";
-    EXPECT_EQ(warm.backendDiskHits, 0u);
-    EXPECT_EQ(warm.optDiskHits, 1u);
+    EXPECT_EQ(warm.stages[Stage::Backend].diskHits, 0u);
+    EXPECT_EQ(warm.stages[Stage::Opt].diskHits, 1u);
     std::string why;
     EXPECT_TRUE(BuildDriver::recordsEquivalent(cold.records[0],
                                                warm.records[0], &why))

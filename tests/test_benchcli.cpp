@@ -120,14 +120,14 @@ TEST(BenchCli, CacheDirServesARepeatRunWithoutExecutingAStage)
         EXPECT_EQ(cli.run(exp, rep), 0);
         return rep.builds;
     };
+    using core::Stage;
     core::BuildReport cold = run();
-    EXPECT_EQ(cold.backendRuns, cold.records.size());
+    EXPECT_EQ(cold.stages[Stage::Backend].runs, cold.records.size());
     core::BuildReport warm = run();
-    EXPECT_EQ(warm.frontendParses + warm.safetyRuns + warm.optRuns +
-                  warm.backendRuns,
-              0u)
-        << "a warmed --cache-dir must serve the repeat run entirely";
-    EXPECT_EQ(warm.backendDiskHits, warm.records.size());
+    for (Stage s : core::kStages)
+        EXPECT_EQ(warm.stages[s].runs, 0u)
+            << "a warmed --cache-dir must serve the repeat run entirely";
+    EXPECT_EQ(warm.stages[Stage::Backend].diskHits, warm.records.size());
     fs::remove_all(dir);
 }
 

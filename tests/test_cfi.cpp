@@ -123,11 +123,11 @@ TEST(CfiColumns, OverheadMatrixSharesOneSafetyRunPerFingerprint)
     ASSERT_TRUE(rep.allOk());
     const size_t apps = rep.numApps, cells = rep.records.size();
     ASSERT_EQ(cells, 6 * apps);
-    EXPECT_EQ(rep.safetyRuns, 4 * apps);
-    EXPECT_EQ(rep.safetyReuses, 2 * apps);
-    EXPECT_EQ(rep.optRuns, cells);
-    EXPECT_EQ(rep.optReuses, 0u);
-    EXPECT_EQ(rep.backendRuns, cells);
+    EXPECT_EQ(rep.stages[Stage::Safety].runs, 4 * apps);
+    EXPECT_EQ(rep.stages[Stage::Safety].reuses, 2 * apps);
+    EXPECT_EQ(rep.stages[Stage::Opt].runs, cells);
+    EXPECT_EQ(rep.stages[Stage::Opt].reuses, 0u);
+    EXPECT_EQ(rep.stages[Stage::Backend].runs, cells);
 }
 
 TEST(CfiPass, LabelsChecksAndReturnSitesAreReported)

@@ -85,17 +85,17 @@ TEST(BuildMatrix, ParallelMatchesSerial)
 TEST(BuildMatrix, FrontendMemoizationCounts)
 {
     BuildReport rep = smallExperiment(4).run().builds;
-    EXPECT_EQ(rep.frontendParses, rep.numApps);
-    EXPECT_EQ(rep.frontendReuses,
+    EXPECT_EQ(rep.stages[Stage::Frontend].runs, rep.numApps);
+    EXPECT_EQ(rep.stages[Stage::Frontend].reuses,
               rep.records.size() - rep.numApps);
     size_t reusedRecords = 0;
     for (const auto &r : rep.records)
-        reusedRecords += r.frontendReused ? 1 : 0;
-    EXPECT_EQ(reusedRecords, rep.frontendReuses);
+        reusedRecords += r.reused[Stage::Frontend] ? 1 : 0;
+    EXPECT_EQ(reusedRecords, rep.stages[Stage::Frontend].reuses);
 
     BuildReport cold = smallExperiment(4).runSerialReference().builds;
-    EXPECT_EQ(cold.frontendParses, cold.records.size());
-    EXPECT_EQ(cold.frontendReuses, 0u);
+    EXPECT_EQ(cold.stages[Stage::Frontend].runs, cold.records.size());
+    EXPECT_EQ(cold.stages[Stage::Frontend].reuses, 0u);
 }
 
 TEST(BuildMatrix, DeterministicUnderAnyJobCount)
@@ -271,7 +271,7 @@ TEST(BuildMatrix, Figure3MatrixCoversEveryCell)
     EXPECT_EQ(rep.numApps, tinyos::allApps().size());
     EXPECT_EQ(rep.numConfigs, 1 + figure3Configs().size());
     ASSERT_TRUE(rep.allOk());
-    EXPECT_EQ(rep.frontendParses, rep.numApps);
+    EXPECT_EQ(rep.stages[Stage::Frontend].runs, rep.numApps);
     // Column 0 is the unsafe baseline every figure normalizes to.
     for (size_t a = 0; a < rep.numApps; ++a) {
         EXPECT_EQ(rep.at(a, 0).config, configName(ConfigId::Baseline));

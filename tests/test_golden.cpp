@@ -446,25 +446,17 @@ handBuiltReport()
     core::BuildRecord &reused = b.at(1, 1);
     reused.ok = true;
     reused.result = result(1002, 44, 6, 2, 9, 7);
-    reused.frontendReused = reused.safetyReused = true;
-    reused.optReused = reused.backendReused = true;
+    reused.reused.each.fill(true);
     s.at(1, 1).ok = true;
     s.at(1, 1).outcome = outcome(2048, 7372800, 1500);
     s.at(1, 1).outcome.halted = true;
     s.at(1, 1).companionsReused = true;
 
-    b.frontendParses = 2;
-    b.frontendReuses = 2;
-    b.safetyRuns = 3;
-    b.safetyReuses = 1;
-    b.optRuns = 2;
-    b.optReuses = 1;
-    b.backendRuns = 1;
-    b.backendReuses = 2;
-    b.frontendDiskHits = 1;
-    b.safetyDiskHits = 2;
-    b.optDiskHits = 3;
-    b.backendDiskHits = 4;
+    using core::Stage;  // {runs, reuses, diskHits} per stage
+    b.stages[Stage::Frontend] = {2, 2, 1};
+    b.stages[Stage::Safety] = {3, 1, 2};
+    b.stages[Stage::Opt] = {2, 1, 3};
+    b.stages[Stage::Backend] = {1, 2, 4};
     b.cacheBytesRead = 123456;
     b.cacheBytesWritten = 654321;
     b.wallMillis = 45.25;

@@ -71,12 +71,6 @@ counts(const StageCacheStats &s)
     return out;
 }
 
-std::array<bool, 4>
-flags(const StageHits &h)
-{
-    return {h.frontend, h.safety, h.opt, h.backend};
-}
-
 TEST(StageCache, ServingContractPerStageAndWay)
 {
     // The serving contract, stage by stage: a request is served
@@ -136,7 +130,7 @@ TEST(StageCache, ServingContractPerStageAndWay)
               case Reused: wantDelta[s][Reuse] = 1; break;
               case DiskHit: wantDelta[s][Disk] = 1; break;
             }
-            EXPECT_EQ(flags(hits), wantFlags) << label << " way " << way;
+            EXPECT_EQ(hits.each, wantFlags) << label << " way " << way;
             EXPECT_EQ(delta, wantDelta) << label << " way " << way;
         };
 
@@ -299,13 +293,13 @@ TEST(StageCache, CompanionAliasesTheMatrixBaselineCell)
     const auto &app = appByName("CntToLedsAndRfm");
     PipelineConfig base = configFor(ConfigId::Baseline, app.platform);
     auto cell = cache.build(app, base);
-    size_t backendRuns = cache.stats().backend.executed;
+    size_t builds = cache.stats().backend.executed;
 
     bool builtHere = false;
     auto decoded =
         cache.companionDecode(app.name, app.platform, &builtHere);
     EXPECT_TRUE(builtHere);
-    EXPECT_EQ(cache.stats().backend.executed, backendRuns)
+    EXPECT_EQ(cache.stats().backend.executed, builds)
         << "the companion must reuse the matrix's Baseline build";
     EXPECT_EQ(&decoded->program(), &cell->image)
         << "the companion decode must wrap the cached BuildResult";
@@ -318,7 +312,10 @@ TEST(StageCache, CompanionAliasesTheMatrixBaselineCell)
 std::array<size_t, 4>
 stageRuns(const BuildReport &b)
 {
-    return {b.frontendParses, b.safetyRuns, b.optRuns, b.backendRuns};
+    std::array<size_t, 4> runs;
+    for (Stage s : kStages)
+        runs[static_cast<size_t>(s)] = b.stages[s].runs;
+    return runs;
 }
 
 TEST(StageCache, Figure3CachedMatchesColdByteForByte)
@@ -336,25 +333,31 @@ TEST(StageCache, Figure3CachedMatchesColdByteForByte)
         ("stos-stagecache-figure3-" + std::to_string(::getpid()));
     fs::remove_all(dir);
     Experiment exp = figure3Matrix();
-    exp.options().cache.dir = dir.string();
-    ExperimentReport cachedRep = exp.run();
+    // Each run binds a fresh store and cache to the one directory, as
+    // a separate process would.
+    auto runOverStore = [&] {
+        ArtifactStore store(CacheOptions{dir.string()});
+        StageCache cache(&store);
+        return exp.run(cache);
+    };
+    ExperimentReport cachedRep = runOverStore();
     ExperimentReport cold = exp.runSerialReference();
     const BuildReport &cached = cachedRep.builds;
 
     ASSERT_TRUE(cached.allOk());
     ASSERT_TRUE(cold.allOk());
     const size_t apps = cached.numApps, cells = cached.records.size();
-    EXPECT_EQ(cached.frontendParses, apps);
-    EXPECT_EQ(cached.frontendReuses, cells - apps);
-    EXPECT_EQ(cached.safetyRuns, 5 * apps)
+    EXPECT_EQ(cached.stages[Stage::Frontend].runs, apps);
+    EXPECT_EQ(cached.stages[Stage::Frontend].reuses, cells - apps);
+    EXPECT_EQ(cached.stages[Stage::Safety].runs, 5 * apps)
         << "unsafe + VerboseRam + VerboseRom + Terse + Flid per app";
-    EXPECT_EQ(cached.safetyReuses, 3 * apps)
+    EXPECT_EQ(cached.stages[Stage::Safety].reuses, 3 * apps)
         << "C5/C6 reuse C4's safety run; C7 reuses Baseline's";
-    EXPECT_EQ(cached.optRuns, cells)
+    EXPECT_EQ(cached.stages[Stage::Opt].runs, cells)
         << "every Figure-3 column has a distinct opt fingerprint chain";
-    EXPECT_EQ(cached.optReuses, 0u);
-    EXPECT_EQ(cached.backendRuns, cells);
-    EXPECT_EQ(cached.backendReuses, 0u);
+    EXPECT_EQ(cached.stages[Stage::Opt].reuses, 0u);
+    EXPECT_EQ(cached.stages[Stage::Backend].runs, cells);
+    EXPECT_EQ(cached.stages[Stage::Backend].reuses, 0u);
     std::string why;
     EXPECT_TRUE(Experiment::reportsEquivalent(cold, cachedRep, &why))
         << why;
@@ -377,10 +380,10 @@ TEST(StageCache, Figure3CachedMatchesColdByteForByte)
         << skipped << " of " << analyses << " function analyses skipped";
 
     // Warm: every cell loads its backend artifact; no stage runs.
-    ExperimentReport warm = exp.run();
+    ExperimentReport warm = runOverStore();
     ASSERT_TRUE(warm.allOk());
     EXPECT_EQ(stageRuns(warm.builds), (std::array<size_t, 4>{}));
-    EXPECT_EQ(warm.builds.backendDiskHits, cells);
+    EXPECT_EQ(warm.builds.stages[Stage::Backend].diskHits, cells);
     EXPECT_TRUE(Experiment::reportsEquivalent(cold, warm, &why)) << why;
 
     // The store detects a truncated backend artifact, and the cell
@@ -416,16 +419,14 @@ TEST(StageCache, PersistentCacheServesARepeatRunEntirely)
 
     BuildReport first = exp.buildMatrix(cache);
     ASSERT_TRUE(first.allOk());
-    EXPECT_EQ(first.backendRuns, first.records.size());
+    EXPECT_EQ(first.stages[Stage::Backend].runs, first.records.size());
 
     BuildReport second = exp.buildMatrix(cache);
     ASSERT_TRUE(second.allOk());
-    EXPECT_EQ(second.frontendParses, 0u);
-    EXPECT_EQ(second.safetyRuns, 0u);
-    EXPECT_EQ(second.optRuns, 0u);
-    EXPECT_EQ(second.backendRuns, 0u)
-        << "a repeat run over one cache must rebuild nothing";
-    EXPECT_EQ(second.backendReuses, second.records.size());
+    for (Stage s : kStages)
+        EXPECT_EQ(second.stages[s].runs, 0u)
+            << "a repeat run over one cache must rebuild nothing";
+    EXPECT_EQ(second.stages[Stage::Backend].reuses, second.records.size());
     for (size_t i = 0; i < first.records.size(); ++i) {
         std::string why;
         EXPECT_TRUE(BuildDriver::recordsEquivalent(
@@ -483,8 +484,8 @@ TEST(BuildReport, SummaryAndEmittersSurfaceStageCounters)
     exp.addConfig(ConfigId::SafeFlidCxprop);
     BuildReport rep = exp.run().builds;
     ASSERT_TRUE(rep.allOk());
-    EXPECT_EQ(rep.safetyRuns, 1u);
-    EXPECT_EQ(rep.safetyReuses, 1u);
+    EXPECT_EQ(rep.stages[Stage::Safety].runs, 1u);
+    EXPECT_EQ(rep.stages[Stage::Safety].reuses, 1u);
 
     EXPECT_NE(rep.summary().find("safety 1/1"), std::string::npos)
         << rep.summary();
