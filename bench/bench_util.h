@@ -112,7 +112,8 @@ emitTo(const std::string &path, Emit emit)
  *                 row set for corpus-driven benches: the paper's
  *                 twelve applications (default, matches the figures)
  *                 or the whole expanded registry
- *   --jobs N      worker threads (0 = hardware concurrency)
+ *   --jobs N      worker threads (0 = hardware threads, which also
+ *                 cap N)
  *   --csv PATH    write the report as CSV
  *   --json PATH   write the report as JSON
  *   --joined-csv PATH   write the joined static+dynamic table as CSV
@@ -314,6 +315,72 @@ struct BenchCli {
         return o;
     }
 
+    /** The artifact store --cache-dir names, or null without one. */
+    std::unique_ptr<core::ArtifactStore>
+    openStore() const
+    {
+        if (cacheDir.empty())
+            return nullptr;
+        return std::make_unique<core::ArtifactStore>(
+            core::CacheOptions{cacheDir});
+    }
+
+    /** Print the store's counters; nothing when `store` is null. */
+    void
+    printStore(const core::ArtifactStore *store) const
+    {
+        if (!store)
+            return;
+        core::ArtifactStoreStats s = store->stats();
+        printf("[cache %s: %zu disk hits, %zu misses, %zu corrupt, "
+               "%zu writes, %llu KiB read, %llu KiB written]\n",
+               cacheDir.c_str(), s.diskHits, s.misses, s.corrupt,
+               s.writes,
+               static_cast<unsigned long long>(s.bytesRead / 1024),
+               static_cast<unsigned long long>(s.bytesWritten / 1024));
+    }
+
+    /**
+     * The --serial gate: with the flag, rerun `exp` as the cold serial
+     * reference and compare it cell for cell against `out`. Returns 1
+     * on a mismatch, else 0.
+     */
+    int
+    serialGate(const core::Experiment &exp,
+               const core::ExperimentReport &out) const
+    {
+        if (!serial)
+            return 0;
+        std::string why;
+        if (!exp.verifySerialEquivalence(out, &why)) {
+            fprintf(stderr, "EQUIVALENCE MISMATCH: %s\n", why.c_str());
+            return 1;
+        }
+        printf("cold serial legacy reference identical cell-for-cell\n");
+        return 0;
+    }
+
+    /** Write every requested report of `out`; 0 unless a write fails. */
+    int
+    emitReports(const core::ExperimentReport &out) const
+    {
+        if (int rc = emitTo(csvPath, [&](std::ostream &os) {
+                out.emitCsv(os);
+            }))
+            return rc;
+        if (int rc = emitTo(jsonPath, [&](std::ostream &os) {
+                out.emitJson(os);
+            }))
+            return rc;
+        if (int rc = emitTo(joinedCsvPath, [&](std::ostream &os) {
+                out.emitJoinedCsv(os);
+            }))
+            return rc;
+        return emitTo(joinedJsonPath, [&](std::ostream &os) {
+            out.emitJoinedJson(os);
+        });
+    }
+
     /**
      * Run the declared experiment, print the stage/sim summaries,
      * report failed cells, apply the --serial cold-reference gate,
@@ -333,50 +400,16 @@ struct BenchCli {
             return 2;
         }
         // The store outlives the run, so its counters print after it.
-        std::unique_ptr<core::ArtifactStore> store;
-        if (!cacheDir.empty())
-            store = std::make_unique<core::ArtifactStore>(
-                core::CacheOptions{cacheDir});
+        std::unique_ptr<core::ArtifactStore> store = openStore();
         core::StageCache cache(store.get());
         out = exp.run(cache);
         printf("[%s]\n", out.summary().c_str());
-        if (store) {
-            core::ArtifactStoreStats s = store->stats();
-            printf("[cache %s: %zu disk hits, %zu misses, %zu corrupt, "
-                   "%zu writes, %llu KiB read, %llu KiB written]\n",
-                   cacheDir.c_str(), s.diskHits, s.misses, s.corrupt,
-                   s.writes,
-                   static_cast<unsigned long long>(s.bytesRead / 1024),
-                   static_cast<unsigned long long>(s.bytesWritten /
-                                                   1024));
-        }
+        printStore(store.get());
         if (int rc = reportFailures(out))
             return rc;
-        if (serial) {
-            std::string why;
-            if (!exp.verifySerialEquivalence(out, &why)) {
-                fprintf(stderr, "EQUIVALENCE MISMATCH: %s\n",
-                        why.c_str());
-                return 1;
-            }
-            printf("cold serial legacy reference identical "
-                   "cell-for-cell\n");
-        }
-        if (int rc = emitTo(csvPath, [&](std::ostream &os) {
-                out.emitCsv(os);
-            }))
+        if (int rc = serialGate(exp, out))
             return rc;
-        if (int rc = emitTo(jsonPath, [&](std::ostream &os) {
-                out.emitJson(os);
-            }))
-            return rc;
-        if (int rc = emitTo(joinedCsvPath, [&](std::ostream &os) {
-                out.emitJoinedCsv(os);
-            }))
-            return rc;
-        return emitTo(joinedJsonPath, [&](std::ostream &os) {
-            out.emitJoinedJson(os);
-        });
+        return emitReports(out);
     }
 };
 

@@ -102,14 +102,12 @@ main(int argc, char **argv)
 
     // One shared cache: the matrix builds once, every seed try below
     // re-simulates the same images.
-    std::unique_ptr<ArtifactStore> store;
-    if (!cli.cacheDir.empty())
-        store = std::make_unique<ArtifactStore>(
-            CacheOptions{cli.cacheDir});
+    std::unique_ptr<ArtifactStore> store = cli.openStore();
     StageCache cache(store.get());
 
     BuildReport builds = exp.buildMatrix(cache);
     printf("[%s]\n", builds.summary().c_str());
+    cli.printStore(store.get());
     if (int rc = reportFailures(builds))
         return rc;
 
@@ -135,15 +133,8 @@ main(int argc, char **argv)
     rep.sims = figure;
     rep.simulated = true;
 
-    if (cli.serial) {
-        std::string why;
-        if (!exp.verifySerialEquivalence(rep, &why)) {
-            fprintf(stderr, "EQUIVALENCE MISMATCH: %s\n", why.c_str());
-            return 1;
-        }
-        printf("cold serial legacy reference identical "
-               "cell-for-cell (faults included)\n");
-    }
+    if (int rc = cli.serialGate(exp, rep))
+        return rc;
 
     const size_t nApps = figure.numApps;
     const size_t nConfigs = figure.numConfigs;
@@ -272,21 +263,7 @@ main(int argc, char **argv)
            "(%zu exempt)\n",
            shown, nApps, exempt);
 
-    if (int erc = emitTo(cli.csvPath, [&](std::ostream &os) {
-            figure.emitCsv(os);
-        }))
-        return erc;
-    if (int erc = emitTo(cli.jsonPath, [&](std::ostream &os) {
-            figure.emitJson(os);
-        }))
-        return erc;
-    if (int erc = emitTo(cli.joinedCsvPath, [&](std::ostream &os) {
-            rep.emitJoinedCsv(os);
-        }))
-        return erc;
-    if (int erc = emitTo(cli.joinedJsonPath, [&](std::ostream &os) {
-            rep.emitJoinedJson(os);
-        }))
+    if (int erc = cli.emitReports(rep))
         return erc;
     return rc;
 }

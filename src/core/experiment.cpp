@@ -1,12 +1,12 @@
 /**
  * @file
  * Experiment facade implementation — the build/sim engine itself.
- * Work distribution in both phases is a single atomic job counter
- * over the flattened matrix (core/pool.h); jobs are executed in
- * config-major order (cell k -> app k % A) so the first wave of
- * workers hits distinct apps and the per-app stage entries fill
- * without contention, while results land in app-major record slots so
- * report order is deterministic under any thread count.
+ * Both phases run one cell loop (runCells) on core/pool.h's fan-out:
+ * jobs execute in config-major order (cell k -> app k % A) so the
+ * first wave of workers hits distinct apps and the per-app stage
+ * entries fill without contention, while results land in app-major
+ * record slots so report order is deterministic under any thread
+ * count.
  */
 #include "core/experiment.h"
 
@@ -149,40 +149,31 @@ Experiment::addCustom(std::string label,
 namespace {
 
 /**
- * The shell both build loops share: size the report for the matrix
- * and run `buildCell(app, config, hits)` for every cell on `jobs`
- * workers, recording identity, failures, reuse flags and timing.
+ * The one cell loop both phases and both paths share: size `report`
+ * for an nApps x nConfigs matrix and run `cell(rec, app, config)` for
+ * every cell on `jobs` executors, in config-major order (cell k ->
+ * app k % nApps, so the first wave hits distinct apps), turning an
+ * exception into a failed record and timing each cell and the whole
+ * phase. `cell` names its record before anything that can throw.
  */
-template <typename BuildCell>
-BuildReport
-buildCells(const std::vector<tinyos::AppInfo> &apps,
-           const std::vector<ConfigSpec> &configs, unsigned jobs,
-           BuildCell buildCell)
+template <typename Report, typename Cell>
+void
+runCells(Report &report, size_t nApps, size_t nConfigs, unsigned jobs,
+         Cell cell)
 {
-    const size_t nApps = apps.size();
-    const size_t nJobs = nApps * configs.size();
-    BuildReport report;
+    const size_t nJobs = nApps * nConfigs;
     report.numApps = nApps;
-    report.numConfigs = configs.size();
+    report.numConfigs = nConfigs;
     report.records.resize(nJobs);
     report.jobsUsed = resolveJobs(jobs, nJobs);
-    if (nJobs == 0)
-        return report;
 
     auto start = Clock::now();
     runOnPool(report.jobsUsed, nJobs, [&](size_t k) {
-        size_t appIdx = k % nApps, cfgIdx = k / nApps;
-        const tinyos::AppInfo &app = apps[appIdx];
-        const ConfigSpec &spec = configs[cfgIdx];
-        BuildRecord &rec = report.at(appIdx, cfgIdx);
-        static_cast<CellId &>(rec) = {app.name, app.platform, spec.label,
-                                      static_cast<uint32_t>(appIdx),
-                                      static_cast<uint32_t>(cfgIdx)};
-        rec.companions = app.companions;
+        const size_t appIdx = k % nApps, cfgIdx = k / nApps;
+        auto &rec = report.at(appIdx, cfgIdx);
         auto cellStart = Clock::now();
         try {
-            rec.result =
-                buildCell(app, spec.make(app.platform), rec.reused);
+            cell(rec, appIdx, cfgIdx);
             rec.ok = true;
         } catch (const std::exception &e) {
             rec.ok = false;
@@ -191,6 +182,31 @@ buildCells(const std::vector<tinyos::AppInfo> &apps,
         rec.millis = millisSince(cellStart);
     });
     report.wallMillis = millisSince(start);
+}
+
+/**
+ * The build phase's cell shell: name each record and run
+ * `buildCell(app, config, hits)` for it.
+ */
+template <typename BuildCell>
+BuildReport
+buildCells(const std::vector<tinyos::AppInfo> &apps,
+           const std::vector<ConfigSpec> &configs, unsigned jobs,
+           BuildCell buildCell)
+{
+    BuildReport report;
+    runCells(report, apps.size(), configs.size(), jobs,
+             [&](BuildRecord &rec, size_t appIdx, size_t cfgIdx) {
+                 const tinyos::AppInfo &app = apps[appIdx];
+                 const ConfigSpec &spec = configs[cfgIdx];
+                 static_cast<CellId &>(rec) = {
+                     app.name, app.platform, spec.label,
+                     static_cast<uint32_t>(appIdx),
+                     static_cast<uint32_t>(cfgIdx)};
+                 rec.companions = app.companions;
+                 rec.result =
+                     buildCell(app, spec.make(app.platform), rec.reused);
+             });
     return report;
 }
 
@@ -262,53 +278,32 @@ Experiment::buildMatrixCold() const
 namespace {
 
 /**
- * The shell both sim loops share: size the report for `builds` and
- * run `simCell(build, net, companionsReused)` for every cell on `jobs`
- * workers, recording identity, failures and timing. Each cell gets
- * its own fault plan: the campaign seed re-mixed with the app name,
- * so no two cells replay the same corruption schedule and both loops
- * mix to the identical seed.
+ * The simulation phase's cell shell: name each record after its build
+ * and run `simCell(build, net, companionsReused)` for it. Each cell
+ * gets its own fault plan: the campaign seed re-mixed with the app
+ * name, so no two cells replay the same corruption schedule and both
+ * paths mix to the identical seed.
  */
 template <typename SimCell>
 SimReport
 simulateCells(const BuildReport &builds, unsigned jobs, double seconds,
               const sim::NetworkOptions &net, SimCell simCell)
 {
-    const size_t nApps = builds.numApps;
-    const size_t nJobs = nApps * builds.numConfigs;
     SimReport report;
-    report.numApps = nApps;
-    report.numConfigs = builds.numConfigs;
     report.seconds = seconds;
-    report.records.resize(nJobs);
-    report.jobsUsed = resolveJobs(jobs, nJobs);
-    if (nJobs == 0)
-        return report;
-
-    auto start = Clock::now();
-    // Config-major execution order: spread early jobs across distinct
-    // apps so the companion entries fill in parallel.
-    runOnPool(report.jobsUsed, nJobs, [&](size_t k) {
-        const BuildRecord &build = builds.at(k % nApps, k / nApps);
-        SimRecord &rec = report.at(k % nApps, k / nApps);
-        static_cast<CellId &>(rec) = build;
-        auto cellStart = Clock::now();
-        sim::NetworkOptions cellNet = net;
-        if (cellNet.faults.anyFaults())
-            cellNet.faults.seed =
-                sim::mixSeed(cellNet.faults.seed, build.app);
-        try {
-            if (!build.ok)
-                throw FatalError("build failed: " + build.error);
-            rec.outcome = simCell(build, cellNet, rec.companionsReused);
-            rec.ok = true;
-        } catch (const std::exception &e) {
-            rec.ok = false;
-            rec.error = e.what();
-        }
-        rec.millis = millisSince(cellStart);
-    });
-    report.wallMillis = millisSince(start);
+    runCells(report, builds.numApps, builds.numConfigs, jobs,
+             [&](SimRecord &rec, size_t appIdx, size_t cfgIdx) {
+                 const BuildRecord &build = builds.at(appIdx, cfgIdx);
+                 static_cast<CellId &>(rec) = build;
+                 if (!build.ok)
+                     throw FatalError("build failed: " + build.error);
+                 sim::NetworkOptions cellNet = net;
+                 if (cellNet.faults.anyFaults())
+                     cellNet.faults.seed =
+                         sim::mixSeed(cellNet.faults.seed, build.app);
+                 rec.outcome =
+                     simCell(build, cellNet, rec.companionsReused);
+             });
     return report;
 }
 

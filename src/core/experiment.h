@@ -6,11 +6,11 @@
  * shared StageCache (one frontend parse per app, one safety run per
  * (app, safety-fingerprint), companion firmware reused from the
  * matrix's own Baseline column) and then fans the per-cell network
- * simulations over the same worker pool, returning one combined
+ * simulations out the same way, returning one combined
  * report.
  *
- * This facade IS the engine: the thread-pooled build loop and the
- * simulation loop both live here. To persist stage products, run
+ * This facade IS the engine: the cell loop both phases run lives
+ * here. To persist stage products, run
  * over a StageCache bound to an ArtifactStore — StageCache(&store) —
  * and a second process (or CI run) over the same matrix executes
  * zero stages. run() is the one fast path and runSerialReference()
@@ -77,9 +77,9 @@ struct ExperimentReport {
     std::string summary() const;
 
     /**
-     * Primary emission: the joined static+dynamic table when
-     * simulated (one row per cell: code/RAM/ROM/checks next to duty
-     * cycle and execution counters), the build table otherwise.
+     * Primary emission: the sim table when simulated (one row per
+     * cell: duty cycle and execution counters), the build table
+     * otherwise. The joined static+dynamic table is emitJoined*.
      */
     void emitCsv(std::ostream &os) const;
     void emitJson(std::ostream &os) const;
@@ -117,10 +117,10 @@ class Experiment {
 
     //--- execution ------------------------------------------------
     /**
-     * The fast path: build the matrix through the stage graph on the
-     * worker pool, then simulate it on the threaded core with
-     * lookahead windows and memoized companion decodes. This overload
-     * runs over a fresh in-memory StageCache.
+     * The fast path: build the matrix through the stage graph on
+     * core/pool.h's fan-out, then simulate it on the threaded core
+     * with lookahead windows and memoized companion decodes. This
+     * overload runs over a fresh in-memory StageCache.
      */
     ExperimentReport run() const;
     /**
@@ -140,7 +140,7 @@ class Experiment {
 
     /**
      * The simulation phase alone: fan the per-cell network
-     * simulations of an already-built matrix over the worker pool, on
+     * simulations of an already-built matrix out over core/pool.h, on
      * the threaded core with lookahead windows. Companion decodes
      * come from (and are added to) the caller's cache; pass the cache
      * that built the matrix and companions alias its Baseline cells

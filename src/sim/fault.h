@@ -48,12 +48,7 @@ struct TrapEntry {
     uint32_t pc = 0;
     uint8_t kind = 0;
 
-    bool
-    operator==(const TrapEntry &o) const
-    {
-        return flid == o.flid && cycle == o.cycle && pc == o.pc &&
-               kind == o.kind;
-    }
+    bool operator==(const TrapEntry &) const = default;
 };
 
 enum class FaultKind : uint8_t {

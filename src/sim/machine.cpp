@@ -8,6 +8,7 @@
 #include "sim/machine.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/arith.h"
 #include "support/util.h"
@@ -1013,12 +1014,22 @@ Network::run(uint64_t cycles)
     uint64_t end = start + cycles;
 
     timedOut_ = false;
-    hasDeadline_ = opts_.wallLimitMs > 0.0;
-    if (hasDeadline_) {
-        deadline_ = std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(static_cast<int64_t>(
-                        opts_.wallLimitMs * 1000.0));
-    }
+    // A limit the clock cannot represent from now means no deadline:
+    // adding it to now() would overflow.
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const double ticks =
+        std::chrono::duration<double, Clock::period>(
+            std::chrono::duration<double, std::milli>(opts_.wallLimitMs))
+            .count();
+    hasDeadline_ =
+        opts_.wallLimitMs > 0.0 &&
+        ticks < static_cast<double>(
+                    std::numeric_limits<Clock::rep>::max()) &&
+        static_cast<Clock::rep>(ticks) <=
+            (Clock::time_point::max() - now).count();
+    if (hasDeadline_)
+        deadline_ = now + Clock::duration(static_cast<Clock::rep>(ticks));
     // With a watchdog armed, subdivide the span so even a lone mote
     // (whose lookahead window is the whole run) hits deadline checks.
     // Window subdivision is behaviour-transparent: every window

@@ -34,26 +34,7 @@ struct MoteSnapshot {
     uint32_t packetsDropped = 0, packetsCorrupted = 0;
     uint32_t packetsDuplicated = 0;
 
-    bool
-    operator==(const MoteSnapshot &o) const
-    {
-        return cycles == o.cycles && awakeCycles == o.awakeCycles &&
-               instructions == o.instructions &&
-               halted == o.halted && wedged == o.wedged &&
-               failedFlid == o.failedFlid && uartLog == o.uartLog &&
-               ledWrites == o.ledWrites &&
-               packetsSent == o.packetsSent &&
-               packetsReceived == o.packetsReceived &&
-               adcConversions == o.adcConversions &&
-               traps == o.traps && cfiTraps == o.cfiTraps &&
-               reboots == o.reboots &&
-               crashes == o.crashes && downCycles == o.downCycles &&
-               wedgedCycles == o.wedgedCycles &&
-               trapLog == o.trapLog &&
-               packetsDropped == o.packetsDropped &&
-               packetsCorrupted == o.packetsCorrupted &&
-               packetsDuplicated == o.packetsDuplicated;
-    }
+    bool operator==(const MoteSnapshot &) const = default;
 };
 
 inline MoteSnapshot

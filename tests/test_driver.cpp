@@ -9,8 +9,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -188,8 +192,8 @@ TEST(RunOnPool, WorkerExceptionsRethrowOnTheCallerNotTerminate)
     // Regression: an exception escaping fn on a worker thread used to
     // unwind the std::thread and call std::terminate. The pool must
     // capture the first exception, join every worker, and rethrow on
-    // the calling thread — under any job count, including the inline
-    // jobs<=1 path.
+    // the calling thread — under any job count, including a lone
+    // calling-thread executor.
     for (unsigned jobs : {1u, 4u}) {
         std::atomic<size_t> ran{0};
         EXPECT_THROW(
@@ -230,6 +234,46 @@ TEST(RunOnPool, CompletesEveryJobWhenNothingThrows)
     std::atomic<size_t> sum{0};
     core::runOnPool(4, 100, [&](size_t k) { sum.fetch_add(k); });
     EXPECT_EQ(sum.load(), 99u * 100u / 2u);
+}
+
+TEST(RunOnPool, RunsJobsConcurrently)
+{
+    if (std::thread::hardware_concurrency() < 2)
+        GTEST_SKIP() << "needs two hardware threads";
+    // Each job waits for the other to arrive, so a fan-out that ran
+    // them one after the other would time out on the first.
+    std::mutex mu;
+    std::condition_variable cv;
+    unsigned arrived = 0, met = 0;
+    core::runOnPool(2, 2, [&](size_t) {
+        std::unique_lock<std::mutex> lock(mu);
+        ++arrived;
+        cv.notify_all();
+        if (cv.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return arrived == 2; }))
+            ++met;
+    });
+    EXPECT_EQ(met, 2u);
+}
+
+TEST(RunOnPool, ExecutorsCappedAtHardwareThreads)
+{
+    // jobs_used reports the executors that really ran: never more
+    // than the machine's hardware threads, however many were asked
+    // for.
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    const unsigned jobs = core::resolveJobs(64, 1000);
+    EXPECT_LE(jobs, hw);
+    std::mutex mu;
+    std::set<std::thread::id> executors;
+    core::runOnPool(64, 1000, [&](size_t) {
+        // Long enough that every executor started claims a job, so
+        // an uncapped fan-out would show more thread ids.
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        std::lock_guard<std::mutex> lock(mu);
+        executors.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(executors.size(), jobs);
 }
 
 TEST(BuildMatrix, EmptyMatrixIsEmptyReport)

@@ -439,12 +439,18 @@ TEST(Watchdog, GenerousLimitChangesNothing)
     fo.recovery = RecoveryPolicy::RebootOnTrap;
     NetworkOptions plain{ExecMode::Threaded, true};
     plain.faults = fo;
-    NetworkOptions guarded = plain;
-    guarded.wallLimitMs = 60'000.0;
     auto a = runFaulted(radioImage(), plain);
-    auto b = runFaulted(radioImage(), guarded);
-    for (size_t i = 0; i < a.size(); ++i)
-        expectSame(a[i], b[i], "mote " + std::to_string(i));
+    // 1e13 and 1e300 ms put the deadline past what the steady clock
+    // can hold; such a limit is no deadline, not one in the past.
+    for (double limitMs : {60'000.0, 1e13, 1e300}) {
+        NetworkOptions guarded = plain;
+        guarded.wallLimitMs = limitMs;
+        auto b = runFaulted(radioImage(), guarded);
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i)
+            expectSame(a[i], b[i], "limit " + std::to_string(limitMs) +
+                                       " ms, mote " + std::to_string(i));
+    }
 }
 
 TEST(FaultCompanions, CompanionsFaultedOnlyOnRequest)

@@ -151,19 +151,18 @@ main(int argc, char **argv)
     std::mutex mu;
     std::vector<std::pair<uint64_t, fuzz::Divergence>> failures;
     std::vector<std::pair<std::string, std::string>> corpus(count);
-    core::runOnPool(
-        core::resolveJobs(jobs, count), count, [&](size_t k) {
-            uint64_t s = seed + k;
-            std::string src = fuzz::generateProgram(s);
-            fuzz::Divergence d = fuzz::checkProgram(src);
-            std::lock_guard<std::mutex> lock(mu);
-            corpus[k] = {"fz" + std::to_string(s), src};
-            if (d) {
-                failures.push_back({s, d});
-                std::cerr << "DIVERGENCE seed " << s << " [" << d.oracle
-                          << "]: " << d.detail << "\n";
-            }
-        });
+    core::runOnPool(jobs, count, [&](size_t k) {
+        uint64_t s = seed + k;
+        std::string src = fuzz::generateProgram(s);
+        fuzz::Divergence d = fuzz::checkProgram(src);
+        std::lock_guard<std::mutex> lock(mu);
+        corpus[k] = {"fz" + std::to_string(s), src};
+        if (d) {
+            failures.push_back({s, d});
+            std::cerr << "DIVERGENCE seed " << s << " [" << d.oracle
+                      << "]: " << d.detail << "\n";
+        }
+    });
     std::cerr << "per-program: " << count << " seeds ["
               << seed << ", " << (seed + count - 1) << "], "
               << failures.size() << " divergence(s)\n";
@@ -177,18 +176,17 @@ main(int argc, char **argv)
     // programs must trap on every safe engine, with one common FLID.
     if (oobCount > 0) {
         std::vector<std::pair<uint64_t, fuzz::Divergence>> oobFailures;
-        core::runOnPool(
-            core::resolveJobs(jobs, oobCount), oobCount, [&](size_t k) {
-                uint64_t s = seed + k;
-                std::string src = fuzz::generateOobProgram(s);
-                fuzz::Divergence d = fuzz::checkOobProgram(src);
-                if (d) {
-                    std::lock_guard<std::mutex> lock(mu);
-                    oobFailures.push_back({s, d});
-                    std::cerr << "DIVERGENCE oob seed " << s << " ["
-                              << d.oracle << "]: " << d.detail << "\n";
-                }
-            });
+        core::runOnPool(jobs, oobCount, [&](size_t k) {
+            uint64_t s = seed + k;
+            std::string src = fuzz::generateOobProgram(s);
+            fuzz::Divergence d = fuzz::checkOobProgram(src);
+            if (d) {
+                std::lock_guard<std::mutex> lock(mu);
+                oobFailures.push_back({s, d});
+                std::cerr << "DIVERGENCE oob seed " << s << " ["
+                          << d.oracle << "]: " << d.detail << "\n";
+            }
+        });
         std::cerr << "oob placement: " << oobCount << " programs, "
                   << oobFailures.size() << " divergence(s)\n";
         if (!oobFailures.empty()) {
