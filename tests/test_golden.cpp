@@ -13,6 +13,9 @@
  * of superinstructions the decode of its image fused. The same run
  * also checks the clean corpus's invariants: no failed, wedged or
  * trapping cell, and every CFI column larger than its non-CFI twin.
+ * A frozen store manifest pins the artifact store's wire format: the
+ * hash of every stage product's serialized bytes, so a change of
+ * layout that forgot its kStoreFormatVersion bump fails here.
  * Any intentional change is re-blessed by rerunning with
  * STOS_UPDATE_GOLDEN=1 and reviewing the fixture diff.
  */
@@ -282,6 +285,45 @@ simManifest()
     return out;
 }
 
+/**
+ * The store manifest: FNV-1a of every serialized stage product. Each
+ * app's FrontendProduct, and its SafetyProduct, OptProduct and
+ * BuildResult under Baseline (the unsafe pass-through) and under the
+ * CFI column that runs every stage body.
+ */
+std::string
+storeManifest()
+{
+    std::string out =
+        "# Artifact-store payload hashes. Any diff here means the wire\n"
+        "# format changed: bump kStoreFormatVersion in\n"
+        "# src/core/artifactstore.h, then re-bless.\n"
+        "app\tproduct\tconfig\tpayload_fnv1a\n";
+    auto line = [&out](const std::string &app, const char *product,
+                       const char *config, const auto &p) {
+        support::BinWriter w;
+        p.serialize(w);
+        out += strfmt("%s\t%s\t%s\t%016llx\n", app.c_str(), product,
+                      config,
+                      static_cast<unsigned long long>(
+                          support::fnv1a64(w.data())));
+    };
+    core::StageCache cache;
+    for (const auto &app : tinyos::allApps()) {
+        line(app.name, "frontend", "-", *cache.frontend(app));
+        for (core::ConfigId id : {core::ConfigId::Baseline,
+                                  core::ConfigId::SafeFlidInlineCxpropCfi}) {
+            const core::PipelineConfig cfg =
+                core::configFor(id, app.platform);
+            const char *config = core::configName(id);
+            line(app.name, "safety", config, *cache.safety(app, cfg));
+            line(app.name, "opt", config, *cache.opt(app, cfg));
+            line(app.name, "build", config, *cache.build(app, cfg));
+        }
+    }
+    return out;
+}
+
 TEST(GoldenPrinter, CounterApp)
 {
     checkGolden("counter", kCounterApp);
@@ -308,6 +350,15 @@ TEST(GoldenManifest, WholeMatrix)
 TEST(GoldenManifest, Simulator)
 {
     checkGoldenText("sim_manifest", simManifest());
+}
+
+/**
+ * Any change to the bytes the artifact store persists for any stage
+ * product shows up here; see the fixture's header.
+ */
+TEST(GoldenManifest, StoreFormat)
+{
+    checkGoldenText("store_manifest", storeManifest());
 }
 
 /**
