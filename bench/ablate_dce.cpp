@@ -27,7 +27,6 @@ main(int argc, char **argv)
         PipelineConfig cfg =
             configFor(ConfigId::SafeFlidInlineCxprop, platform);
         cfg.cxprop.strongDce = false;
-        cfg.cxprop.copyProp = false;
         return cfg;
     });
 

@@ -2,9 +2,10 @@
  * @file
  * Binary (de)serialization of linked firmware images (MProgram) and
  * their target descriptions for the on-disk artifact store. Same
- * discipline as ir/serialize.h: deterministic field-for-field
- * little-endian encoding, versioned globally by the store's
- * kStoreFormatVersion — bump it when a struct here changes shape.
+ * discipline as ir/serialize.h: one transfer() per stored type
+ * (backend/serialize.cpp) writes and reads it, deterministically,
+ * versioned globally by the store's kStoreFormatVersion — bump it
+ * when a transfer() there, or a field type it names, changes.
  */
 #ifndef STOS_BACKEND_SERIALIZE_H
 #define STOS_BACKEND_SERIALIZE_H

@@ -64,9 +64,13 @@ template <typename T> struct PerStage {
 /**
  * Store format version. Stamped into every artifact; an artifact
  * written by any other version is invalidated (treated as a miss) on
- * read. Bump whenever any serialized struct
- * (ir/serialize.cpp, backend/serialize.cpp, core/serialize.cpp)
- * changes shape.
+ * read. Bump whenever a stored layout changes: a transfer() function
+ * (ir/serialize.cpp, backend/serialize.cpp, core/serialize.cpp), a
+ * serialized field's C++ type (support/binio.h derives its width), or
+ * one of the remaining write/read pairs there. test_golden's
+ * store_manifest.golden hashes every product kind's bytes, so such a
+ * change fails it until the version is bumped and the fixture
+ * re-blessed.
  */
 inline constexpr uint32_t kStoreFormatVersion = 3;
 

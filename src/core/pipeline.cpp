@@ -271,11 +271,10 @@ optFingerprint(const PipelineConfig &cfg)
     if (!cfg.runCxprop)
         return "nocx";
     const opt::CxpropOptions &o = cfg.cxprop;
-    return strfmt("cx:iv=%d,bits=%d,inl=%d,atom=%d,copy=%d,dce=%d",
+    return strfmt("cx:iv=%d,bits=%d,inl=%d,atom=%d,dce=%d",
                   o.domains.intervals ? 1 : 0,
                   o.domains.knownBits ? 1 : 0, o.inlineFirst ? 1 : 0,
-                  o.optimizeAtomics ? 1 : 0,
-                  o.copyProp ? 1 : 0, o.strongDce ? 1 : 0);
+                  o.optimizeAtomics ? 1 : 0, o.strongDce ? 1 : 0);
 }
 
 std::string

@@ -320,6 +320,7 @@ class Module {
     StructType &structAt(uint32_t id) { return structs_.at(id); }
     const StructType &structAt(uint32_t id) const { return structs_.at(id); }
     size_t numStructs() const { return structs_.size(); }
+    const std::vector<StructType> &structs() const { return structs_; }
 
     uint32_t
     addGlobal(Global g)

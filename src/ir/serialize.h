@@ -1,16 +1,17 @@
 /**
  * @file
  * Binary (de)serialization of whole IR modules for the on-disk
- * artifact store. The encoding is a field-for-field little-endian
- * dump (support/binio.h): deterministic — serializing equal modules
- * yields byte-identical buffers — and reconstructed through the
- * Module's public building API (addStruct/addGlobal/addFunction), so
- * the private name->index maps rebuild themselves and every id stays
- * positional.
+ * artifact store. Each stored IR type describes its layout once, as a
+ * transfer() in ir/serialize.cpp that drives both directions
+ * (support/binio.h). The encoding is deterministic — serializing
+ * equal modules yields byte-identical buffers — and a module is
+ * reconstructed through its public building API
+ * (addStruct/addGlobal/addFunction/addHwReg), so the private
+ * name->index maps rebuild themselves and every id stays positional.
  *
  * The encoding carries no version stamp of its own; the artifact
  * store's kStoreFormatVersion covers it. Bump that version whenever a
- * serialized struct here gains/loses a field.
+ * transfer() here, or a field type it names, changes.
  */
 #ifndef STOS_IR_SERIALIZE_H
 #define STOS_IR_SERIALIZE_H

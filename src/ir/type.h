@@ -13,11 +13,6 @@
 #include <string>
 #include <vector>
 
-namespace stos::support {
-class BinWriter;
-class BinReader;
-} // namespace stos::support
-
 namespace stos::ir {
 
 using TypeId = uint32_t;
@@ -106,12 +101,11 @@ class TypeTable {
     size_t size() const { return types_.size(); }
 
     /**
-     * Versionless table dump/restore for the artifact store
-     * (ir/serialize.cpp). Interned ids are positional, so restoring
-     * the types in serialized order reproduces every TypeId exactly.
+     * The table's artifact-store layout (ir/serialize.cpp). Interned
+     * ids are positional, so restoring the types in serialized order
+     * reproduces every TypeId exactly.
      */
-    void serialize(support::BinWriter &w) const;
-    static TypeTable deserialize(support::BinReader &r);
+    template <typename A> friend void transfer(A &a, TypeTable &x);
 
   private:
     TypeId intern(const Type &t);

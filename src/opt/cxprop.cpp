@@ -909,9 +909,8 @@ runCxprop(Module &m, const CxpropOptions &opts)
             if (f.dead)
                 continue;
             cleanupChanges += simplifyCfg(f);
-            if (opts.copyProp)
-                rep.copiesPropagated += localCopyProp(m, f);
             if (opts.strongDce) {
+                rep.copiesPropagated += localCopyProp(m, f);
                 uint32_t n = removeDeadInstrs(m, f);
                 rep.deadInstrsRemoved += n;
                 cleanupChanges += n;

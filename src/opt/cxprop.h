@@ -22,7 +22,9 @@ struct CxpropOptions {
     /** Run the custom inliner first (configuration 4 of Figure 2). */
     bool inlineFirst = false;
     bool optimizeAtomics = true;
-    bool copyProp = true;
+    /** Strong DCE (instructions, stores, globals, functions) plus the
+     *  local copy propagation that feeds it; off leaves dead code to
+     *  the backend's weak DCE (the §2.1 ablation). */
     bool strongDce = true;
 };
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * ArtifactStore tests: serialization round-trips are byte-identical
- * for every stage product across the whole app corpus, the store's
+ * for every stage product across the whole app corpus, every
+ * truncated payload fails to decode with TruncatedData, the store's
  * load/store contract (hits, misses, stats), every corruption mode
  * (truncation, version-stamp mismatch, key mismatch, a hash-valid
  * artifact with a corrupt element count) degrading to a miss — never
@@ -77,6 +78,34 @@ TEST(ArtifactSerialization, RoundTripsByteIdenticallyForEveryApp)
                                  app.name + "/opt");
         expectRoundTripIdentical(*cache.build(app, cfg),
                                  app.name + "/backend");
+    }
+}
+
+TEST(ArtifactSerialization, EveryTruncatedPayloadThrowsTruncatedData)
+{
+    // Every read goes through the bounds-checked BinReader, so a cut
+    // anywhere in a payload -- inside a scalar, a string, or before a
+    // vector's or map's elements end -- throws TruncatedData and
+    // nothing else (no allocation failure, no wrong decode).
+    const auto &app = appByName("BlinkTask");
+    StageCache cache;
+    BinWriter w;
+    cache.build(app, configFor(ConfigId::Baseline, app.platform))
+        ->serialize(w);
+    const std::string_view payload = w.data();
+
+    BinReader whole(payload);
+    BuildResult::deserialize(whole);
+    EXPECT_TRUE(whole.atEnd());
+
+    // Each prefix costs a decode of its length, so sweep every third
+    // one: that keeps the test well under a second, and a stride
+    // coprime to the 4- and 8-byte widths still cuts every offset
+    // inside a multi-byte field somewhere in the payload.
+    for (size_t n = 0; n < payload.size(); n += 3) {
+        BinReader r(payload.substr(0, n));
+        EXPECT_THROW(BuildResult::deserialize(r), support::TruncatedData)
+            << "prefix of " << n << " of " << payload.size() << " bytes";
     }
 }
 
