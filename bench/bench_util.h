@@ -119,7 +119,7 @@ emitTo(const std::string &path, Emit emit)
  *   --joined-csv PATH   write the joined static+dynamic table as CSV
  *   --joined-json PATH  ditto as JSON
  *   --cache-dir PATH    back the run's StageCache with an on-disk
- *                 artifact store at PATH: stage products persist
+ *                 artifact store at PATH: each cell's build persists
  *                 across processes, and a warmed directory serves a
  *                 repeat run without executing a single stage; the
  *                 store's counters (disk hits, misses, corrupt

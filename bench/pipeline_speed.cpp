@@ -6,8 +6,9 @@
  *
  * builds the Figure-3 matrix (every app under Baseline and C1-C7)
  * serially, one execution per distinct stage key, timing frontend,
- * safety, opt, backend and the artifact-store write-back into DIR
- * (cold), then the store load of every build (warm). It prints one
+ * safety, opt, backend and the artifact-store write-back of every
+ * build into DIR (cold; like StageCache, it persists only backend
+ * products), then the store load of every build (warm). It prints one
  * JSON object, also written to PATH if given, with the summed cXprop
  * fixpoint counters. Serial and one process, so each figure is the
  * time of that layer alone.
@@ -66,14 +67,6 @@ runStageProbe(const std::string &dir, const std::string &jsonPath)
     std::vector<std::string> buildKeys;
     {
         ArtifactStore store(CacheOptions{dir});
-        auto put = [&](Stage stage, const std::string &key,
-                       const auto &product) {
-            auto t0 = Clock::now();
-            support::BinWriter w;
-            product.serialize(w);
-            store.store(stage, key, w.data());
-            storeMs += millisSince(t0);
-        };
         std::vector<ConfigId> columns{ConfigId::Baseline};
         for (ConfigId id : figure3Configs())
             columns.push_back(id);
@@ -81,7 +74,6 @@ runStageProbe(const std::string &dir, const std::string &jsonPath)
             auto t0 = Clock::now();
             FrontendProduct fe = runFrontend(app.name, app.source);
             feMs += millisSince(t0);
-            put(Stage::Frontend, StageCache::appKey(app), fe);
             std::map<std::string, SafetyProduct> safeties;
             std::map<std::string, OptProduct> opts;
             for (ConfigId id : columns) {
@@ -92,14 +84,12 @@ runStageProbe(const std::string &dir, const std::string &jsonPath)
                     safeties[sk] = runSafetyStage(
                         fe.module.clone(), fe.sourceManager.get(), cfg);
                     safetyMs += millisSince(t0);
-                    put(Stage::Safety, sk, safeties[sk]);
                 }
                 std::string ok = StageCache::optKey(app, cfg);
                 if (!opts.count(ok)) {
                     t0 = Clock::now();
                     opts[ok] = runOptStage(safeties[sk], cfg);
                     optMs += millisSince(t0);
-                    put(Stage::Opt, ok, opts[ok]);
                     cx.add(opts[ok].report);
                 }
                 std::string bk = StageCache::buildKey(app, cfg);
@@ -108,7 +98,11 @@ runStageProbe(const std::string &dir, const std::string &jsonPath)
                     t0 = Clock::now();
                     BuildResult r = runBackendStage(opts[ok], cfg);
                     backendMs += millisSince(t0);
-                    put(Stage::Backend, bk, r);
+                    t0 = Clock::now();
+                    support::BinWriter w;
+                    r.serialize(w);
+                    store.store(Stage::Backend, bk, w.data());
+                    storeMs += millisSince(t0);
                     buildKeys.push_back(bk);
                 }
             }

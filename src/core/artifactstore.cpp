@@ -8,6 +8,8 @@
  */
 #include "core/artifactstore.h"
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -147,10 +149,14 @@ ArtifactStore::store(Stage stage, const std::string &key,
         std::lock_guard<std::mutex> lock(mu_);
         tmpId = ++tmpCounter_;
     }
+    // The temp name must be unique per writer. The process id is part
+    // of it: forked processes hold stores at the same address and
+    // count the same ids, and two writers sharing one temp file could
+    // publish a partial artifact under the final name.
     const fs::path path = pathFor(stage, key);
     const fs::path tmp =
         fs::path(opts_.dir) /
-        strfmt(".tmp-%llu-%llu",
+        strfmt(".tmp-%ld-%llu-%llu", static_cast<long>(::getpid()),
                static_cast<unsigned long long>(
                    support::fnv1a64(key) ^
                    reinterpret_cast<uintptr_t>(this)),

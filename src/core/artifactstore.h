@@ -1,14 +1,16 @@
 /**
  * @file
  * ArtifactStore: the on-disk, content-addressed backing store behind
- * StageCache — ccache semantics for the whole pipeline. Each stage
- * product is persisted under its chained content key
- * (appKey|safety|opt|backend fingerprints), so any process that
+ * StageCache — ccache semantics for the whole pipeline. StageCache
+ * persists each build (the backend product) under its chained content
+ * key (appKey|safety|opt|backend fingerprints), so any process that
  * derives the same key reads the same artifact instead of re-running
- * the stage; a directory can be shared across processes of one build
- * of the toolchain. Keys fingerprint the app and library sources and
- * the config, not the compiler's own code, so a store written by
- * another build may serve stale products and must not be reused.
+ * the pipeline; a directory can be shared across processes of one
+ * build of the toolchain. The store itself accepts any stage's
+ * product; the stage byte only names and tags the file. Keys
+ * fingerprint the app and library sources and the config, not the
+ * compiler's own code, so a store written by another build may serve
+ * stale products and must not be reused.
  *
  * Durability discipline:
  *  - writes go to a temp file, then an atomic rename — a crashed or
@@ -16,7 +18,7 @@
  *    the final name;
  *  - every artifact carries a format-version stamp and an FNV-1a
  *    payload hash — a version mismatch, truncation, or corruption
- *    degrades to a cache miss (the stage re-runs and rewrites),
+ *    degrades to a cache miss (the cell rebuilds and rewrites),
  *    never to a wrong answer;
  *  - the full key string is stored and verified on read, so a file
  *    name hash collision is also just a miss.

@@ -10,12 +10,11 @@
  * report.
  *
  * This facade IS the engine: the cell loop both phases run lives
- * here. To persist stage products, run
- * over a StageCache bound to an ArtifactStore — StageCache(&store) —
- * and a second process (or CI run) over the same matrix executes
- * zero stages. run() is the one fast path and runSerialReference()
- * the one reference it is gated against; no option chooses between
- * them.
+ * here. To persist each cell's build, run over a StageCache bound to
+ * an ArtifactStore — StageCache(&store) — and a second process (or
+ * CI run) over the same matrix executes zero stages. run() is the one
+ * fast path and runSerialReference() the one reference it is gated
+ * against; no option chooses between them.
  *
  * Typical use (what every figure bench does via BenchCli):
  *

@@ -1,12 +1,13 @@
 /**
  * @file
- * Stage-product (de)serialization for the artifact store: every stage
- * product declared in pipeline.h carries a uniform
- * serialize(BinWriter&) / deserialize(BinReader&) pair, composed from
- * the module/image encoders (ir/serialize.h, backend/serialize.h),
- * the reports' transfer() layouts and the source-manager pair below.
- * A future stage gets persistence by adding the same pair — the store
- * itself never learns per-type layout.
+ * Stage-product (de)serialization: every stage product declared in
+ * pipeline.h carries a uniform serialize(BinWriter&) /
+ * deserialize(BinReader&) pair, composed from the module/image
+ * encoders (ir/serialize.h, backend/serialize.h), the reports'
+ * transfer() layouts and the source-manager pair below — the store
+ * itself never learns per-type layout. StageCache persists only
+ * BuildResult; the frontend, safety and opt pairs serve figbench's
+ * replay, the round-trip tests and store_manifest.golden.
  */
 #include "core/pipeline.h"
 

@@ -9,12 +9,13 @@
  * deadlock. Counters are relaxed atomics — they are statistics, not
  * synchronization.
  *
- * With a backing ArtifactStore attached, the once-body first consults
- * the store: a disk hit materializes the product without running the
- * stage (counted as a diskHit, never as executed), and a freshly
- * executed product is written back. Because a request chain stops at
- * its first hit, a fully warmed store serves a build from the single
- * backend artifact — the upstream stages are never even requested.
+ * With a backing ArtifactStore attached, the backend body — and only
+ * it — first consults the store: a disk hit materializes the build
+ * without running any stage (counted as a diskHit, never as
+ * executed), and a freshly built product is written back. The
+ * frontend, safety and opt products are memoized in memory only: a
+ * run reads back nothing but whole builds, so a backend miss
+ * (including a corrupt artifact) rebuilds its cell from source.
  * Failures are never persisted, so a failing stage re-runs (and
  * rethrows) per process.
  */
@@ -76,44 +77,6 @@ StageCache::buildKey(const tinyos::AppInfo &app,
 }
 
 //---------------------------------------------------------------------
-// Store plumbing
-//---------------------------------------------------------------------
-
-template <typename T>
-std::shared_ptr<const T>
-StageCache::tryLoad(Stage stage, const std::string &key)
-{
-    if (!store_)
-        return nullptr;
-    std::string blob;
-    if (!store_->load(stage, key, &blob))
-        return nullptr;
-    try {
-        support::BinReader r(blob);
-        auto product = std::make_shared<const T>(T::deserialize(r));
-        return product;
-    } catch (const support::TruncatedData &) {
-        // Hash-valid artifact that fails to decode: a serializer
-        // changed shape without a kStoreFormatVersion bump. Degrade
-        // to a miss — the stage re-runs and its write-back replaces
-        // the stale artifact.
-        return nullptr;
-    }
-}
-
-template <typename T>
-void
-StageCache::writeBack(Stage stage, const std::string &key,
-                      const T &product)
-{
-    if (!store_)
-        return;
-    support::BinWriter w;
-    product.serialize(w);
-    store_->store(stage, key, w.data());
-}
-
-//---------------------------------------------------------------------
 // The memo body
 //---------------------------------------------------------------------
 
@@ -171,18 +134,10 @@ StageCache::memo(EntryMap<T> &map, Stage stage, const std::string &key,
     Counters &n = counters_[stage];
     bool ran = false, disk = false;
     auto entry = once(map, key, &ran, [&] {
-        if (auto product = tryLoad<T>(stage, key)) {
-            disk = true;
-            n.diskHits.fetch_add(1, std::memory_order_relaxed);
-            return product;
-        }
-        n.executed.fetch_add(1, std::memory_order_relaxed);
-        auto product = std::make_shared<const T>(body());
-        writeBack(stage, key, *product);
-        return product;
+        return std::make_shared<const T>(body(disk));
     });
-    if (!ran)
-        n.reused.fetch_add(1, std::memory_order_relaxed);
+    (!ran ? n.reused : disk ? n.diskHits : n.executed)
+        .fetch_add(1, std::memory_order_relaxed);
     markHits(hits, stage, !ran || disk);
     if (entry->error)
         std::rethrow_exception(entry->error);
@@ -196,7 +151,7 @@ StageCache::memo(EntryMap<T> &map, Stage stage, const std::string &key,
 std::shared_ptr<const FrontendProduct>
 StageCache::frontend(const tinyos::AppInfo &app, StageHits *hits)
 {
-    return memo(frontends_, Stage::Frontend, appKey(app), hits, [&] {
+    return memo(frontends_, Stage::Frontend, appKey(app), hits, [&](bool &) {
         return runFrontend(app.name, app.source);
     });
 }
@@ -205,7 +160,8 @@ std::shared_ptr<const SafetyProduct>
 StageCache::safety(const tinyos::AppInfo &app, const PipelineConfig &cfg,
                    StageHits *hits)
 {
-    return memo(safeties_, Stage::Safety, safetyKey(app, cfg), hits, [&] {
+    return memo(safeties_, Stage::Safety, safetyKey(app, cfg), hits,
+                [&](bool &) {
         auto fe = frontend(app, hits);
         if (cfg.safe)
             return runSafetyStage(fe->module.clone(),
@@ -223,7 +179,7 @@ std::shared_ptr<const OptProduct>
 StageCache::opt(const tinyos::AppInfo &app, const PipelineConfig &cfg,
                 StageHits *hits)
 {
-    return memo(opts_, Stage::Opt, optKey(app, cfg), hits, [&] {
+    return memo(opts_, Stage::Opt, optKey(app, cfg), hits, [&](bool &) {
         // The no-cxprop pass-through shares sp's module pointer inside
         // runOptStage (no clone, no copy of the module).
         auto sp = safety(app, cfg, hits);
@@ -235,10 +191,32 @@ std::shared_ptr<const BuildResult>
 StageCache::build(const tinyos::AppInfo &app, const PipelineConfig &cfg,
                   StageHits *hits)
 {
-    return memo(builds_, Stage::Backend, buildKey(app, cfg), hits, [&] {
+    const std::string key = buildKey(app, cfg);
+    return memo(builds_, Stage::Backend, key, hits, [&](bool &disk) {
+        std::string blob;
+        if (store_ && store_->load(Stage::Backend, key, &blob)) {
+            try {
+                support::BinReader r(blob);
+                BuildResult br = BuildResult::deserialize(r);
+                disk = true;
+                return br;
+            } catch (const support::TruncatedData &) {
+                // Hash-valid artifact that fails to decode: a
+                // serializer changed shape without a
+                // kStoreFormatVersion bump. Degrade to a miss — the
+                // cell rebuilds and its write-back replaces the stale
+                // artifact.
+            }
+        }
         auto op = opt(app, cfg, hits);
-        return runBackendStage({op->module, op->safetyReport, op->report},
-                               cfg);
+        BuildResult br = runBackendStage(
+            {op->module, op->safetyReport, op->report}, cfg);
+        if (store_) {
+            support::BinWriter w;
+            br.serialize(w);
+            store_->store(Stage::Backend, key, w.data());
+        }
+        return br;
     });
 }
 

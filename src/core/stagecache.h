@@ -8,7 +8,8 @@
  * and share one safety run per app; Baseline/C7 share the unsafe
  * pass-through; repeated runs over one cache (equivalence gates)
  * rebuild nothing at all. Companion mote firmware is an ordinary
- * backend entry plus a memoized decode.
+ * backend entry plus a memoized decode. With an ArtifactStore
+ * attached, only backend products are persisted and read back.
  *
  * The first requester of a key executes the stage; concurrent
  * requesters block on that execution and share the immutable product.
@@ -58,9 +59,10 @@ class StageCache {
     StageCache() = default;
     /**
      * Cache backed by an on-disk store (not owned; may be null for
-     * in-memory-only). On a memo miss each stage first consults the
-     * store — a disk hit materializes the product without running the
-     * stage body — and every freshly executed product is written back.
+     * in-memory-only). On a memo miss the backend stage first
+     * consults the store — a disk hit materializes the build without
+     * running any stage — and every freshly built product is written
+     * back. Upstream products stay in memory: nothing reads them back.
      */
     explicit StageCache(ArtifactStore *store) : store_(store) {}
     StageCache(const StageCache &) = delete;
@@ -153,24 +155,16 @@ class StageCache {
 
     /**
      * The memo body every stage shares: serve (stage, key) from the
-     * memo, else from the store, else by running `body` (which
-     * requests its upstream product and runs the stage function) and
-     * writing the product back. Counts the request and records how it
-     * was served in `hits`, then returns the product or rethrows the
-     * cached failure.
+     * memo, else by running `body(disk)` (which requests its upstream
+     * product and runs the stage function, or sets `disk` when it
+     * materialized the product from the store instead). Counts the
+     * request and records how it was served in `hits`, then returns
+     * the product or rethrows the cached failure.
      */
     template <typename T, typename Body>
     std::shared_ptr<const T> memo(EntryMap<T> &map, Stage stage,
                                   const std::string &key, StageHits *hits,
                                   Body body);
-
-    /** Try to materialize (stage, key) from the store; a decode
-     *  failure on a hash-valid artifact is treated as a miss. */
-    template <typename T>
-    std::shared_ptr<const T> tryLoad(Stage stage, const std::string &key);
-    /** Serialize and persist a freshly built product (best-effort). */
-    template <typename T>
-    void writeBack(Stage stage, const std::string &key, const T &product);
 
     struct Counters {
         std::atomic<size_t> executed{0}, reused{0}, diskHits{0};

@@ -6,11 +6,13 @@
  * load/store contract (hits, misses, stats), every corruption mode
  * (truncation, version-stamp mismatch, key mismatch, a hash-valid
  * artifact with a corrupt element count) degrading to a miss — never
- * a wrong or failed answer — and two Experiments sharing one
- * directory so the second process executes zero pipeline stages.
+ * a wrong or failed answer — two Experiments sharing one directory
+ * so the second process executes zero pipeline stages, and two
+ * forked processes writing one directory at once.
  */
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -242,7 +244,73 @@ TEST(ArtifactStore, SecondExperimentOverASharedDirectoryRunsNothing)
     }
 }
 
-TEST(ArtifactStore, CorruptedBackendArtifactTriggersOneCleanRebuild)
+TEST(ArtifactStore, TwoProcessesColdBuildingOneDirectoryAtOnce)
+{
+    // Two forked processes cold-build the same matrix into one
+    // directory at the same time, so every artifact is written twice
+    // concurrently. The store must end up whole: a third run executes
+    // nothing and matches a cold serial build, and no temp file is
+    // left behind.
+    TempDir dir("twoprocs");
+    ExperimentOptions opts;
+    opts.simulate = false;
+    opts.jobs = 1;
+    Experiment exp(opts);
+    exp.addApp(appByName("BlinkTask"));
+    exp.addApp(appByName("SenseToRfm"));
+    exp.addConfig(ConfigId::Baseline);
+    exp.addConfig(ConfigId::SafeFlid);
+    auto runOverStore = [&] {
+        ArtifactStore store(CacheOptions{dir.str()});
+        StageCache cache(&store);
+        return exp.run(cache);
+    };
+
+    // Both children block on the pipe until the parent closes it, so
+    // their builds overlap.
+    int gate[2];
+    ASSERT_EQ(::pipe(gate), 0);
+    pid_t children[2];
+    for (pid_t &child : children) {
+        child = ::fork();
+        ASSERT_GE(child, 0);
+        if (child == 0) {
+            ::close(gate[1]);
+            char c;
+            while (::read(gate[0], &c, 1) > 0) {
+            }
+            int rc = 1;
+            try {
+                rc = runOverStore().allOk() ? 0 : 1;
+            } catch (...) {
+            }
+            ::_exit(rc);
+        }
+    }
+    ::close(gate[0]);
+    ::close(gate[1]);
+    for (pid_t child : children) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(child, &status, 0), child);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "child status " << status;
+    }
+
+    ExperimentReport warm = runOverStore();
+    ASSERT_TRUE(warm.allOk());
+    for (Stage s : kStages)
+        EXPECT_EQ(warm.builds.stages[s].runs, 0u) << stageName(s);
+    std::string why;
+    EXPECT_TRUE(
+        Experiment::reportsEquivalent(exp.runSerialReference(), warm, &why))
+        << why;
+    for (const auto &entry : fs::directory_iterator(dir.path)) {
+        const std::string name = entry.path().filename().string();
+        EXPECT_NE(name.rfind(".tmp-", 0), 0u) << name;
+    }
+}
+
+TEST(ArtifactStore, CorruptedBackendArtifactRebuildsOnceFromSource)
 {
     TempDir dir("rebuild");
     const auto &app = appByName("BlinkTask");
@@ -264,10 +332,11 @@ TEST(ArtifactStore, CorruptedBackendArtifactTriggersOneCleanRebuild)
     StageCacheStats s = cache.stats();
     EXPECT_EQ(s.backend.executed, 1u)
         << "the truncated artifact must degrade to a rebuild";
-    EXPECT_EQ(s.opt.diskHits, 1u)
-        << "the rebuild's inputs still come from the store";
-    EXPECT_EQ(s.opt.executed, 0u);
-    EXPECT_EQ(s.frontend.executed, 0u);
+    EXPECT_EQ(s.opt.executed, 1u)
+        << "only builds are persisted: the rebuild starts from source";
+    EXPECT_EQ(s.frontend.executed, 1u);
+    EXPECT_EQ(s.opt.diskHits + s.safety.diskHits + s.frontend.diskHits,
+              0u);
 
     std::string why;
     EXPECT_TRUE(BuildDriver::resultsEquivalent(*cold, *rebuilt, &why))
@@ -321,7 +390,7 @@ TEST(ArtifactStore, HashValidArtifactWithABadCountIsAMiss)
     EXPECT_EQ(warm.stages[Stage::Backend].runs, 1u)
         << "the undecodable artifact must degrade to one rebuild";
     EXPECT_EQ(warm.stages[Stage::Backend].diskHits, 0u);
-    EXPECT_EQ(warm.stages[Stage::Opt].diskHits, 1u);
+    EXPECT_EQ(warm.stages[Stage::Opt].runs, 1u);
     std::string why;
     EXPECT_TRUE(BuildDriver::recordsEquivalent(cold.records[0],
                                                warm.records[0], &why))

@@ -323,7 +323,7 @@ TEST(FaultRecovery, CrashRevivesAWedgedMote)
     for (ExecMode mode : {ExecMode::Legacy, ExecMode::Threaded}) {
         Machine m(build.image, 1, mode);
         m.boot();
-        m.setFaultEvents({{kCycles / 2, FaultKind::Crash, 0, 0}});
+        m.setFaultEvents({{kCycles / 2, FaultKind::Crash, 0, 0, 0, {}}});
         m.runUntilCycle(kCycles);
         std::string label =
             mode == ExecMode::Legacy ? "legacy" : "threaded";
@@ -569,8 +569,9 @@ TEST(FaultedExperiment, SerialEquivalenceGateCoversFaults)
             EXPECT_GE(o.availability, 0.0) << cell;
             EXPECT_LE(o.availability, 1.0) << cell;
             EXPECT_LE(o.trapLog.size(), kMaxTrapLog) << cell;
-            if (!o.trapLog.empty())
+            if (!o.trapLog.empty()) {
                 EXPECT_EQ(o.failedFlid, o.trapLog.front().flid) << cell;
+            }
             traps += o.traps;
         }
     }

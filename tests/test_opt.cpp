@@ -46,19 +46,6 @@ runMain(Module &m)
     return r.retVal.i;
 }
 
-size_t
-countInstrs(const Module &m)
-{
-    size_t n = 0;
-    for (const auto &f : m.funcs()) {
-        if (f.dead)
-            continue;
-        for (const auto &bb : f.blocks)
-            n += bb.instrs.size();
-    }
-    return n;
-}
-
 //---------------------------------------------------------------------
 // Abstract domain unit tests
 //---------------------------------------------------------------------

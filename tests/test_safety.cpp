@@ -169,23 +169,6 @@ TEST(Kinds, FatPointersChangeGlobalSizes)
 // Check insertion
 //---------------------------------------------------------------------
 
-uint32_t
-countChecks(const Module &m)
-{
-    uint32_t n = 0;
-    for (const auto &f : m.funcs()) {
-        if (f.dead)
-            continue;
-        for (const auto &bb : f.blocks) {
-            for (const auto &in : bb.instrs) {
-                if (in.isCheck())
-                    ++n;
-            }
-        }
-    }
-    return n;
-}
-
 TEST(Checks, DirectVariableAccessNeedsNoCheck)
 {
     Module m = compile(

@@ -7,8 +7,8 @@
  * (changing only CxpropOptions must NOT invalidate the safety stage;
  * changing SafetyConfig must), companion entries aliasing the
  * matrix's Baseline cells, and on the full Figure-3 matrix: cached vs
- * cold byte-identity, the cXprop skip-ratio floor, and a warm and a
- * truncated-artifact run over the artifact store.
+ * cold byte-identity, the cXprop skip-ratio floor, a store holding
+ * only builds, and a warm and a truncated-artifact run over it.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 
 #include <array>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -75,10 +76,10 @@ TEST(StageCache, ServingContractPerStageAndWay)
 {
     // The serving contract, stage by stage: a request is served
     // exactly one way, the StageHits flags mark the served prefix of
-    // the chain, and the counters move by exactly that request.
+    // the chain, and the counters move by exactly that request. Only
+    // builds are persisted, so only the backend row has a DiskHit.
     enum Way {
         Cold,     ///< executed with every upstream stage
-        Rebuilt,  ///< executed on an upstream product from the store
         Reused,   ///< served from the in-memory memo
         DiskHit,  ///< served from the store
     };
@@ -120,13 +121,6 @@ TEST(StageCache, ServingContractPerStageAndWay)
                 for (size_t i = 0; i <= s; ++i)
                     wantDelta[i][Exec] = 1;
                 break;
-              case Rebuilt:
-                wantDelta[s][Exec] = 1;
-                if (s > 0)
-                    wantDelta[s - 1][Disk] = 1;
-                for (size_t i = 0; i < s; ++i)
-                    wantFlags[i] = true;
-                break;
               case Reused: wantDelta[s][Reuse] = 1; break;
               case DiskHit: wantDelta[s][Disk] = 1; break;
             }
@@ -134,30 +128,31 @@ TEST(StageCache, ServingContractPerStageAndWay)
             EXPECT_EQ(delta, wantDelta) << label << " way " << way;
         };
 
+        const bool persisted = stage == Stage::Backend;
         {
             StageCache cache(&store);  // empty store
             serve(cache, Cold);
             serve(cache, Reused);
         }
+        EXPECT_EQ(store.stats().writes, persisted ? 1u : 0u) << label;
         {
             StageCache cache(&store);  // warmed store
-            serve(cache, DiskHit);
+            serve(cache, persisted ? DiskHit : Cold);
             serve(cache, Reused);
         }
-        const std::string key =
-            stage == Stage::Frontend ? StageCache::appKey(app)
-            : stage == Stage::Safety ? StageCache::safetyKey(app, cfg)
-            : stage == Stage::Opt    ? StageCache::optKey(app, cfg)
-                                     : StageCache::buildKey(app, cfg);
-        ASSERT_TRUE(fs::remove(store.pathFor(stage, key))) << label;
-        {
-            StageCache cache(&store);  // this stage's artifact removed
-            serve(cache, Rebuilt);
-            serve(cache, Reused);
-        }
-        {
-            StageCache cache(&store);  // the rebuild wrote it back
-            serve(cache, DiskHit);
+        if (persisted) {
+            ASSERT_TRUE(fs::remove(
+                store.pathFor(stage, StageCache::buildKey(app, cfg))))
+                << label;
+            {
+                StageCache cache(&store);  // the build's artifact removed
+                serve(cache, Cold);
+                serve(cache, Reused);
+            }
+            {
+                StageCache cache(&store);  // the rebuild wrote it back
+                serve(cache, DiskHit);
+            }
         }
         fs::remove_all(dir);
     }
@@ -325,9 +320,10 @@ TEST(StageCache, Figure3CachedMatchesColdByteForByte)
     // (app, safety-fingerprint) pairs — 5 error-mode variants per app,
     // not 8 cells — while every cached BuildResult stays
     // byte-identical to a cold per-cell compile. The cached run
-    // writes a fresh artifact store, which must then serve a warm run
+    // writes a fresh artifact store holding one build per distinct
+    // build key and nothing else, which must then serve a warm run
     // without executing a stage, and turn a truncated artifact into
-    // exactly one correct rebuild.
+    // exactly one correct rebuild from source.
     const fs::path dir =
         fs::temp_directory_path() /
         ("stos-stagecache-figure3-" + std::to_string(::getpid()));
@@ -335,10 +331,13 @@ TEST(StageCache, Figure3CachedMatchesColdByteForByte)
     Experiment exp = figure3Matrix();
     // Each run binds a fresh store and cache to the one directory, as
     // a separate process would.
+    ArtifactStoreStats storeStats;  // the last run's store counters
     auto runOverStore = [&] {
         ArtifactStore store(CacheOptions{dir.string()});
         StageCache cache(&store);
-        return exp.run(cache);
+        ExperimentReport rep = exp.run(cache);
+        storeStats = store.stats();
+        return rep;
     };
     ExperimentReport cachedRep = runOverStore();
     ExperimentReport cold = exp.runSerialReference();
@@ -361,6 +360,23 @@ TEST(StageCache, Figure3CachedMatchesColdByteForByte)
     std::string why;
     EXPECT_TRUE(Experiment::reportsEquivalent(cold, cachedRep, &why))
         << why;
+
+    // Only builds are persisted: one artifact per distinct build key.
+    std::set<std::string> buildKeys;
+    for (const auto &app : exp.apps())
+        for (const auto &spec : exp.configs())
+            buildKeys.insert(
+                StageCache::buildKey(app, spec.make(app.platform)));
+    EXPECT_EQ(storeStats.writes, buildKeys.size());
+    size_t files = 0;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        EXPECT_TRUE(name.rfind("backend-", 0) == 0 &&
+                    entry.path().extension() == ".art")
+            << name;
+        ++files;
+    }
+    EXPECT_EQ(files, buildKeys.size());
 
     // The incremental cXprop fixpoint must keep skipping functions
     // whose inputs did not change. The ratio is a deterministic
@@ -387,8 +403,7 @@ TEST(StageCache, Figure3CachedMatchesColdByteForByte)
     EXPECT_TRUE(Experiment::reportsEquivalent(cold, warm, &why)) << why;
 
     // The store detects a truncated backend artifact, and the cell
-    // degrades to a miss: one backend rebuild over the disk-hit opt
-    // product, nothing else.
+    // degrades to a miss: one rebuild from source, nothing else.
     ArtifactStore store(CacheOptions{dir.string()});
     const AppInfo &app0 = allApps().front();
     const std::string victim = store.pathFor(
@@ -401,7 +416,7 @@ TEST(StageCache, Figure3CachedMatchesColdByteForByte)
     ASSERT_TRUE(rebuilt.allOk());
     EXPECT_EQ(store.stats().corrupt, 1u);
     EXPECT_EQ(stageRuns(rebuilt.builds),
-              (std::array<size_t, 4>{0, 0, 0, 1}));
+              (std::array<size_t, 4>{1, 1, 1, 1}));
     EXPECT_TRUE(Experiment::reportsEquivalent(cold, rebuilt, &why))
         << why;
     fs::remove_all(dir);
