@@ -69,12 +69,16 @@ template <typename T> struct PerStage {
  * read. Bump whenever a stored layout changes: a transfer() function
  * (ir/serialize.cpp, backend/serialize.cpp, core/serialize.cpp), a
  * serialized field's C++ type (support/binio.h derives its width), or
- * one of the remaining write/read pairs there. test_golden's
- * store_manifest.golden hashes every product kind's bytes, so such a
+ * one of the remaining write/read pairs there. Bump it too when the
+ * toolchain stores different *values* for the same input (say, a pass
+ * now reports other counters): keys fingerprint the app and the
+ * config, not the toolchain, so without a bump a store written by the
+ * old code would keep serving the old values. test_golden's
+ * store_manifest.golden hashes every product kind's bytes, so either
  * change fails it until the version is bumped and the fixture
  * re-blessed.
  */
-inline constexpr uint32_t kStoreFormatVersion = 3;
+inline constexpr uint32_t kStoreFormatVersion = 4;
 
 /** Where an ArtifactStore lives (bench --cache-dir). */
 struct CacheOptions {

@@ -15,7 +15,8 @@
  * trapping cell, and every CFI column larger than its non-CFI twin.
  * A frozen store manifest pins the artifact store's wire format: the
  * hash of every stage product's serialized bytes, so a change of
- * layout that forgot its kStoreFormatVersion bump fails here.
+ * layout or of stored values that forgot its kStoreFormatVersion bump
+ * fails here.
  * Any intentional change is re-blessed by rerunning with
  * STOS_UPDATE_GOLDEN=1 and reviewing the fixture diff.
  */
@@ -295,9 +296,9 @@ std::string
 storeManifest()
 {
     std::string out =
-        "# Artifact-store payload hashes. Any diff here means the wire\n"
-        "# format changed: bump kStoreFormatVersion in\n"
-        "# src/core/artifactstore.h, then re-bless.\n"
+        "# Artifact-store payload hashes. Any diff here means the bytes\n"
+        "# the store persists changed, in layout or in value: bump\n"
+        "# kStoreFormatVersion in src/core/artifactstore.h, then re-bless.\n"
         "app\tproduct\tconfig\tpayload_fnv1a\n";
     auto line = [&out](const std::string &app, const char *product,
                        const char *config, const auto &p) {
