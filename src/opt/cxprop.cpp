@@ -10,6 +10,7 @@
 
 #include "analysis/callgraph.h"
 #include "analysis/concurrency.h"
+#include "analysis/liveness.h"
 #include "analysis/pointsto.h"
 #include "opt/passes.h"
 #include "support/util.h"
@@ -75,6 +76,20 @@ isScalar(const TypeTable &tt, TypeId t)
  * analysis began, re-running it would repeat the same joins with the
  * same operands and change nothing. Such functions are skipped, and
  * their converged block-entry states are kept for the transform.
+ *
+ * A block-entry state covers only the vregs live-in at that block,
+ * listed once per Engine from analysis::Liveness (a function's IR
+ * does not change before its own transform). Joins, block visits and
+ * the transform walk those lists; a block loads its live-ins into one
+ * scratch vreg vector and leaves every other entry stale. That is
+ * sound: a vreg not live-in at `b` is redefined on every path from
+ * `b`'s entry before any read, so its entry value is never observed
+ * and a stale scratch value is never read. It does move
+ * CxpropReport's counters: a join into a dead vreg no longer counts as
+ * a change, so a successor is re-queued only when a live value
+ * changed. visits_ then grows more slowly, block-level widening
+ * (visits_ > 12) starts later, and a function may need more fixpoint
+ * rounds to settle.
  */
 class Engine {
   public:
@@ -182,6 +197,9 @@ class Engine {
         bool widening = false;
         bool fullWidening = false;
         std::vector<uint32_t> reads;  ///< slot ids, each once
+        /** Vregs live-in at each block, ascending; built once. */
+        std::vector<std::vector<uint32_t>> liveIn;
+        /** Entry state of each block, index-parallel to liveIn[b]. */
         std::vector<std::vector<AbsVal>> blockIn;
     };
 
@@ -558,6 +576,7 @@ class Engine {
           }
           case Opcode::CallInd:
             st.mem.clear();
+            setDst(AbsVal::top());  // unknown callee (builder sets none)
             break;
           case Opcode::Ret:
             if (!in.args.empty()) {
@@ -693,6 +712,8 @@ class Engine {
     analyzeFunction(Function &f)
     {
         FuncMemo &memo = memo_[f.id];
+        if (!memo.valid)
+            memo.liveIn = liveInLists(f);
         ++tick_;
         memo.valid = true;
         memo.startTick = tick_;
@@ -704,24 +725,32 @@ class Engine {
         size_t nb = f.blocks.size();
         auto &blockIn = memo.blockIn;
         blockIn.resize(nb);
-        for (auto &in : blockIn)
-            in.assign(f.vregs.size(), AbsVal::bottom());
+        for (size_t b = 0; b < nb; ++b)
+            blockIn[b].assign(memo.liveIn[b].size(), AbsVal::bottom());
         visits_.assign(nb, 0);
         inWork_.assign(nb, false);
-        // Entry: parameters from the interprocedural summary.
-        for (size_t i = 0; i < f.params.size(); ++i)
-            blockIn[0][f.params[i]] = readSlot(paramSlot(f.id, i));
+        // Entry: parameters from the interprocedural summary. Every
+        // parameter's slot is read, live at entry or not.
+        const std::vector<uint32_t> &entry = memo.liveIn[0];
+        for (size_t i = 0; i < f.params.size(); ++i) {
+            const AbsVal &v = readSlot(paramSlot(f.id, i));
+            auto it = std::lower_bound(entry.begin(), entry.end(),
+                                       f.params[i]);
+            if (it != entry.end() && *it == f.params[i])
+                blockIn[0][it - entry.begin()] = v;
+        }
         std::deque<uint32_t> work{0};
         inWork_[0] = true;
 
         State &st = scratch_;
+        st.regs.assign(f.vregs.size(), AbsVal::bottom());
         uint32_t blockVisits = 0;
         while (!work.empty()) {
             uint32_t b = work.front();
             work.pop_front();
             inWork_[b] = false;
             ++blockVisits;
-            st.regs = blockIn[b];
+            loadLiveIn(memo, b, st);
             st.mem.clear();
             cmpInfo_.clear();
             castSrc_.clear();
@@ -735,17 +764,44 @@ class Engine {
         reads_ = nullptr;
     }
 
+    /** Every block's live-in vregs, in ascending order. */
+    std::vector<std::vector<uint32_t>>
+    liveInLists(const Function &f) const
+    {
+        Liveness live(mod_, f);
+        std::vector<std::vector<uint32_t>> lists(f.blocks.size());
+        for (uint32_t b = 0; b < lists.size(); ++b) {
+            const std::vector<bool> &in = live.liveIn(b);
+            for (uint32_t v = 0; v < in.size(); ++v) {
+                if (in[v])
+                    lists[b].push_back(v);
+            }
+        }
+        return lists;
+    }
+
+    /** Load block `b`'s entry state into the scratch vreg vector. */
+    static void
+    loadLiveIn(const FuncMemo &memo, uint32_t b, State &st)
+    {
+        const std::vector<uint32_t> &live = memo.liveIn[b];
+        const std::vector<AbsVal> &vals = memo.blockIn[b];
+        for (size_t k = 0; k < live.size(); ++k)
+            st.regs[live[k]] = vals[k];
+    }
+
     /**
-     * Join the block's exit state into each successor, refined by the
-     * branch condition on conditional edges. The at most 16 refined
-     * vregs are written into `st` in place and restored after the
-     * join, so no edge copies the whole vreg vector.
+     * Join the block's exit state into each successor's live-in
+     * vregs, refined by the branch condition on conditional edges.
+     * The at most 16 refined vregs are written into `st` in place and
+     * restored after the join, so no edge copies the vreg vector.
      */
     void
     propagate(const Function &f, State &st, const Instr &t,
               std::deque<uint32_t> &work)
     {
-        auto &blockIn = memo_[f.id].blockIn;
+        FuncMemo &memo = memo_[f.id];
+        auto &blockIn = memo.blockIn;
         size_t nb = blockIn.size();
         struct Saved {
             uint32_t vreg;
@@ -784,18 +840,18 @@ class Engine {
                                     info.lhs);
                 }
             }
-            const std::vector<AbsVal> &next = st.regs;
+            const std::vector<uint32_t> &live = memo.liveIn[s];
             std::vector<AbsVal> &in = blockIn[s];
             bool widenNow = visits_[s] > 12 || fullWidening_;
             bool toInfinity = fullWidening_ && visits_[s] > 40;
             bool changed = false;
-            for (size_t v = 0; v < next.size(); ++v) {
+            for (size_t k = 0; k < live.size(); ++k) {
+                const AbsVal &next = st.regs[live[k]];
                 AbsVal nv = widenNow
-                                ? widen(in[v], next[v], widenTs_,
-                                        toInfinity)
-                                : join(in[v], next[v], opts_.domains);
-                if (!(nv == in[v])) {
-                    in[v] = nv;
+                                ? widen(in[k], next, widenTs_, toInfinity)
+                                : join(in[k], next, opts_.domains);
+                if (!(nv == in[k])) {
+                    in[k] = nv;
                     changed = true;
                 }
             }
@@ -828,11 +884,12 @@ class Engine {
     {
         ++tick_;
         CxpropReport *rep = &rep_;
-        const auto &blockIn = memo_[f.id].blockIn;
+        const FuncMemo &memo = memo_[f.id];
         State &st = scratch_;
+        st.regs.assign(f.vregs.size(), AbsVal::bottom());
         std::vector<Instr> out;
         for (uint32_t b = 0; b < f.blocks.size(); ++b) {
-            st.regs = blockIn[b];
+            loadLiveIn(memo, b, st);
             st.mem.clear();
             cmpInfo_.clear();
             castSrc_.clear();
