@@ -4,20 +4,24 @@
  */
 #include "analysis/liveness.h"
 
-#include <functional>
-
 namespace stos::analysis {
 
 using namespace stos::ir;
 
+namespace {
+
+/** Call fn(v) for every vreg operand v of an instruction. */
+template <typename Fn>
 void
-forEachUse(const Instr &in, const std::function<void(uint32_t)> &fn)
+forEachUse(const Instr &in, Fn &&fn)
 {
     for (const auto &a : in.args) {
         if (a.isVReg())
             fn(a.index);
     }
 }
+
+} // namespace
 
 Liveness::Liveness(const Module &, const Function &f) : func_(f)
 {
@@ -40,19 +44,22 @@ Liveness::Liveness(const Module &, const Function &f) : func_(f)
         }
     }
 
+    // One in/out pair of buffers for the whole iteration: a changed
+    // block swaps them with its stored sets, so no pass allocates.
+    std::vector<bool> in(nv), out(nv);
     bool changed = true;
     while (changed) {
         changed = false;
         for (size_t b = nb; b-- > 0;) {
             const BasicBlock &bb = f.blocks[b];
-            std::vector<bool> out(nv, false);
+            out.assign(nv, false);
             for (uint32_t s : succ[b]) {
                 for (size_t v = 0; v < nv; ++v) {
                     if (liveIn_[s][v])
                         out[v] = true;
                 }
             }
-            std::vector<bool> in = out;
+            in = out;
             for (size_t i = bb.instrs.size(); i-- > 0;) {
                 const Instr &ins = bb.instrs[i];
                 if (ins.hasDst())
@@ -60,8 +67,8 @@ Liveness::Liveness(const Module &, const Function &f) : func_(f)
                 forEachUse(ins, [&](uint32_t v) { in[v] = true; });
             }
             if (in != liveIn_[b] || out != liveOut_[b]) {
-                liveIn_[b] = std::move(in);
-                liveOut_[b] = std::move(out);
+                liveIn_[b].swap(in);
+                liveOut_[b].swap(out);
                 changed = true;
             }
         }

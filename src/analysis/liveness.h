@@ -1,12 +1,12 @@
 /**
  * @file
  * Backward vreg liveness, per function. Drives dead-code elimination
- * and copy propagation in the cXprop stage.
+ * and copy propagation in the cXprop stage, the live-in lists that
+ * bound cXprop's block states, and the backend's gcc-style passes.
  */
 #ifndef STOS_ANALYSIS_LIVENESS_H
 #define STOS_ANALYSIS_LIVENESS_H
 
-#include <functional>
 #include <vector>
 
 #include "ir/module.h"
@@ -42,10 +42,6 @@ class Liveness {
     std::vector<std::vector<bool>> liveIn_;
     std::vector<std::vector<bool>> liveOut_;
 };
-
-/** Uses of vregs in an instruction (operand indices that are vregs). */
-void forEachUse(const ir::Instr &in,
-                const std::function<void(uint32_t)> &fn);
 
 } // namespace stos::analysis
 

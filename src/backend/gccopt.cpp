@@ -9,6 +9,7 @@
  */
 #include "backend/backend.h"
 
+#include <algorithm>
 #include <map>
 
 #include "analysis/liveness.h"

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the analysis library: call graph, points-to,
- * liveness, and the concurrency/race detector.
+ * liveness (with a brute-force oracle over the corpus), and the
+ * concurrency/race detector.
  */
 #include <gtest/gtest.h>
 
@@ -9,7 +10,9 @@
 #include "analysis/concurrency.h"
 #include "analysis/liveness.h"
 #include "analysis/pointsto.h"
+#include "core/stagecache.h"
 #include "frontend/frontend.h"
+#include "tinyos/tinyos.h"
 
 namespace stos {
 namespace {
@@ -188,6 +191,91 @@ TEST(Liveness, DeadDefIsNotLive)
             deadEverLive = true;
     }
     EXPECT_FALSE(deadEverLive);
+}
+
+/**
+ * Brute-force live-in set of block `start`: v is live-in when some
+ * path from the block's first instruction reaches a use of v before
+ * any def of v. One forward walk over (block, instr) pairs per vreg; a
+ * walk enters a block at most once, since every entry starts at the
+ * block's first instruction and so continues the same way.
+ */
+std::vector<bool>
+referenceLiveIn(const Function &f, uint32_t start)
+{
+    size_t nv = f.vregs.size();
+    std::vector<bool> live(nv, false);
+    std::vector<uint32_t> enteredFor(f.blocks.size(), kNoVReg);
+    for (uint32_t v = 0; v < nv; ++v) {
+        std::vector<uint32_t> work{start};
+        enteredFor[start] = v;
+        while (!work.empty() && !live[v]) {
+            const BasicBlock &bb = f.blocks.at(work.back());
+            work.pop_back();
+            bool defined = false;
+            for (const Instr &in : bb.instrs) {
+                // An instruction reads its operands before it writes.
+                for (const Operand &a : in.args) {
+                    if (a.isVReg() && a.index == v)
+                        live[v] = true;
+                }
+                defined = in.hasDst() && in.dst == v;
+                if (live[v] || defined)
+                    break;
+            }
+            if (live[v] || defined || bb.instrs.empty())
+                continue;
+            const Instr &t = bb.instrs.back();
+            std::vector<uint32_t> succ;
+            if (t.op == Opcode::Br)
+                succ = {t.b0};
+            else if (t.op == Opcode::CondBr)
+                succ = {t.b0, t.b1};
+            for (uint32_t s : succ) {
+                if (enteredFor.at(s) != v) {
+                    enteredFor[s] = v;
+                    work.push_back(s);
+                }
+            }
+        }
+    }
+    return live;
+}
+
+/**
+ * cXprop keeps block states for live-in vregs only, so a live-in set
+ * that is too small makes it read a stale value. Every block of every
+ * corpus function, after the safety stage, under the unsafe baseline
+ * and under the column that runs every stage body.
+ */
+TEST(Liveness, MatchesBruteForceOnTheCorpus)
+{
+    core::StageCache cache;
+    size_t blocks = 0, mismatches = 0;
+    std::string first;
+    for (const auto &app : tinyos::allApps()) {
+        for (core::ConfigId id : {core::ConfigId::Baseline,
+                                  core::ConfigId::SafeFlidInlineCxpropCfi}) {
+            auto safety =
+                cache.safety(app, core::configFor(id, app.platform));
+            const Module &m = *safety->module;
+            for (const Function &f : m.funcs()) {
+                Liveness live(m, f);
+                for (uint32_t b = 0; b < f.blocks.size(); ++b) {
+                    ++blocks;
+                    if (referenceLiveIn(f, b) == live.liveIn(b))
+                        continue;
+                    if (mismatches++ == 0) {
+                        first = app.name + " / " +
+                                core::configName(id) + " / " + f.name +
+                                " block " + std::to_string(b);
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(blocks, 1000u);
+    EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first;
 }
 
 //---------------------------------------------------------------------
