@@ -391,6 +391,7 @@ TEST(CxpropIncremental, RunsOnCopiesPrintIdenticalIr)
     EXPECT_EQ(ra.funcAnalyses, rb.funcAnalyses);
     EXPECT_EQ(ra.funcAnalysesSkipped, rb.funcAnalysesSkipped);
     EXPECT_EQ(ra.blockVisits, rb.blockVisits);
+    EXPECT_EQ(ra.fixpointRounds, rb.fixpointRounds);
 }
 
 //---------------------------------------------------------------------
