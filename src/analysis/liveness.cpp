@@ -75,21 +75,21 @@ Liveness::Liveness(const Module &, const Function &f) : func_(f)
     }
 }
 
-std::vector<std::vector<bool>>
-Liveness::liveAfter(uint32_t block) const
+void
+Liveness::deadDefs(uint32_t block, std::vector<bool> &dead) const
 {
     const BasicBlock &bb = func_.blocks.at(block);
     size_t n = bb.instrs.size();
-    std::vector<std::vector<bool>> after(n, liveOut_.at(block));
+    dead.assign(n, false);
     std::vector<bool> cur = liveOut_.at(block);
     for (size_t i = n; i-- > 0;) {
-        after[i] = cur;
         const Instr &ins = bb.instrs[i];
-        if (ins.hasDst())
+        if (ins.hasDst()) {
+            dead[i] = !cur[ins.dst];
             cur[ins.dst] = false;
+        }
         forEachUse(ins, [&](uint32_t v) { cur[v] = true; });
     }
-    return after;
 }
 
 } // namespace stos::analysis

@@ -16,7 +16,7 @@ namespace stos::analysis {
 /**
  * Liveness facts for one function: per-block live-in/live-out bit
  * vectors over vregs, plus an instruction-level query that replays a
- * block backwards.
+ * block backwards once.
  */
 class Liveness {
   public:
@@ -32,10 +32,13 @@ class Liveness {
     }
 
     /**
-     * Vregs live immediately *after* each instruction of a block.
-     * result[i] is the live set after instrs[i].
+     * Flag the instructions of a block whose destination is dead
+     * immediately after them: dead[i] is true when instrs[i] has a
+     * dst that no later instruction reads before redefining it and
+     * that is not live-out. Every instruction's uses count, flagged
+     * or not, so the flags are those of the block as it stands.
      */
-    std::vector<std::vector<bool>> liveAfter(uint32_t block) const;
+    void deadDefs(uint32_t block, std::vector<bool> &dead) const;
 
   private:
     const ir::Function &func_;

@@ -133,15 +133,16 @@ weakDce(Module &m, Function &f)
 {
     analysis::Liveness live(m, f);
     uint32_t removed = 0;
+    std::vector<bool> dead;
     for (auto &bb : f.blocks) {
-        auto after = live.liveAfter(bb.id);
+        live.deadDefs(bb.id, dead);
         std::vector<Instr> out;
         for (size_t i = 0; i < bb.instrs.size(); ++i) {
             Instr &in = bb.instrs[i];
             bool pure = in.op == Opcode::ConstI || in.op == Opcode::Mov ||
                         in.op == Opcode::Bin || in.op == Opcode::Un ||
                         in.op == Opcode::Cast;
-            if (pure && in.hasDst() && !after[i][in.dst]) {
+            if (pure && dead[i]) {
                 ++removed;
                 continue;
             }

@@ -179,13 +179,14 @@ removeDeadInstrs(Module &m, Function &f)
 {
     uint32_t removed = 0;
     Liveness live(m, f);
+    std::vector<bool> dead;
     for (auto &bb : f.blocks) {
-        auto after = live.liveAfter(bb.id);
+        live.deadDefs(bb.id, dead);
         std::vector<Instr> out;
         out.reserve(bb.instrs.size());
         for (size_t i = 0; i < bb.instrs.size(); ++i) {
             Instr &in = bb.instrs[i];
-            if (isPure(in) && in.hasDst() && !after[i][in.dst]) {
+            if (dead[i] && isPure(in)) {
                 ++removed;
                 continue;
             }

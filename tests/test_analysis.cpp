@@ -183,14 +183,32 @@ TEST(Liveness, DeadDefIsNotLive)
     }
     ASSERT_NE(deadV, ~0u);
     ASSERT_NE(liveV, ~0u);
-    auto after = live.liveAfter(0);
-    // After its own assignment, `dead` must not be live anywhere.
-    bool deadEverLive = false;
-    for (const auto &set : after) {
-        if (set[deadV])
-            deadEverLive = true;
+    // The def of `dead` is dead right after it; the def of `live`,
+    // which the return reads, is not.
+    std::vector<bool> dead;
+    live.deadDefs(0, dead);
+    const auto &instrs = f->blocks[0].instrs;
+    ASSERT_EQ(dead.size(), instrs.size());
+    bool sawDeadDef = false, sawLiveDef = false;
+    for (size_t i = 0; i < instrs.size(); ++i) {
+        if (instrs[i].hasDst() && instrs[i].dst == deadV) {
+            sawDeadDef = true;
+            EXPECT_TRUE(dead[i]);
+        }
+        if (instrs[i].hasDst() && instrs[i].dst == liveV) {
+            sawLiveDef = true;
+            EXPECT_FALSE(dead[i]);
+        }
+        if (!instrs[i].hasDst()) {
+            EXPECT_FALSE(dead[i]);
+        }
     }
-    EXPECT_FALSE(deadEverLive);
+    EXPECT_TRUE(sawDeadDef);
+    EXPECT_TRUE(sawLiveDef);
+    for (uint32_t b = 0; b < f->blocks.size(); ++b) {
+        EXPECT_FALSE(live.liveIn(b)[deadV]);
+        EXPECT_FALSE(live.liveOut(b)[deadV]);
+    }
 }
 
 /**
