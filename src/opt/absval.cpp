@@ -128,22 +128,19 @@ WidenThresholds::add(const std::vector<int64_t> &values)
 int64_t
 WidenThresholds::up(int64_t v) const
 {
-    for (int64_t t : ts_) {
-        if (v <= t)
-            return t;
-    }
-    return INT64_MAX / 4;
+    auto it = std::lower_bound(ts_.begin(), ts_.end(), v);
+    return it != ts_.end() ? *it : INT64_MAX / 4;
 }
 
 int64_t
 WidenThresholds::down(int64_t v) const
 {
-    // Largest negated threshold that is still <= v.
-    for (int64_t t : ts_) {
-        if (-t <= v)
-            return -t;
-    }
-    return INT64_MIN / 4;
+    // Largest negated threshold that is still <= v: -t <= v exactly
+    // when t >= -v, so it is the negation of the smallest such t.
+    if (v == INT64_MIN)
+        return INT64_MIN / 4;
+    auto it = std::lower_bound(ts_.begin(), ts_.end(), -v);
+    return it != ts_.end() ? -*it : INT64_MIN / 4;
 }
 
 AbsVal

@@ -101,6 +101,8 @@ class WidenThresholds {
     int64_t up(int64_t v) const;
     /** Largest negated threshold <= v (INT64_MIN/4 if none). */
     int64_t down(int64_t v) const;
+    /** The thresholds, ascending and unique. */
+    const std::vector<int64_t> &values() const { return ts_; }
 
   private:
     std::vector<int64_t> ts_;

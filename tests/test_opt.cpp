@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "analysis/callgraph.h"
 #include "analysis/concurrency.h"
 #include "analysis/pointsto.h"
@@ -89,6 +92,51 @@ TEST(AbsVal, RefineByCompareNarrows)
     AbsVal impossible = refineByCompare(AbsVal::constant(3), BinOp::GtU,
                                         AbsVal::constant(9), true, cfg);
     EXPECT_TRUE(impossible.isBottom());
+}
+
+TEST(AbsVal, ThresholdSearchMatchesLinearScan)
+{
+    // up/down binary-search the sorted thresholds; they must agree
+    // with the plain ascending scan they replaced on random values,
+    // on every threshold, and on its neighbours and negations.
+    std::mt19937_64 rng(23);
+    WidenThresholds ts;
+    std::vector<int64_t> extra;
+    std::uniform_int_distribution<int64_t> progConst(-65536, 65536);
+    for (int i = 0; i < 40; ++i) {
+        int64_t c = progConst(rng);
+        extra.insert(extra.end(), {c - 1, c, c + 1});
+    }
+    ts.add(extra);
+    const std::vector<int64_t> &vals = ts.values();
+    ASSERT_TRUE(std::is_sorted(vals.begin(), vals.end()));
+    auto scanUp = [&](int64_t v) {
+        for (int64_t t : vals) {
+            if (v <= t)
+                return t;
+        }
+        return INT64_MAX / 4;
+    };
+    auto scanDown = [&](int64_t v) {
+        for (int64_t t : vals) {
+            if (-t <= v)
+                return -t;
+        }
+        return INT64_MIN / 4;
+    };
+    std::vector<int64_t> probes = {INT64_MIN / 4, INT64_MAX / 4,
+                                   INT64_MIN / 4 - 1, INT64_MAX / 4 + 1};
+    for (int64_t t : vals)
+        probes.insert(probes.end(), {t - 1, t, t + 1, -t - 1, -t, -t + 1});
+    std::uniform_int_distribution<int64_t> small(-70000, 70000);
+    std::uniform_int_distribution<int64_t> wide(INT64_MIN / 2,
+                                                INT64_MAX / 2);
+    for (int i = 0; i < 5000; ++i)
+        probes.push_back(i % 2 ? small(rng) : wide(rng));
+    for (int64_t v : probes) {
+        EXPECT_EQ(ts.up(v), scanUp(v)) << "up(" << v << ")";
+        EXPECT_EQ(ts.down(v), scanDown(v)) << "down(" << v << ")";
+    }
 }
 
 /**
