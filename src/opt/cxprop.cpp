@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 
 #include "analysis/callgraph.h"
 #include "analysis/concurrency.h"
@@ -180,6 +179,7 @@ class Engine {
      * of ft[1].
      */
     struct FwdSlot {
+        MemObj obj;
         int64_t off = 0;
         uint32_t size = 0;
         AbsVal val;
@@ -187,7 +187,27 @@ class Engine {
 
     struct State {
         std::vector<AbsVal> regs;
-        std::map<MemObj, FwdSlot> mem;  ///< block-local store forwarding
+        /** Block-local store forwarding, at most one slot per object;
+         *  a block touches few objects, so a linear scan is enough. */
+        std::vector<FwdSlot> mem;
+
+        FwdSlot *
+        fwd(const MemObj &o)
+        {
+            for (FwdSlot &s : mem) {
+                if (s.obj == o)
+                    return &s;
+            }
+            return nullptr;
+        }
+        void
+        dropFwd(const MemObj &o)
+        {
+            if (FwdSlot *s = fwd(o)) {
+                *s = mem.back();
+                mem.pop_back();
+            }
+        }
     };
 
     /** What the last analysis of one function read and produced. */
@@ -411,8 +431,9 @@ class Engine {
                                opts_.domains);
             // Comparison bookkeeping for branch refinement.
             if (binOpIsComparison(in.bop) && in.hasDst()) {
-                CmpInfo ci;
-                ci.valid = true;
+                VregFacts &fact = facts_[in.dst];
+                fact.cmpEpoch = epoch_;
+                CmpInfo &ci = fact.cmp;
                 ci.op = in.bop;
                 ci.lhsVreg = in.args[0].isVReg() ? in.args[0].index
                                                  : kNoVReg;
@@ -420,7 +441,6 @@ class Engine {
                                                  : kNoVReg;
                 ci.lhs = ev(0);
                 ci.rhs = ev(1);
-                cmpInfo_[in.dst] = ci;
             }
             setDst(v);
             tryFold(v);
@@ -448,8 +468,10 @@ class Engine {
                     toTy.kind == TypeKind::Bool ? 8 : toTy.bits;
                 bool sSigned =
                     sTy.kind == TypeKind::Int && sTy.isSigned;
-                if (dBits >= sBits && !sSigned)
-                    castSrc_[in.dst] = in.args[0].index;
+                if (dBits >= sBits && !sSigned) {
+                    facts_[in.dst].castEpoch = epoch_;
+                    facts_[in.dst].castSrc = in.args[0].index;
+                }
             }
             if (toTy.kind == TypeKind::Ptr) {
                 if (v.kind == AbsVal::Ptr) {
@@ -510,12 +532,11 @@ class Engine {
                 // read is atomic on these MCUs, so the whole-program
                 // invariant still applies to it.
                 bool racy = isRacy(addr.obj);
-                auto fwd = st.mem.find(addr.obj);
-                if (!racy && fwd != st.mem.end() &&
-                    addr.offLo == addr.offHi &&
-                    fwd->second.off == addr.offLo &&
-                    fwd->second.size == mod_.typeSize(in.type)) {
-                    result = fwd->second.val;
+                const FwdSlot *fwd = st.fwd(addr.obj);
+                if (!racy && fwd && addr.offLo == addr.offHi &&
+                    fwd->off == addr.offLo &&
+                    fwd->size == mod_.typeSize(in.type)) {
+                    result = fwd->val;
                 } else if (addr.obj.kind == MemObj::GlobalObj &&
                            addr.offLo == 0 && addr.offHi == 0 &&
                            isScalar(tt, in.type) &&
@@ -538,10 +559,14 @@ class Engine {
                 // Strong update in the block-local map when the
                 // offset is exact (must-alias); weak otherwise.
                 if (addr.offLo == addr.offHi && !isRacy(addr.obj)) {
-                    st.mem[addr.obj] = {addr.offLo,
-                                        mod_.typeSize(in.type), val};
+                    FwdSlot slot{addr.obj, addr.offLo,
+                                 mod_.typeSize(in.type), val};
+                    if (FwdSlot *old = st.fwd(addr.obj))
+                        *old = slot;
+                    else
+                        st.mem.push_back(slot);
                 } else {
-                    st.mem.erase(addr.obj);
+                    st.dropFwd(addr.obj);
                 }
                 if (addr.obj.kind == MemObj::GlobalObj)
                     joinInto(globalSlot(addr.obj.index), val, widening_);
@@ -680,11 +705,23 @@ class Engine {
     }
 
     struct CmpInfo {
-        bool valid = false;
         BinOp op = BinOp::Eq;
         uint32_t lhsVreg = kNoVReg;
         uint32_t rhsVreg = kNoVReg;
         AbsVal lhs, rhs;
+    };
+
+    /**
+     * What the block being walked recorded about one vreg: the last
+     * comparison that defined it and the vreg an injective widening
+     * cast copied into it. A fact holds only while its stamp equals
+     * epoch_, which every block start bumps, so no block clears them.
+     */
+    struct VregFacts {
+        uint64_t cmpEpoch = 0;
+        uint64_t castEpoch = 0;
+        uint32_t castSrc = kNoVReg;
+        CmpInfo cmp;
     };
 
     BinOp
@@ -743,17 +780,14 @@ class Engine {
         inWork_[0] = true;
 
         State &st = scratch_;
-        st.regs.assign(f.vregs.size(), AbsVal::bottom());
+        prepareScratch(f);
         uint32_t blockVisits = 0;
         while (!work.empty()) {
             uint32_t b = work.front();
             work.pop_front();
             inWork_[b] = false;
             ++blockVisits;
-            loadLiveIn(memo, b, st);
-            st.mem.clear();
-            cmpInfo_.clear();
-            castSrc_.clear();
+            beginBlock(memo, b);
             BasicBlock &bb = f.blocks[b];
             for (auto &in : bb.instrs)
                 transfer(f, st, in, nullptr);
@@ -780,14 +814,28 @@ class Engine {
         return lists;
     }
 
-    /** Load block `b`'s entry state into the scratch vreg vector. */
-    static void
-    loadLiveIn(const FuncMemo &memo, uint32_t b, State &st)
+    /** Size the scratch state and the vreg facts for `f`. */
+    void
+    prepareScratch(const Function &f)
+    {
+        scratch_.regs.assign(f.vregs.size(), AbsVal::bottom());
+        if (facts_.size() < f.vregs.size())
+            facts_.resize(f.vregs.size());
+    }
+
+    /**
+     * Start a walk of block `b`: load its entry state into the scratch
+     * vreg vector, drop store forwarding and retire the vreg facts.
+     */
+    void
+    beginBlock(const FuncMemo &memo, uint32_t b)
     {
         const std::vector<uint32_t> &live = memo.liveIn[b];
         const std::vector<AbsVal> &vals = memo.blockIn[b];
         for (size_t k = 0; k < live.size(); ++k)
-            st.regs[live[k]] = vals[k];
+            scratch_.regs[live[k]] = vals[k];
+        scratch_.mem.clear();
+        ++epoch_;
     }
 
     /**
@@ -813,32 +861,30 @@ class Engine {
             if (s == kNoBlock || s >= nb)
                 return;
             nsaved = 0;
-            if (isCond && t.args[0].isVReg()) {
-                auto ci = cmpInfo_.find(t.args[0].index);
-                if (ci != cmpInfo_.end() && ci->second.valid) {
-                    const CmpInfo &info = ci->second;
-                    auto refineChain = [&](uint32_t v, BinOp op,
-                                           const AbsVal &rhs) {
-                        // Refine the vreg and, through any recorded
-                        // widening casts, the variable it came from.
-                        for (int d = 0; d < 8 && v != kNoVReg; ++d) {
-                            saved[nsaved++] = {v, st.regs[v]};
-                            st.regs[v] = clampToType(
-                                refineByCompare(st.regs[v], op, rhs,
-                                                taken, opts_.domains),
-                                mod_.types(), f.vregs[v].type,
-                                opts_.domains);
-                            auto cs = castSrc_.find(v);
-                            v = cs != castSrc_.end() ? cs->second
-                                                     : kNoVReg;
-                        }
-                    };
-                    if (info.lhsVreg != kNoVReg)
-                        refineChain(info.lhsVreg, info.op, info.rhs);
-                    if (info.rhsVreg != kNoVReg)
-                        refineChain(info.rhsVreg, swapCompare(info.op),
-                                    info.lhs);
-                }
+            if (isCond && t.args[0].isVReg() &&
+                facts_[t.args[0].index].cmpEpoch == epoch_) {
+                const CmpInfo &info = facts_[t.args[0].index].cmp;
+                auto refineChain = [&](uint32_t v, BinOp op,
+                                       const AbsVal &rhs) {
+                    // Refine the vreg and, through any recorded
+                    // widening casts, the variable it came from.
+                    for (int d = 0; d < 8 && v != kNoVReg; ++d) {
+                        saved[nsaved++] = {v, st.regs[v]};
+                        st.regs[v] = clampToType(
+                            refineByCompare(st.regs[v], op, rhs, taken,
+                                            opts_.domains),
+                            mod_.types(), f.vregs[v].type,
+                            opts_.domains);
+                        v = facts_[v].castEpoch == epoch_
+                                ? facts_[v].castSrc
+                                : kNoVReg;
+                    }
+                };
+                if (info.lhsVreg != kNoVReg)
+                    refineChain(info.lhsVreg, info.op, info.rhs);
+                if (info.rhsVreg != kNoVReg)
+                    refineChain(info.rhsVreg, swapCompare(info.op),
+                                info.lhs);
             }
             const std::vector<uint32_t> &live = memo.liveIn[s];
             std::vector<AbsVal> &in = blockIn[s];
@@ -886,13 +932,10 @@ class Engine {
         CxpropReport *rep = &rep_;
         const FuncMemo &memo = memo_[f.id];
         State &st = scratch_;
-        st.regs.assign(f.vregs.size(), AbsVal::bottom());
+        prepareScratch(f);
         std::vector<Instr> out;
         for (uint32_t b = 0; b < f.blocks.size(); ++b) {
-            loadLiveIn(memo, b, st);
-            st.mem.clear();
-            cmpInfo_.clear();
-            castSrc_.clear();
+            beginBlock(memo, b);
             BasicBlock &bb = f.blocks[b];
             out.clear();
             out.reserve(bb.instrs.size());
@@ -936,8 +979,8 @@ class Engine {
     State scratch_;
     std::vector<int> visits_;
     std::vector<bool> inWork_;
-    std::map<uint32_t, CmpInfo> cmpInfo_;
-    std::map<uint32_t, uint32_t> castSrc_;
+    std::vector<VregFacts> facts_;  ///< per vreg, stamped by epoch_
+    uint64_t epoch_ = 0;             ///< bumped per block walk
     WidenThresholds widenTs_;
     bool changed_ = false;
     bool widening_ = false;
