@@ -143,26 +143,12 @@ WidenThresholds::down(int64_t v) const
     return it != ts_.end() ? -*it : INT64_MIN / 4;
 }
 
+namespace {
+
+/** Pointer half of both widenings: provenance or offsets give way. */
 AbsVal
-widen(const AbsVal &a, const AbsVal &b, const WidenThresholds &thresholds,
-      bool toInfinity)
+widenPtr(const AbsVal &a, const AbsVal &b)
 {
-    if (a.isBottom())
-        return b;
-    if (b.isBottom())
-        return a;
-    if (a.isTop() || b.isTop() || a.kind != b.kind)
-        return AbsVal::top();
-    if (a.kind == AbsVal::Int) {
-        AbsVal v = a;
-        if (b.lo < a.lo)
-            v.lo = toInfinity ? INT64_MIN / 4 : thresholds.down(b.lo);
-        if (b.hi > a.hi)
-            v.hi = toInfinity ? INT64_MAX / 4 : thresholds.up(b.hi);
-        v.knownMask &= b.knownMask & ~(a.knownVal ^ b.knownVal);
-        v.knownVal &= v.knownMask;
-        return v;
-    }
     AbsVal v = a;
     v.nonNull = a.nonNull && b.nonNull;
     if (!(b.exactObj && a.exactObj && a.obj == b.obj)) {
@@ -175,8 +161,6 @@ widen(const AbsVal &a, const AbsVal &b, const WidenThresholds &thresholds,
         v.offHi = INT64_MAX / 4;
     return v;
 }
-
-namespace {
 
 struct Width {
     uint32_t bits = 64;
@@ -201,6 +185,64 @@ widthOf(const TypeTable &tt, TypeId t)
 }
 
 } // namespace
+
+AbsVal
+widen(const AbsVal &a, const AbsVal &b, const WidenThresholds &thresholds)
+{
+    if (a.isBottom())
+        return b;
+    if (b.isBottom())
+        return a;
+    if (a.isTop() || b.isTop() || a.kind != b.kind)
+        return AbsVal::top();
+    if (a.kind == AbsVal::Int) {
+        AbsVal v = a;
+        if (b.lo < a.lo)
+            v.lo = thresholds.down(b.lo);
+        if (b.hi > a.hi)
+            v.hi = thresholds.up(b.hi);
+        v.knownMask &= b.knownMask & ~(a.knownVal ^ b.knownVal);
+        v.knownVal &= v.knownMask;
+        return v;
+    }
+    return widenPtr(a, b);
+}
+
+AbsVal
+widenToType(const AbsVal &a, const AbsVal &b, const TypeTable &tt,
+            TypeId t)
+{
+    if (b.isBottom())
+        return a;
+    AbsVal v;
+    if (a.isBottom()) {
+        v = b;
+    } else if (a.isTop() || b.isTop() || a.kind != b.kind) {
+        return AbsVal::top();
+    } else if (a.kind == AbsVal::Ptr) {
+        return widenPtr(a, b);
+    } else {
+        Width w = t == kInvalidType ? Width{} : widthOf(tt, t);
+        int64_t tmin = INT64_MIN / 4, tmax = INT64_MAX / 4;
+        if (w.bits < 64) {
+            tmin = w.isSigned ? -(1ll << (w.bits - 1)) : 0;
+            tmax = w.isSigned ? (1ll << (w.bits - 1)) - 1
+                              : static_cast<int64_t>((1ull << w.bits) - 1);
+        }
+        v = a;
+        if (b.lo < a.lo)
+            v.lo = b.lo >= tmin ? tmin : INT64_MIN / 4;
+        if (b.hi > a.hi)
+            v.hi = b.hi <= tmax ? tmax : INT64_MAX / 4;
+        v.knownMask &= b.knownMask & ~(a.knownVal ^ b.knownVal);
+        v.knownVal &= v.knownMask;
+    }
+    // Any change forgets every known bit, so losing them one bit at a
+    // time cannot keep the value climbing.
+    if (v.kind == AbsVal::Int && !(v == a))
+        v.knownMask = v.knownVal = 0;
+    return v;
+}
 
 AbsVal
 clampToType(const AbsVal &v, const TypeTable &tt, TypeId t,

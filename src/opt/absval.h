@@ -108,10 +108,29 @@ class WidenThresholds {
     std::vector<int64_t> ts_;
 };
 
-/** Widen a to cover b (used after repeated joins on loop heads). */
+/**
+ * Widen a to cover b, moving each integer bound that grows to the next
+ * threshold (used after repeated joins on loop heads and summaries).
+ */
 AbsVal widen(const AbsVal &a, const AbsVal &b,
-             const WidenThresholds &thresholds,
-             bool toInfinity = false);
+             const WidenThresholds &thresholds);
+
+/**
+ * Widen a to cover b by jumping to the bounds of type `t`: an integer
+ * bound that moves goes to the type's extreme, or to infinity when b
+ * already lies beyond it (kInvalidType has no extremes), pointer
+ * offsets go to infinity, and a changed integer keeps no known bits.
+ * Applied repeatedly to one value, it returns something other than
+ * its first argument at most kTypeBoundMaxChanges times: Bottom to a
+ * value once; an integer's known bits on their own once (the first
+ * change drops them all); each bound twice (extreme, then infinity);
+ * a pointer's nonNull, exactObj and each offset once; Top once.
+ */
+AbsVal widenToType(const AbsVal &a, const AbsVal &b,
+                   const ir::TypeTable &tt, ir::TypeId t);
+
+/** Bound on the changes of a value under repeated widenToType. */
+inline constexpr int kTypeBoundMaxChanges = 7;
 
 /** Clamp an integer abstract value to a type's width/signedness. */
 AbsVal clampToType(const AbsVal &v, const ir::TypeTable &tt,

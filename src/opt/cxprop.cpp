@@ -24,6 +24,38 @@ namespace {
 /** Outer analyze-and-transform rounds; most programs settle sooner. */
 constexpr int kMaxRounds = 6;
 
+/**
+ * Per-slot widening policy. A summary slot counts the fixpoint rounds
+ * in which it changed. It joins plainly for its first kWidenAfter
+ * changing rounds, then widens to the next threshold, and from its
+ * kTypeBoundAfter-th changing round on widens to its type's bounds
+ * (widenToType).
+ */
+constexpr uint8_t kWidenAfter = 2;
+constexpr uint8_t kTypeBoundAfter = 8;
+
+/**
+ * Append every immediate operand of a comparison in `f`, with its
+ * off-by-one neighbours for < and <= bounds. Only comparisons count:
+ * a constant that is merely stored, added or passed along bounds no
+ * value, and every extra threshold is one more step a climbing slot
+ * must take before its type-bound jump.
+ */
+void
+compareConstants(const Function &f, std::vector<int64_t> &out)
+{
+    for (const auto &bb : f.blocks) {
+        for (const auto &in : bb.instrs) {
+            if (in.op != Opcode::Bin || !binOpIsComparison(in.bop))
+                continue;
+            for (const auto &a : in.args) {
+                if (a.isImm() && a.imm >= -65536 && a.imm <= 65536)
+                    out.insert(out.end(), {a.imm - 1, a.imm, a.imm + 1});
+            }
+        }
+    }
+}
+
 /** Size in bytes of an abstract memory object, if known. */
 std::optional<uint32_t>
 objSize(const Module &m, const MemObj &o)
@@ -68,13 +100,15 @@ isScalar(const TypeTable &tt, TypeId t)
  * records the tick at which it last changed, and every analysis of a
  * function records its *read set*: the slots it read (entry params,
  * global loads, callee return summaries) and every slot it joined
- * into (a join reads its target). A function's analysis is a
- * deterministic function of its IR, the engine's constant analyses,
- * the widening flags and the slot values it reads; so when the flags
- * are unchanged and no slot of its read set changed since its last
- * analysis began, re-running it would repeat the same joins with the
- * same operands and change nothing. Such functions are skipped, and
- * their converged block-entry states are kept for the transform.
+ * into (a join reads its target). Each slot also carries its own
+ * widening policy state, the number of fixpoint rounds in which it
+ * changed (see kWidenAfter), which moves only when the slot's value
+ * does. A function's analysis is a deterministic function of its IR,
+ * the engine's constant analyses and the slots it reads, values and
+ * policy state; so when no slot of its read set changed since its
+ * last analysis began, re-running it would repeat the same joins with
+ * the same operands and change nothing. Such functions are skipped,
+ * and their converged block-entry states are kept for the transform.
  *
  * A block-entry state covers only the vregs live-in at that block,
  * listed once per Engine from analysis::Liveness (a function's IR
@@ -86,9 +120,7 @@ isScalar(const TypeTable &tt, TypeId t)
  * and a stale scratch value is never read. It does move
  * CxpropReport's counters: a join into a dead vreg no longer counts as
  * a change, so a successor is re-queued only when a live value
- * changed. visits_ then grows more slowly, block-level widening
- * (visits_ > 12) starts later, and a function may need more fixpoint
- * rounds to settle.
+ * changed, and block-level widening (visits_ > 12) starts later.
  */
 class Engine {
   public:
@@ -105,42 +137,47 @@ class Engine {
             nslots += f.params.size();
         }
         slots_.assign(nslots, AbsVal::bottom());
+        slotType_.assign(nslots, kInvalidType);
         slotTick_.assign(nslots, 0);
+        slotRound_.assign(nslots, 0);
+        slotRounds_.assign(nslots, 0);
         readMark_.assign(nslots, 0);
         memo_.resize(nf);
+        for (const auto &g : m.globals())
+            slotType_[globalSlot(g.id)] = g.type;
+        for (const auto &f : m.funcs()) {
+            slotType_[retSlot(f.id)] = f.retType;
+            for (size_t i = 0; i < f.params.size(); ++i)
+                slotType_[paramSlot(f.id, i)] = f.vregs[f.params[i]].type;
+        }
         seedGlobals();
         seedRoots();
-        // Threshold widening seeded from the program's own constants
-        // (plus off-by-one neighbours for < / <= bounds).
+        // Threshold widening seeded from the constants the program
+        // compares against, so loop bounds like `i < 10` survive.
         std::vector<int64_t> consts;
         for (const auto &f : m.funcs()) {
-            if (f.dead)
-                continue;
-            for (const auto &bb : f.blocks) {
-                for (const auto &in : bb.instrs) {
-                    for (const auto &a : in.args) {
-                        if (a.isImm() && a.imm >= -65536 &&
-                            a.imm <= 65536) {
-                            consts.push_back(a.imm);
-                            consts.push_back(a.imm - 1);
-                            consts.push_back(a.imm + 1);
-                        }
-                    }
-                }
-            }
+            if (!f.dead)
+                compareConstants(f, consts);
         }
         widenTs_.add(consts);
     }
 
+    /**
+     * Re-analyze every function whose read set changed until a round
+     * changes no slot. This always ends before the panic: a round
+     * continues only if some slot changed in it; a slot changes in at
+     * most kTypeBoundAfter rounds before its type-bound jump, and
+     * after it, widenToType lets it change at most
+     * kTypeBoundMaxChanges more times. So at most slots x (both
+     * constants) rounds change anything, and the next one is quiet.
+     */
     void
     analyzeToFixpoint()
     {
-        for (int round = 0; round < 60; ++round) {
-            // Interprocedural widening: if plain joins have not
-            // converged after a few rounds, widen the summaries so
-            // the transform phase only ever sees a sound fixpoint.
-            widening_ = round >= 8;
-            fullWidening_ = round >= 18;
+        size_t maxRounds =
+            slots_.size() * (kTypeBoundAfter + kTypeBoundMaxChanges) + 1;
+        for (size_t round = 0; round < maxRounds; ++round) {
+            ++round_;
             changed_ = false;
             ++rep_.fixpointRounds;
             for (auto &f : mod_.funcs()) {
@@ -214,8 +251,6 @@ class Engine {
     struct FuncMemo {
         bool valid = false;
         uint64_t startTick = 0;
-        bool widening = false;
-        bool fullWidening = false;
         std::vector<uint32_t> reads;  ///< slot ids, each once
         /** Vregs live-in at each block, ascending; built once. */
         std::vector<std::vector<uint32_t>> liveIn;
@@ -254,17 +289,15 @@ class Engine {
 
     /**
      * Count one analysis request for `f` and return true when it can
-     * be skipped because re-analyzing could change nothing: same
-     * widening flags as its last analysis and no slot of its read set
-     * changed since that analysis started.
+     * be skipped because re-analyzing could change nothing: no slot of
+     * its read set changed since its last analysis started.
      */
     bool
     skipIfClean(const Function &f)
     {
         ++rep_.funcAnalyses;
         const FuncMemo &m = memo_[f.id];
-        if (!m.valid || m.widening != widening_ ||
-            m.fullWidening != fullWidening_)
+        if (!m.valid)
             return false;
         for (uint32_t s : m.reads) {
             if (slotTick_[s] >= m.startTick)
@@ -332,17 +365,26 @@ class Engine {
         return AbsVal::top();
     }
 
+    /** Join `v` into slot `s` under the slot's widening policy. */
     void
-    joinInto(uint32_t s, const AbsVal &v, bool widenNow)
+    joinInto(uint32_t s, const AbsVal &v)
     {
         noteRead(s);
         AbsVal &slot = slots_[s];
-        AbsVal nv = widenNow ? widen(slot, v, widenTs_, fullWidening_)
-                             : join(slot, v, opts_.domains);
+        uint8_t &n = slotRounds_[s];
+        AbsVal nv = n >= kTypeBoundAfter
+                        ? widenToType(slot, v, mod_.types(), slotType_[s])
+                    : n >= kWidenAfter ? widen(slot, v, widenTs_)
+                                       : join(slot, v, opts_.domains);
         if (!(nv == slot)) {
             slot = nv;
             slotTick_[s] = tick_;
             changed_ = true;
+            if (slotRound_[s] != round_) {
+                slotRound_[s] = round_;
+                if (n < kTypeBoundAfter)
+                    ++n;
+            }
         }
     }
 
@@ -370,7 +412,7 @@ class Engine {
                 degraded.nonNull = v.nonNull;
                 v = degraded;
             }
-            joinInto(paramSlot(in.callee, i), v, widening_);
+            joinInto(paramSlot(in.callee, i), v);
         }
     }
 
@@ -569,7 +611,7 @@ class Engine {
                     st.dropFwd(addr.obj);
                 }
                 if (addr.obj.kind == MemObj::GlobalObj)
-                    joinInto(globalSlot(addr.obj.index), val, widening_);
+                    joinInto(globalSlot(addr.obj.index), val);
             } else {
                 // Unknown target: all forwarding is invalid and every
                 // may-target global learns Top.
@@ -578,8 +620,7 @@ class Engine {
                     for (const MemObj &o :
                          pts_.vregPts(f.id, in.args[0].index)) {
                         if (o.kind == MemObj::GlobalObj) {
-                            joinInto(globalSlot(o.index), AbsVal::top(),
-                                     false);
+                            joinInto(globalSlot(o.index), AbsVal::top());
                         } else if (o.kind == MemObj::Universal) {
                             havocAllGlobals();
                         }
@@ -606,7 +647,7 @@ class Engine {
           case Opcode::Ret:
             if (!in.args.empty()) {
                 AbsVal v = evalOperand(f, st, in.args[0]);
-                joinInto(retSlot(f.id), v, widening_);
+                joinInto(retSlot(f.id), v);
             }
             break;
           case Opcode::HwRead:
@@ -701,7 +742,7 @@ class Engine {
     havocAllGlobals()
     {
         for (uint32_t g = 0; g < mod_.globals().size(); ++g)
-            joinInto(globalSlot(g), AbsVal::top(), false);
+            joinInto(globalSlot(g), AbsVal::top());
     }
 
     struct CmpInfo {
@@ -754,8 +795,6 @@ class Engine {
         ++tick_;
         memo.valid = true;
         memo.startTick = tick_;
-        memo.widening = widening_;
-        memo.fullWidening = fullWidening_;
         memo.reads.clear();
         reads_ = &memo.reads;
 
@@ -888,13 +927,12 @@ class Engine {
             }
             const std::vector<uint32_t> &live = memo.liveIn[s];
             std::vector<AbsVal> &in = blockIn[s];
-            bool widenNow = visits_[s] > 12 || fullWidening_;
-            bool toInfinity = fullWidening_ && visits_[s] > 40;
+            bool widenNow = visits_[s] > 12;
             bool changed = false;
             for (size_t k = 0; k < live.size(); ++k) {
                 const AbsVal &next = st.regs[live[k]];
                 AbsVal nv = widenNow
-                                ? widen(in[k], next, widenTs_, toInfinity)
+                                ? widen(in[k], next, widenTs_)
                                 : join(in[k], next, opts_.domains);
                 if (!(nv == in[k])) {
                     in[k] = nv;
@@ -970,8 +1008,14 @@ class Engine {
     ConcurrencyAnalysis conc_;
     /** Summary slots: globals, then return summaries, then params. */
     std::vector<AbsVal> slots_;
+    std::vector<TypeId> slotType_;     ///< bounds widenToType jumps to
     std::vector<uint32_t> paramBase_;  ///< first param slot per function
     std::vector<uint64_t> slotTick_;   ///< tick of each slot's last change
+    std::vector<uint64_t> slotRound_;  ///< round of each slot's last change
+    /** Fixpoint rounds in which each slot changed, up to
+     *  kTypeBoundAfter: the slot's widening policy state. */
+    std::vector<uint8_t> slotRounds_;
+    uint64_t round_ = 0;               ///< current fixpoint round
     std::vector<uint64_t> readMark_;   ///< tick that last noted each slot
     uint64_t tick_ = 0;                ///< bumped per analysis/transform
     std::vector<uint32_t> *reads_ = nullptr;  ///< running read set
@@ -983,8 +1027,6 @@ class Engine {
     uint64_t epoch_ = 0;             ///< bumped per block walk
     WidenThresholds widenTs_;
     bool changed_ = false;
-    bool widening_ = false;
-    bool fullWidening_ = false;
 };
 
 } // namespace
