@@ -443,6 +443,164 @@ TEST(CxpropIncremental, RunsOnCopiesPrintIdenticalIr)
 }
 
 //---------------------------------------------------------------------
+// Per-slot summary widening
+//---------------------------------------------------------------------
+
+/** Rounds one engine may take for a program whose climbing slots all
+ *  change in the same rounds: a slot changes in at most 8 rounds
+ *  before its type-bound jump (kTypeBoundAfter in cxprop.cpp) and
+ *  kTypeBoundMaxChanges times after it; one quiet round ends it. */
+constexpr uint32_t kOneSlotRounds = 8 + kTypeBoundMaxChanges + 1;
+
+/** Compile, apply the safety stage, run cXprop; return its report. */
+CxpropReport
+safeCxprop(Module &m)
+{
+    safety::SafetyConfig scfg;
+    safety::applySafety(m, scfg);
+    return runCxprop(m);
+}
+
+TEST(CxpropWidening, BoundedCounterKeepsItsCheckRemoved)
+{
+    // `count` climbs one step per fixpoint round until the guard caps
+    // it at 16. It must settle at [0,16] before its type-bound jump
+    // would widen it to [0,255], so peek's bounds check still goes.
+    // (The guard tests a local copy: a second load of `count` would
+    // read the unrefined summary.)
+    Module m = compile(
+        "u8 ring[17];"
+        "u8 count;"
+        "void tick() {"
+        "  u8 c = count;"
+        "  if (c < 16) { count = (u8)(c + 1); }"
+        "}"
+        "u8 peek() { return ring[count]; }"
+        "u8 main() { tick(); return peek(); }");
+    CxpropReport rep = safeCxprop(m);
+    const Function *peek = m.findFunc("peek");
+    ASSERT_NE(peek, nullptr);
+    EXPECT_EQ(checksIn(*peek), 0u);
+    EXPECT_LE(rep.fixpointRounds,
+              static_cast<uint32_t>(rep.rounds) * kOneSlotRounds);
+}
+
+TEST(CxpropWidening, UnboundedCounterConvergesWithinThePolicyBound)
+{
+    // Nothing bounds `count` but its type, so it climbs every round
+    // until its type-bound jump; the fixpoint must then stop within
+    // the policy's bound and keep peek's check, which is not provable.
+    Module m = compile(
+        "u8 ring[4];"
+        "u16 count;"
+        "u16 hits;"
+        "void tick() { count = count + 1; hits = hits + 2; }"
+        "u8 peek() { return ring[count]; }"
+        "u8 main() { tick(); return peek(); }");
+    CxpropReport rep = safeCxprop(m);
+    const Function *peek = m.findFunc("peek");
+    ASSERT_NE(peek, nullptr);
+    EXPECT_GE(checksIn(*peek), 1u);
+    EXPECT_GT(rep.fixpointRounds, static_cast<uint32_t>(rep.rounds));
+    EXPECT_LE(rep.fixpointRounds,
+              static_cast<uint32_t>(rep.rounds) * kOneSlotRounds);
+}
+
+/**
+ * Why cXprop's non-convergence panic cannot fire: a fixpoint round
+ * continues only if some summary slot changed in it, a slot changes
+ * in at most 8 rounds before its type-bound jump, and after it
+ * widenToType can change it at most kTypeBoundMaxChanges times. This
+ * checks that last bound on random climbs from every kind of start
+ * value, including values that only lose known bits, values outside
+ * the slot's type, pointers and kind clashes, and checks that each
+ * result still covers both operands.
+ */
+TEST(CxpropWidening, TypeBoundWideningChangesBoundedlyOften)
+{
+    SourceManager sm;
+    DiagnosticEngine diags(&sm);
+    Module m = frontend::compileTinyC(
+        {{"t.tc", "u8 a; i8 b; u16 c; i16 d; u32 e; bool f;"
+                  "u8 main() { return 0; }"}},
+        diags, sm);
+    ASSERT_FALSE(diags.hasErrors()) << diags.dump();
+    std::vector<TypeId> types{kInvalidType};
+    for (const auto &g : m.globals())
+        types.push_back(g.type);
+    ASSERT_EQ(types.size(), 7u);
+
+    std::mt19937_64 rng(5);
+    auto pick = [&](int64_t lo, int64_t hi) {
+        return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+    };
+    auto randomVal = [&](int64_t span) {
+        switch (pick(0, 9)) {
+          case 0: return AbsVal::bottom();
+          case 1: return AbsVal::top();
+          case 2: {
+            AbsVal p = AbsVal::pointer(
+                analysis::MemObj::global(static_cast<uint32_t>(pick(0, 1))),
+                pick(-4, 4), pick(0, 1) != 0);
+            p.offHi += pick(0, 4);
+            return p;
+          }
+          case 3: case 4: case 5: {
+            // A constant: full known bits, masked to a random width.
+            AbsVal c = AbsVal::constant(pick(-span, span));
+            c.knownMask &= pick(0, 1) ? 0xffull : ~0ull;
+            c.knownVal &= c.knownMask;
+            return c;
+          }
+          default: {
+            int64_t lo = pick(-span, span);
+            AbsVal r = AbsVal::range(lo, lo + pick(0, span));
+            r.knownMask = static_cast<uint64_t>(pick(0, 1) ? 0xf0 : 0);
+            r.knownVal = r.knownMask & static_cast<uint64_t>(lo);
+            return r;
+          }
+        }
+    };
+    DomainConfig cfg;
+    int worst = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        TypeId t = types[static_cast<size_t>(pick(0, 6))];
+        // Narrow spans keep intervals still so only known bits move;
+        // wide ones cross the type bounds.
+        int64_t span = pick(0, 1) ? 3 : int64_t{1} << pick(1, 40);
+        AbsVal v = randomVal(span);
+        int changes = 0;
+        for (int step = 0; step < 60; ++step) {
+            AbsVal b = randomVal(span);
+            AbsVal w = widenToType(v, b, m.types(), t);
+            AbsVal j = join(v, b, cfg);
+            if (w.kind == AbsVal::Int) {
+                ASSERT_EQ(j.kind, AbsVal::Int);
+                EXPECT_LE(w.lo, j.lo);
+                EXPECT_GE(w.hi, j.hi);
+            } else if (w.kind == AbsVal::Ptr) {
+                ASSERT_EQ(j.kind, AbsVal::Ptr);
+                EXPECT_LE(w.nonNull, j.nonNull);
+                EXPECT_LE(w.exactObj, j.exactObj);
+                if (w.exactObj) {
+                    EXPECT_LE(w.offLo, j.offLo);
+                    EXPECT_GE(w.offHi, j.offHi);
+                }
+            } else if (w.isBottom()) {
+                EXPECT_TRUE(j.isBottom());
+            }
+            if (!(w == v))
+                ++changes;
+            v = w;
+        }
+        EXPECT_LE(changes, kTypeBoundMaxChanges) << "trial " << trial;
+        worst = std::max(worst, changes);
+    }
+    // The climbs do reach the bound's territory, not just one step.
+    EXPECT_GE(worst, 4);
+}
+
+//---------------------------------------------------------------------
 // Inliner
 //---------------------------------------------------------------------
 
