@@ -598,6 +598,28 @@ TEST(CxpropWidening, TypeBoundWideningChangesBoundedlyOften)
     }
     // The climbs do reach the bound's territory, not just one step.
     EXPECT_GE(worst, 4);
+
+    // Known-bits erosion on its own: an interval that already spans
+    // its type cannot move, but each new constant could clear one
+    // more known bit. The first change drops them all instead.
+    for (TypeId t : types) {
+        AbsVal v = AbsVal::range(INT64_MIN / 4, INT64_MAX / 4);
+        if (t != kInvalidType)
+            v = clampToType(AbsVal::top(), m.types(), t, cfg);
+        v.knownMask = ~0ull;
+        v.knownVal = 0;
+        int changes = 0;
+        for (int bit = 0; bit < 62; ++bit) {
+            int64_t c = int64_t{1} << bit;
+            if (c > v.hi)
+                break;
+            AbsVal w = widenToType(v, AbsVal::constant(c), m.types(), t);
+            if (!(w == v))
+                ++changes;
+            v = w;
+        }
+        EXPECT_LE(changes, kTypeBoundMaxChanges);
+    }
 }
 
 //---------------------------------------------------------------------
