@@ -5,6 +5,8 @@
 #include "opt/absval.h"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "support/arith.h"
@@ -184,6 +186,15 @@ widthOf(const TypeTable &tt, TypeId t)
     }
 }
 
+/** Smallest and largest value of a type narrower than 64 bits. */
+std::pair<int64_t, int64_t>
+rangeOf(Width w)
+{
+    if (w.isSigned)
+        return {-(1ll << (w.bits - 1)), (1ll << (w.bits - 1)) - 1};
+    return {0, static_cast<int64_t>((1ull << w.bits) - 1)};
+}
+
 } // namespace
 
 AbsVal
@@ -222,13 +233,10 @@ widenToType(const AbsVal &a, const AbsVal &b, const TypeTable &tt,
     } else if (a.kind == AbsVal::Ptr) {
         return widenPtr(a, b);
     } else {
-        Width w = t == kInvalidType ? Width{} : widthOf(tt, t);
+        Width w = widthOf(tt, t);
         int64_t tmin = INT64_MIN / 4, tmax = INT64_MAX / 4;
-        if (w.bits < 64) {
-            tmin = w.isSigned ? -(1ll << (w.bits - 1)) : 0;
-            tmax = w.isSigned ? (1ll << (w.bits - 1)) - 1
-                              : static_cast<int64_t>((1ull << w.bits) - 1);
-        }
+        if (w.bits < 64)
+            std::tie(tmin, tmax) = rangeOf(w);
         v = a;
         if (b.lo < a.lo)
             v.lo = b.lo >= tmin ? tmin : INT64_MIN / 4;
@@ -257,13 +265,8 @@ clampToType(const AbsVal &v, const TypeTable &tt, TypeId t,
         if (ty.kind == TypeKind::Int || ty.kind == TypeKind::Bool) {
             Width tw = widthOf(tt, t);
             if (tw.bits < 64) {
-                uint64_t mask = (1ull << tw.bits) - 1;
-                if (tw.isSigned) {
-                    return AbsVal::range(
-                        -(1ll << (tw.bits - 1)),
-                        (1ll << (tw.bits - 1)) - 1);
-                }
-                return AbsVal::range(0, static_cast<int64_t>(mask));
+                auto [lo, hi] = rangeOf(tw);
+                return AbsVal::range(lo, hi);
             }
         }
     }
@@ -272,15 +275,8 @@ clampToType(const AbsVal &v, const TypeTable &tt, TypeId t,
     Width w = widthOf(tt, t);
     if (w.bits >= 64)
         return v;
-    int64_t tmin, tmax;
-    uint64_t mask = (w.bits == 64) ? ~0ull : ((1ull << w.bits) - 1);
-    if (w.isSigned) {
-        tmin = -(1ll << (w.bits - 1));
-        tmax = (1ll << (w.bits - 1)) - 1;
-    } else {
-        tmin = 0;
-        tmax = static_cast<int64_t>(mask);
-    }
+    auto [tmin, tmax] = rangeOf(w);
+    uint64_t mask = (1ull << w.bits) - 1;
     AbsVal out = v;
     if (v.lo < tmin || v.hi > tmax) {
         if (v.lo == v.hi) {

@@ -118,8 +118,9 @@ AbsVal widen(const AbsVal &a, const AbsVal &b,
 /**
  * Widen a to cover b by jumping to the bounds of type `t`: an integer
  * bound that moves goes to the type's extreme, or to infinity when b
- * already lies beyond it (kInvalidType has no extremes), pointer
- * offsets go to infinity, and a changed integer keeps no known bits.
+ * already lies beyond it or the type is 64 bits wide or not scalar,
+ * pointer offsets go to infinity, and a changed integer keeps no
+ * known bits.
  * Applied repeatedly to one value, it returns something other than
  * its first argument at most kTypeBoundMaxChanges times: Bottom to a
  * value once; an integer's known bits on their own once (the first

@@ -36,10 +36,14 @@ constexpr uint8_t kTypeBoundAfter = 8;
 
 /**
  * Append every immediate operand of a comparison in `f`, with its
- * off-by-one neighbours for < and <= bounds. Only comparisons count:
- * a constant that is merely stored, added or passed along bounds no
- * value, and every extra threshold is one more step a climbing slot
- * must take before its type-bound jump.
+ * off-by-one neighbours for < and <= bounds. Every extra threshold is
+ * one more step a climbing slot must take before its type-bound jump,
+ * so only comparisons count, and only their immediates: constants
+ * that still sit in ConstI vregs (fresh frontend output, before copy
+ * propagation) are not chased. Chasing them admits every library
+ * loop bound on the first outer round, and EventLogRotate's ring
+ * index then climbed through them one round at a time and lost its
+ * bound (8 -> 12 checks in "safe, FLIDs, cXprop").
  */
 void
 compareConstants(const Function &f, std::vector<int64_t> &out)

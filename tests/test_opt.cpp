@@ -521,11 +521,13 @@ TEST(CxpropWidening, TypeBoundWideningChangesBoundedlyOften)
     SourceManager sm;
     DiagnosticEngine diags(&sm);
     Module m = frontend::compileTinyC(
-        {{"t.tc", "u8 a; i8 b; u16 c; i16 d; u32 e; bool f;"
+        {{"t.tc", "u8 a; i8 b; u16 c; i16 d; u32 e; bool f; u8 g[4];"
                   "u8 main() { return 0; }"}},
         diags, sm);
     ASSERT_FALSE(diags.hasErrors()) << diags.dump();
-    std::vector<TypeId> types{kInvalidType};
+    // Every integer width and signedness, plus an array type, which
+    // has no scalar bounds and so widens to infinity.
+    std::vector<TypeId> types;
     for (const auto &g : m.globals())
         types.push_back(g.type);
     ASSERT_EQ(types.size(), 7u);
@@ -603,9 +605,9 @@ TEST(CxpropWidening, TypeBoundWideningChangesBoundedlyOften)
     // its type cannot move, but each new constant could clear one
     // more known bit. The first change drops them all instead.
     for (TypeId t : types) {
-        AbsVal v = AbsVal::range(INT64_MIN / 4, INT64_MAX / 4);
-        if (t != kInvalidType)
-            v = clampToType(AbsVal::top(), m.types(), t, cfg);
+        AbsVal v = clampToType(AbsVal::top(), m.types(), t, cfg);
+        if (v.isTop())
+            v = AbsVal::range(INT64_MIN / 4, INT64_MAX / 4);
         v.knownMask = ~0ull;
         v.knownVal = 0;
         int changes = 0;
