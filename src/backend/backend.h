@@ -34,6 +34,15 @@ struct GccReport {
 /** Run the GCC-style optimizations in place. */
 GccReport runGccStyleOpts(ir::Module &m, const GccOptions &opts);
 
+/**
+ * Instruction selection's op mapping: the machine op an arithmetic
+ * BinOp or a UnOp lowers to (Nop for a comparison), and the condition
+ * a comparison lowers to (SetC, CmpBr).
+ */
+MOp aluOpOf(ir::BinOp op);
+MOp aluOpOf(ir::UnOp op);
+MCond condOf(ir::BinOp op);
+
 struct BackendOptions {
     GccOptions gcc;
 };

@@ -13,6 +13,7 @@
 #include <map>
 
 #include "analysis/liveness.h"
+#include "ir/semantics.h"
 #include "opt/inliner.h"
 #include "opt/passes.h"
 #include "support/util.h"
@@ -62,17 +63,27 @@ rootIsAddr(const Function &f, uint32_t vreg)
     return false;
 }
 
+/** GCC's block-local folder handles these operators only. */
+bool
+gccFolds(BinOp op)
+{
+    return op == BinOp::Add || op == BinOp::Sub || op == BinOp::Mul ||
+           op == BinOp::And || op == BinOp::Or || op == BinOp::Xor ||
+           op == BinOp::Shl || op == BinOp::Eq || op == BinOp::Ne;
+}
+
 uint32_t
 localConstFold(Module &m, Function &f, GccReport &rep)
 {
     uint32_t changed = 0;
     const TypeTable &tt = m.types();
     for (auto &bb : f.blocks) {
-        std::map<uint32_t, int64_t> consts;
+        // vreg -> the bits it holds, as the interpreter would.
+        std::map<uint32_t, uint64_t> consts;
         for (auto &in : bb.instrs) {
-            auto constOf = [&](const Operand &o) -> std::optional<int64_t> {
+            auto constOf = [&](const Operand &o) -> std::optional<uint64_t> {
                 if (o.isImm())
-                    return o.imm;
+                    return static_cast<uint64_t>(o.imm);
                 if (o.isVReg()) {
                     auto it = consts.find(o.index);
                     if (it != consts.end())
@@ -80,36 +91,25 @@ localConstFold(Module &m, Function &f, GccReport &rep)
                 }
                 return std::nullopt;
             };
-            if (in.op == Opcode::Bin && tt.isScalarInt(in.type)) {
+            if (in.op == Opcode::Bin && tt.isScalarInt(in.type) &&
+                gccFolds(in.bop)) {
                 auto a = constOf(in.args[0]);
                 auto b = constOf(in.args[1]);
                 if (a && b) {
-                    // Reuse the width-exact folding in the interpreter
-                    // semantics via direct computation.
-                    int64_t r = 0;
-                    bool ok = true;
-                    switch (in.bop) {
-                      case BinOp::Add: r = *a + *b; break;
-                      case BinOp::Sub: r = *a - *b; break;
-                      case BinOp::Mul: r = *a * *b; break;
-                      case BinOp::And: r = *a & *b; break;
-                      case BinOp::Or: r = *a | *b; break;
-                      case BinOp::Xor: r = *a ^ *b; break;
-                      case BinOp::Shl: r = *a << (*b & 63); break;
-                      case BinOp::Eq: r = (*a == *b); break;
-                      case BinOp::Ne: r = (*a != *b); break;
-                      default: ok = false; break;
-                    }
-                    if (ok) {
-                        in.op = Opcode::ConstI;
-                        in.args = {Operand::immInt(r)};
-                        ++rep.constsFolded;
-                        ++changed;
-                    }
+                    sem::Width rw = sem::widthOf(tt, in.type);
+                    uint64_t r = sem::bin(
+                        in.bop, *a, *b,
+                        sem::widthOf(tt, sem::operandType(f, in)), rw);
+                    in.op = Opcode::ConstI;
+                    in.args = {Operand::immInt(sem::extend(r, rw))};
+                    ++rep.constsFolded;
+                    ++changed;
                 }
             }
             if (in.op == Opcode::ConstI && in.hasDst())
-                consts[in.dst] = in.args[0].imm;
+                consts[in.dst] =
+                    sem::truncate(static_cast<uint64_t>(in.args[0].imm),
+                                  sem::widthOf(tt, in.type));
             else if (in.hasDst())
                 consts.erase(in.dst);
             if (in.op == Opcode::CondBr) {

@@ -15,6 +15,7 @@
 #include <optional>
 
 #include "cfi/cfi.h"
+#include "ir/semantics.h"
 #include "opt/passes.h"
 #include "safety/runtime.h"
 #include "support/util.h"
@@ -22,6 +23,55 @@
 namespace stos::backend {
 
 using namespace stos::ir;
+
+MOp
+aluOpOf(BinOp op)
+{
+    switch (op) {
+      case BinOp::Add: return MOp::Add;
+      case BinOp::Sub: return MOp::Sub;
+      case BinOp::Mul: return MOp::Mul;
+      case BinOp::DivU: return MOp::DivU;
+      case BinOp::DivS: return MOp::DivS;
+      case BinOp::RemU: return MOp::RemU;
+      case BinOp::RemS: return MOp::RemS;
+      case BinOp::And: return MOp::And;
+      case BinOp::Or: return MOp::Or;
+      case BinOp::Xor: return MOp::Xor;
+      case BinOp::Shl: return MOp::Shl;
+      case BinOp::ShrU: return MOp::ShrU;
+      case BinOp::ShrS: return MOp::ShrS;
+      default: return MOp::Nop;
+    }
+}
+
+MOp
+aluOpOf(UnOp op)
+{
+    switch (op) {
+      case UnOp::Neg: return MOp::Neg;
+      case UnOp::Not: return MOp::Not;
+      case UnOp::BNot: return MOp::BNot;
+    }
+    return MOp::Nop;
+}
+
+MCond
+condOf(BinOp op)
+{
+    switch (op) {
+      case BinOp::Eq: return MCond::Eq;
+      case BinOp::Ne: return MCond::Ne;
+      case BinOp::LtU: return MCond::LtU;
+      case BinOp::LtS: return MCond::LtS;
+      case BinOp::LeU: return MCond::LeU;
+      case BinOp::LeS: return MCond::LeS;
+      case BinOp::GtU: return MCond::GtU;
+      case BinOp::GtS: return MCond::GtS;
+      case BinOp::GeU: return MCond::GeU;
+      default: return MCond::GeS;
+    }
+}
 
 namespace {
 
@@ -47,23 +97,6 @@ layoutOf(PtrKind k)
         return {3, 0, 1, 2};
     }
     return {1, 0, -1, -1};
-}
-
-MCond
-condOf(BinOp op)
-{
-    switch (op) {
-      case BinOp::Eq: return MCond::Eq;
-      case BinOp::Ne: return MCond::Ne;
-      case BinOp::LtU: return MCond::LtU;
-      case BinOp::LtS: return MCond::LtS;
-      case BinOp::LeU: return MCond::LeU;
-      case BinOp::LeS: return MCond::LeS;
-      case BinOp::GtU: return MCond::GtU;
-      case BinOp::GtS: return MCond::GtS;
-      case BinOp::GeU: return MCond::GeU;
-      default: return MCond::GeS;
-    }
 }
 
 class Selector {
@@ -146,12 +179,7 @@ class Selector {
     uint8_t
     widthOfType(TypeId t) const
     {
-        const Type &ty = mod_.types().get(t);
-        switch (ty.kind) {
-          case TypeKind::Bool: return 8;
-          case TypeKind::Int: return ty.bits;
-          default: return 16;
-        }
+        return sem::widthOf(mod_.types(), t).bits;
     }
 
     PtrLayout
@@ -383,9 +411,7 @@ class Selector {
           case Opcode::Mov: {
             const Type &ty = tt.get(in.type);
             if (ty.kind == TypeKind::Ptr) {
-                TypeId st = in.args[0].isVReg()
-                                ? func_->vregs[in.args[0].index].type
-                                : in.type;
+                TypeId st = sem::operandType(*func_, in);
                 copyPtr(regsOf(in.dst), layoutOf(ty.ptrKind), in.args[0],
                         st);
             } else {
@@ -396,17 +422,7 @@ class Selector {
             break;
           }
           case Opcode::Bin: {
-            // Operand width, from either vreg operand: for
-            // comparisons in.type is the bool result type, so when
-            // the optimizer substitutes an immediate into args[0]
-            // the real comparison width lives on args[1].
-            uint8_t w = in.args[0].isVReg()
-                            ? widthOfType(func_->vregs[in.args[0].index]
-                                              .type)
-                        : in.args[1].isVReg()
-                            ? widthOfType(func_->vregs[in.args[1].index]
-                                              .type)
-                            : widthOfType(in.type);
+            uint8_t w = widthOfType(sem::operandType(*func_, in));
             uint32_t ra = valueReg(in.args[0], w);
             uint32_t rb = valueReg(in.args[1], w);
             uint32_t rd = regsOf(in.dst);
@@ -426,22 +442,7 @@ class Selector {
             op.ra = ra;
             op.rb = rb;
             op.w = widthOfType(in.type);
-            switch (in.bop) {
-              case BinOp::Add: op.op = MOp::Add; break;
-              case BinOp::Sub: op.op = MOp::Sub; break;
-              case BinOp::Mul: op.op = MOp::Mul; break;
-              case BinOp::DivU: op.op = MOp::DivU; break;
-              case BinOp::DivS: op.op = MOp::DivS; break;
-              case BinOp::RemU: op.op = MOp::RemU; break;
-              case BinOp::RemS: op.op = MOp::RemS; break;
-              case BinOp::And: op.op = MOp::And; break;
-              case BinOp::Or: op.op = MOp::Or; break;
-              case BinOp::Xor: op.op = MOp::Xor; break;
-              case BinOp::Shl: op.op = MOp::Shl; break;
-              case BinOp::ShrU: op.op = MOp::ShrU; break;
-              case BinOp::ShrS: op.op = MOp::ShrS; break;
-              default: op.op = MOp::Nop; break;
-            }
+            op.op = aluOpOf(in.bop);
             emit(op);
             break;
           }
@@ -452,18 +453,14 @@ class Selector {
             op.rd = regsOf(in.dst);
             op.ra = ra;
             op.w = w;
-            op.op = in.uop == UnOp::Neg
-                        ? MOp::Neg
-                        : in.uop == UnOp::Not ? MOp::Not : MOp::BNot;
+            op.op = aluOpOf(in.uop);
             emit(op);
             break;
           }
           case Opcode::Cast: {
             const Type &to = tt.get(in.type);
             if (to.kind == TypeKind::Ptr) {
-                TypeId st = in.args[0].isVReg()
-                                ? func_->vregs[in.args[0].index].type
-                                : in.type;
+                TypeId st = sem::operandType(*func_, in);
                 const Type &sty = tt.get(st);
                 if (sty.kind == TypeKind::Ptr) {
                     copyPtr(regsOf(in.dst), layoutOf(to.ptrKind),
@@ -482,19 +479,16 @@ class Selector {
                 break;
             }
             uint8_t w = widthOfType(in.type);
-            TypeId st = in.args[0].isVReg()
-                            ? func_->vregs[in.args[0].index].type
-                            : in.type;
-            const Type &sty = tt.get(st);
-            uint32_t ra = valueReg(in.args[0], widthOfType(st));
+            sem::Width sw =
+                sem::widthOf(tt, sem::operandType(*func_, in));
+            uint32_t ra = valueReg(in.args[0], sw.bits);
             uint32_t rd = regsOf(in.dst);
-            if (sty.kind == TypeKind::Int && sty.isSigned &&
-                widthOfType(st) < w) {
+            if (sw.isSigned && sw.bits < w) {
                 MInstr sx;
                 sx.op = MOp::Sext;
                 sx.rd = rd;
                 sx.ra = ra;
-                sx.imm = widthOfType(st);
+                sx.imm = sw.bits;
                 sx.w = w;
                 emit(sx);
             } else {

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "support/arith.h"
+#include "ir/semantics.h"
 #include "support/util.h"
 
 namespace stos::ir {
@@ -254,42 +254,6 @@ Interp::storeTyped(uint32_t addr, const RtValue &v, TypeId t)
     }
 }
 
-uint64_t
-Interp::truncToType(uint64_t v, TypeId t) const
-{
-    const Type &ty = mod_.types().get(t);
-    uint32_t bits = 64;
-    if (ty.kind == TypeKind::Int)
-        bits = ty.bits;
-    else if (ty.kind == TypeKind::Bool)
-        bits = 8;
-    else if (ty.kind == TypeKind::Ptr || ty.kind == TypeKind::FnPtr)
-        bits = 16;
-    if (bits >= 64)
-        return v;
-    return v & ((1ull << bits) - 1);
-}
-
-int64_t
-Interp::signedOf(uint64_t v, TypeId t) const
-{
-    const Type &ty = mod_.types().get(t);
-    uint32_t bits = 64;
-    if (ty.kind == TypeKind::Int)
-        bits = ty.bits;
-    else if (ty.kind == TypeKind::Bool)
-        bits = 8;
-    else if (ty.kind == TypeKind::Ptr || ty.kind == TypeKind::FnPtr)
-        bits = 16;
-    if (bits >= 64)
-        return static_cast<int64_t>(v);
-    uint64_t mask = (1ull << bits) - 1;
-    uint64_t vv = v & mask;
-    if (ty.kind == TypeKind::Int && ty.isSigned && (vv >> (bits - 1)))
-        return static_cast<int64_t>(vv | ~mask);
-    return static_cast<int64_t>(vv);
-}
-
 RtValue
 Interp::eval(const Frame &fr, const Operand &op) const
 {
@@ -359,6 +323,7 @@ Interp::callFunction(const Function &f, const std::vector<RtValue> &args,
     for (uint32_t i = 0; i < frameSize; ++i)
         mem_[fr.localsBase + i] = 0;
 
+    const TypeTable &tt = mod_.types();
     RtValue ret;
     bool running = true;
     while (running) {
@@ -375,8 +340,9 @@ Interp::callFunction(const Function &f, const std::vector<RtValue> &args,
 
         switch (in.op) {
           case Opcode::ConstI:
-            fr.regs[in.dst] = RtValue::ofInt(
-                truncToType(static_cast<uint64_t>(in.args[0].imm), in.type));
+            fr.regs[in.dst] = RtValue::ofInt(sem::truncate(
+                static_cast<uint64_t>(in.args[0].imm),
+                sem::widthOf(tt, in.type)));
             break;
           case Opcode::Mov:
             fr.regs[in.dst] = eval(fr, in.args[0]);
@@ -384,54 +350,14 @@ Interp::callFunction(const Function &f, const std::vector<RtValue> &args,
           case Opcode::Bin: {
             RtValue av = eval(fr, in.args[0]);
             RtValue bv = eval(fr, in.args[1]);
-            // Operand width comes from either vreg operand: for
-            // comparisons in.type is the bool result, not the width
-            // the operands compare at, so an immediate substituted
-            // into args[0] must not force the fallback while args[1]
-            // still knows the real type.
-            TypeId at = in.args[0].isVReg()
-                            ? f.vregs[in.args[0].index].type
-                        : in.args[1].isVReg()
-                            ? f.vregs[in.args[1].index].type
-                            : in.type;
-            uint64_t a = av.i, b = bv.i;
-            int64_t sa = signedOf(a, at), sb = signedOf(b, at);
-            uint64_t ua = truncToType(a, at), ub = truncToType(b, at);
-            uint64_t r = 0;
-            switch (in.bop) {
-              case BinOp::Add: r = a + b; break;
-              case BinOp::Sub: r = a - b; break;
-              case BinOp::Mul: r = a * b; break;
-              case BinOp::DivU: r = arith::udiv(ua, ub); break;
-              case BinOp::DivS:
-                r = static_cast<uint64_t>(arith::sdiv(sa, sb));
-                break;
-              case BinOp::RemU: r = arith::urem(ua, ub); break;
-              case BinOp::RemS:
-                r = static_cast<uint64_t>(arith::srem(sa, sb));
-                break;
-              case BinOp::And: r = a & b; break;
-              case BinOp::Or: r = a | b; break;
-              case BinOp::Xor: r = a ^ b; break;
-              case BinOp::Shl: r = a << (b & 63); break;
-              case BinOp::ShrU: r = ua >> (b & 63); break;
-              case BinOp::ShrS: r = static_cast<uint64_t>(sa >> (b & 63)); break;
-              case BinOp::Eq: r = (ua == ub); break;
-              case BinOp::Ne: r = (ua != ub); break;
-              case BinOp::LtU: r = (ua < ub); break;
-              case BinOp::LtS: r = (sa < sb); break;
-              case BinOp::LeU: r = (ua <= ub); break;
-              case BinOp::LeS: r = (sa <= sb); break;
-              case BinOp::GtU: r = (ua > ub); break;
-              case BinOp::GtS: r = (sa > sb); break;
-              case BinOp::GeU: r = (ua >= ub); break;
-              case BinOp::GeS: r = (sa >= sb); break;
-            }
-            RtValue out = RtValue::ofInt(truncToType(r, in.type));
+            RtValue out = RtValue::ofInt(
+                sem::bin(in.bop, av.i, bv.i,
+                         sem::widthOf(tt, sem::operandType(f, in)),
+                         sem::widthOf(tt, in.type)));
             // Pointer-typed arithmetic results keep bounds of a pointer
             // operand (e.g. Seq pointer += n lowered as Bin by an
             // optimizer would still carry bounds).
-            if (mod_.types().isPtr(in.type)) {
+            if (tt.isPtr(in.type)) {
                 out.base = av.base ? av.base : bv.base;
                 out.end = av.end ? av.end : bv.end;
             }
@@ -440,19 +366,13 @@ Interp::callFunction(const Function &f, const std::vector<RtValue> &args,
           }
           case Opcode::Un: {
             RtValue av = eval(fr, in.args[0]);
-            uint64_t r = 0;
-            switch (in.uop) {
-              case UnOp::Neg: r = 0 - av.i; break;
-              case UnOp::Not: r = (truncToType(av.i, in.type) == 0); break;
-              case UnOp::BNot: r = ~av.i; break;
-            }
-            fr.regs[in.dst] = RtValue::ofInt(truncToType(r, in.type));
+            fr.regs[in.dst] = RtValue::ofInt(
+                sem::un(in.uop, av.i, sem::widthOf(tt, in.type)));
             break;
           }
           case Opcode::Cast: {
             RtValue av = eval(fr, in.args[0]);
-            const Type &to = mod_.types().get(in.type);
-            if (to.kind == TypeKind::Ptr) {
+            if (tt.isPtr(in.type)) {
                 // int -> ptr or ptr -> ptr; preserve bounds if we have
                 // them, otherwise the pointer is unchecked-wild.
                 uint32_t base = av.base, end = av.end;
@@ -462,11 +382,9 @@ Interp::callFunction(const Function &f, const std::vector<RtValue> &args,
                     RtValue::ofPtr(static_cast<uint32_t>(av.i) & 0xFFFF,
                                    base, end);
             } else {
-                TypeId st = in.args[0].isVReg()
-                                ? f.vregs[in.args[0].index].type : in.type;
-                int64_t sv = signedOf(av.i, st);
-                fr.regs[in.dst] = RtValue::ofInt(
-                    truncToType(static_cast<uint64_t>(sv), in.type));
+                fr.regs[in.dst] = RtValue::ofInt(sem::cast(
+                    av.i, sem::widthOf(tt, sem::operandType(f, in)),
+                    sem::widthOf(tt, in.type)));
             }
             break;
           }
@@ -483,23 +401,24 @@ Interp::callFunction(const Function &f, const std::vector<RtValue> &args,
           case Opcode::Gep: {
             RtValue av = eval(fr, in.args[0]);
             RtValue out = av;
-            out.i = truncToType(av.i + in.auxB, in.type);
+            out.i =
+                sem::truncate(av.i + in.auxB, sem::widthOf(tt, in.type));
             fr.regs[in.dst] = out;
             break;
           }
           case Opcode::PtrAdd: {
             RtValue av = eval(fr, in.args[0]);
             RtValue bv = eval(fr, in.args[1]);
-            TypeId it = in.args[1].isVReg()
-                            ? f.vregs[in.args[1].index].type
-                            : mod_.types().get(in.type).pointee;
-            int64_t idx = in.args[1].isVReg() ? signedOf(bv.i, it)
-                                              : in.args[1].imm;
+            int64_t idx =
+                in.args[1].isVReg()
+                    ? sem::extend(bv.i, sem::widthOf(
+                                            tt, f.vregs[in.args[1].index].type))
+                    : in.args[1].imm;
             RtValue out = av;
-            out.i = truncToType(
+            out.i = sem::truncate(
                 static_cast<uint64_t>(static_cast<int64_t>(av.i) +
                                       idx * static_cast<int64_t>(in.auxA)),
-                in.type);
+                sem::widthOf(tt, in.type));
             fr.regs[in.dst] = out;
             break;
           }
@@ -621,11 +540,11 @@ Interp::callFunction(const Function &f, const std::vector<RtValue> &args,
             }
             break;
           case Opcode::HwRead:
-            fr.regs[in.dst] = RtValue::ofInt(truncToType(
+            fr.regs[in.dst] = RtValue::ofInt(sem::truncate(
                 bus_->read(in.auxA,
                            static_cast<uint8_t>(
                                mod_.typeSize(in.type) * 8)),
-                in.type));
+                sem::widthOf(tt, in.type)));
             break;
           case Opcode::HwWrite: {
             RtValue v = eval(fr, in.args[0]);

@@ -134,8 +134,6 @@ class Interp {
     RtValue callFunction(const Function &f, const std::vector<RtValue> &args,
                          int depth);
     void maybeDispatchInterrupts(int depth);
-    uint64_t truncToType(uint64_t v, TypeId t) const;
-    int64_t signedOf(uint64_t v, TypeId t) const;
 
     const Module &mod_;
     HwBus *bus_;

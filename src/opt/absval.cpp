@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "support/arith.h"
+#include "ir/semantics.h"
 #include "support/util.h"
 
 namespace stos::opt {
@@ -164,37 +164,6 @@ widenPtr(const AbsVal &a, const AbsVal &b)
     return v;
 }
 
-struct Width {
-    uint32_t bits = 64;
-    bool isSigned = false;
-};
-
-Width
-widthOf(const TypeTable &tt, TypeId t)
-{
-    const Type &ty = tt.get(t);
-    switch (ty.kind) {
-      case TypeKind::Bool:
-        return {1, false};
-      case TypeKind::Int:
-        return {ty.bits, ty.isSigned};
-      case TypeKind::Ptr:
-      case TypeKind::FnPtr:
-        return {16, false};
-      default:
-        return {64, false};
-    }
-}
-
-/** Smallest and largest value of a type narrower than 64 bits. */
-std::pair<int64_t, int64_t>
-rangeOf(Width w)
-{
-    if (w.isSigned)
-        return {-(1ll << (w.bits - 1)), (1ll << (w.bits - 1)) - 1};
-    return {0, static_cast<int64_t>((1ull << w.bits) - 1)};
-}
-
 } // namespace
 
 AbsVal
@@ -233,10 +202,10 @@ widenToType(const AbsVal &a, const AbsVal &b, const TypeTable &tt,
     } else if (a.kind == AbsVal::Ptr) {
         return widenPtr(a, b);
     } else {
-        Width w = widthOf(tt, t);
+        sem::Width w = sem::widthOf(tt, t);
         int64_t tmin = INT64_MIN / 4, tmax = INT64_MAX / 4;
         if (w.bits < 64)
-            std::tie(tmin, tmax) = rangeOf(w);
+            std::tie(tmin, tmax) = sem::rangeOf(w);
         v = a;
         if (b.lo < a.lo)
             v.lo = b.lo >= tmin ? tmin : INT64_MIN / 4;
@@ -260,34 +229,20 @@ clampToType(const AbsVal &v, const TypeTable &tt, TypeId t,
     // into the full-width range is what lets later conditional
     // refinement produce usable intervals (e.g. a u8 from a device
     // register is [0,255], then "if (n > 32) n = 32" caps it).
-    if (v.isTop() && cfg.intervals) {
-        const Type &ty = tt.get(t);
-        if (ty.kind == TypeKind::Int || ty.kind == TypeKind::Bool) {
-            Width tw = widthOf(tt, t);
-            if (tw.bits < 64) {
-                auto [lo, hi] = rangeOf(tw);
-                return AbsVal::range(lo, hi);
-            }
-        }
+    sem::Width w = sem::widthOf(tt, t);
+    if (v.isTop() && cfg.intervals && tt.isScalarInt(t) && w.bits < 64) {
+        auto [lo, hi] = sem::rangeOf(w);
+        return AbsVal::range(lo, hi);
     }
-    if (v.kind != AbsVal::Int)
+    if (v.kind != AbsVal::Int || w.bits >= 64)
         return v;
-    Width w = widthOf(tt, t);
-    if (w.bits >= 64)
-        return v;
-    auto [tmin, tmax] = rangeOf(w);
-    uint64_t mask = (1ull << w.bits) - 1;
+    auto [tmin, tmax] = sem::rangeOf(w);
     AbsVal out = v;
     if (v.lo < tmin || v.hi > tmax) {
-        if (v.lo == v.hi) {
-            // Deterministic wraparound of a constant.
-            uint64_t raw = static_cast<uint64_t>(v.lo) & mask;
-            int64_t c = static_cast<int64_t>(raw);
-            if (w.isSigned && (raw >> (w.bits - 1)))
-                c = static_cast<int64_t>(raw | ~mask);
-            return cfg.intervals || true ? AbsVal::constant(c)
-                                         : AbsVal::constant(c);
-        }
+        // Deterministic wraparound of a constant.
+        if (v.lo == v.hi)
+            return AbsVal::constant(
+                sem::extend(static_cast<uint64_t>(v.lo), w));
         out.lo = tmin;
         out.hi = tmax;
         out.knownMask = 0;
@@ -295,8 +250,8 @@ clampToType(const AbsVal &v, const TypeTable &tt, TypeId t,
         if (!cfg.intervals)
             return AbsVal::top();
     }
-    out.knownMask &= mask;
-    out.knownVal &= mask;
+    out.knownMask &= sem::maskOf(w);
+    out.knownVal &= sem::maskOf(w);
     return out;
 }
 
@@ -323,57 +278,14 @@ evalBin(BinOp op, const AbsVal &a, const AbsVal &b, const TypeTable &tt,
         return AbsVal::top();
     }
 
-    // Constant fast path.
+    // Constant fast path: the concrete result the engines compute.
     if (a.isConst() && b.isConst()) {
-        int64_t x = *a.asConst(), y = *b.asConst();
-        Width w = widthOf(tt, operandType);
-        uint64_t mask =
-            w.bits >= 64 ? ~0ull : ((1ull << w.bits) - 1);
-        uint64_t ux = static_cast<uint64_t>(x) & mask;
-        uint64_t uy = static_cast<uint64_t>(y) & mask;
-        auto sext = [&](uint64_t u) -> int64_t {
-            if (w.bits >= 64)
-                return static_cast<int64_t>(u);
-            if (w.isSigned && (u >> (w.bits - 1)))
-                return static_cast<int64_t>(u | ~mask);
-            return static_cast<int64_t>(u);
-        };
-        int64_t sx = sext(ux), sy = sext(uy);
-        std::optional<int64_t> r;
-        switch (op) {
-          case BinOp::Add: r = arith::wrapAdd(x, y); break;
-          case BinOp::Sub: r = arith::wrapSub(x, y); break;
-          case BinOp::Mul: r = arith::wrapMul(x, y); break;
-          // Division is total (x/0 == 0, INT_MIN/-1 wraps): fold the
-          // defined result the engines would compute at runtime.
-          case BinOp::DivU:
-            r = static_cast<int64_t>(arith::udiv(ux, uy));
-            break;
-          case BinOp::DivS: r = arith::sdiv(sx, sy); break;
-          case BinOp::RemU:
-            r = static_cast<int64_t>(arith::urem(ux, uy));
-            break;
-          case BinOp::RemS: r = arith::srem(sx, sy); break;
-          case BinOp::And: r = static_cast<int64_t>(ux & uy); break;
-          case BinOp::Or: r = static_cast<int64_t>(ux | uy); break;
-          case BinOp::Xor: r = static_cast<int64_t>(ux ^ uy); break;
-          case BinOp::Shl: r = static_cast<int64_t>(ux << (uy & 63)); break;
-          case BinOp::ShrU: r = static_cast<int64_t>(ux >> (uy & 63)); break;
-          case BinOp::ShrS: r = sx >> (uy & 63); break;
-          case BinOp::Eq: r = ux == uy; break;
-          case BinOp::Ne: r = ux != uy; break;
-          case BinOp::LtU: r = ux < uy; break;
-          case BinOp::LtS: r = sx < sy; break;
-          case BinOp::LeU: r = ux <= uy; break;
-          case BinOp::LeS: r = sx <= sy; break;
-          case BinOp::GtU: r = ux > uy; break;
-          case BinOp::GtS: r = sx > sy; break;
-          case BinOp::GeU: r = ux >= uy; break;
-          case BinOp::GeS: r = sx >= sy; break;
-        }
-        if (!r)
-            return AbsVal::top();
-        return clampToType(AbsVal::constant(*r), tt, resultType, cfg);
+        sem::Width rw = sem::widthOf(tt, resultType);
+        return AbsVal::constant(sem::extend(
+            sem::bin(op, static_cast<uint64_t>(a.lo),
+                     static_cast<uint64_t>(b.lo),
+                     sem::widthOf(tt, operandType), rw),
+            rw));
     }
 
     if (!cfg.intervals) {
@@ -526,10 +438,10 @@ evalUn(UnOp op, const AbsVal &a, const TypeTable &tt, TypeId t,
         return AbsVal::bottom();
     if (a.kind != AbsVal::Int)
         return AbsVal::top();
-    if (a.isTop()) {
-        if (op == UnOp::Not)
-            return AbsVal::range(0, 1);
-        return AbsVal::top();
+    if (a.isConst()) {
+        sem::Width w = sem::widthOf(tt, t);
+        return AbsVal::constant(
+            sem::extend(sem::un(op, static_cast<uint64_t>(a.lo), w), w));
     }
     switch (op) {
       case UnOp::Neg: {
@@ -542,13 +454,8 @@ evalUn(UnOp op, const AbsVal &a, const TypeTable &tt, TypeId t,
       case UnOp::Not:
         if (a.lo > 0 || a.hi < 0)
             return AbsVal::constant(0);
-        if (a.isConst())
-            return AbsVal::constant(*a.asConst() == 0);
         return AbsVal::range(0, 1);
       case UnOp::BNot:
-        if (a.isConst())
-            return clampToType(AbsVal::constant(~*a.asConst()), tt, t,
-                               cfg);
         return AbsVal::top();
     }
     return AbsVal::top();

@@ -11,6 +11,7 @@
 #include "analysis/concurrency.h"
 #include "analysis/liveness.h"
 #include "analysis/pointsto.h"
+#include "ir/semantics.h"
 #include "opt/passes.h"
 #include "support/util.h"
 
@@ -83,11 +84,8 @@ initValueOf(const Module &m, const Global &g)
     uint64_t v = 0;
     for (uint32_t i = 0; i < sz && i < 8 && i < g.init.size(); ++i)
         v |= static_cast<uint64_t>(g.init[i]) << (8 * i);
-    const Type &ty = m.types().get(g.type);
-    if (ty.kind == TypeKind::Int && ty.isSigned && sz < 8 &&
-        (v >> (sz * 8 - 1))) {
-        v |= ~((1ull << (sz * 8)) - 1);
-    }
+    if (m.types().isInt(g.type))
+        return sem::extend(v, sem::widthOf(m.types(), g.type));
     return static_cast<int64_t>(v);
 }
 
@@ -351,7 +349,7 @@ class Engine {
     }
 
     AbsVal
-    evalOperand(const Function &f, const State &st, const Operand &op)
+    evalOperand(const State &st, const Operand &op)
     {
         switch (op.kind) {
           case OperandKind::VReg:
@@ -365,7 +363,6 @@ class Engine {
           case OperandKind::None:
             break;
         }
-        (void)f;
         return AbsVal::top();
     }
 
@@ -401,12 +398,12 @@ class Engine {
      * §3.1) — inlining restores the precision by removing the call.
      */
     void
-    recordCall(const Function &f, const State &st, const Instr &in)
+    recordCall(const State &st, const Instr &in)
     {
         const Function &callee = mod_.funcAt(in.callee);
         for (size_t i = 0;
              i < in.args.size() && i < callee.params.size(); ++i) {
-            AbsVal v = evalOperand(f, st, in.args[i]);
+            AbsVal v = evalOperand(st, in.args[i]);
             v = clampToType(v, mod_.types(),
                             callee.vregs[callee.params[i]].type,
                             opts_.domains);
@@ -429,7 +426,7 @@ class Engine {
     transfer(Function &f, State &st, Instr &in, CxpropReport *rep)
     {
         const TypeTable &tt = mod_.types();
-        auto ev = [&](size_t i) { return evalOperand(f, st, in.args[i]); };
+        auto ev = [&](size_t i) { return evalOperand(st, in.args[i]); };
         auto setDst = [&](AbsVal v) {
             if (in.hasDst())
                 st.regs[in.dst] =
@@ -463,17 +460,8 @@ class Engine {
             break;
           }
           case Opcode::Bin: {
-            // Operand width comes from either vreg operand: for
-            // comparisons in.type is the bool result, not the width
-            // the operands compare at, and a previous round may have
-            // folded args[0] to an immediate while args[1] still
-            // carries the real operand type.
-            TypeId opd = in.args[0].isVReg()
-                             ? f.vregs[in.args[0].index].type
-                         : in.args[1].isVReg()
-                             ? f.vregs[in.args[1].index].type
-                             : in.type;
-            AbsVal v = evalBin(in.bop, ev(0), ev(1), tt, opd, in.type,
+            AbsVal v = evalBin(in.bop, ev(0), ev(1), tt,
+                               sem::operandType(f, in), in.type,
                                opts_.domains);
             // Comparison bookkeeping for branch refinement.
             if (binOpIsComparison(in.bop) && in.hasDst()) {
@@ -507,14 +495,10 @@ class Engine {
             if (in.args[0].isVReg() && in.hasDst() &&
                 tt.isScalarInt(in.type) &&
                 tt.isScalarInt(f.vregs[in.args[0].index].type)) {
-                const Type &sTy = tt.get(f.vregs[in.args[0].index].type);
-                uint32_t sBits =
-                    sTy.kind == TypeKind::Bool ? 8 : sTy.bits;
-                uint32_t dBits =
-                    toTy.kind == TypeKind::Bool ? 8 : toTy.bits;
-                bool sSigned =
-                    sTy.kind == TypeKind::Int && sTy.isSigned;
-                if (dBits >= sBits && !sSigned) {
+                sem::Width sw =
+                    sem::widthOf(tt, f.vregs[in.args[0].index].type);
+                if (sem::widthOf(tt, in.type).bits >= sw.bits &&
+                    !sw.isSigned) {
                     facts_[in.dst].castEpoch = epoch_;
                     facts_[in.dst].castSrc = in.args[0].index;
                 }
@@ -638,7 +622,7 @@ class Engine {
             break;
           }
           case Opcode::Call: {
-            recordCall(f, st, in);
+            recordCall(st, in);
             st.mem.clear();  // callee may write anything it reaches
             if (in.hasDst())
                 setDst(readSlot(retSlot(in.callee)));
@@ -650,7 +634,7 @@ class Engine {
             break;
           case Opcode::Ret:
             if (!in.args.empty()) {
-                AbsVal v = evalOperand(f, st, in.args[0]);
+                AbsVal v = evalOperand(st, in.args[0]);
                 joinInto(retSlot(f.id), v);
             }
             break;
@@ -985,7 +969,7 @@ class Engine {
                 // Evaluate the branch condition before the transfer in
                 // case folding rewrites operands.
                 if (in.op == Opcode::CondBr && in.args[0].isVReg()) {
-                    AbsVal c = evalOperand(f, st, in.args[0]);
+                    AbsVal c = evalOperand(st, in.args[0]);
                     if (auto cv = c.asConst()) {
                         in.op = Opcode::Br;
                         in.b0 = *cv ? in.b0 : in.b1;

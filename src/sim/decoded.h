@@ -40,14 +40,111 @@
 #include <vector>
 
 #include "backend/minstr.h"
+#include "support/arith.h"
 
 namespace stos::sim {
 
-/** maskFor(w) without the Machine: low-w-bits mask (w >= 64 = all). */
+/** Low-w-bits mask (w >= 64 = all). */
 inline uint64_t
 widthMask(uint8_t w)
 {
     return w >= 64 ? ~0ull : ((1ull << w) - 1);
+}
+
+/** `v` cut to `bits` and sign-extended to 64 bits. */
+inline int64_t
+signExtend(uint64_t v, uint8_t bits)
+{
+    const uint64_t mask = widthMask(bits);
+    v &= mask;
+    if (bits - 1u < 63u && (v >> (bits - 1)))
+        v |= ~mask;
+    return static_cast<int64_t>(v);
+}
+
+/**
+ * The machine's ALU: the result of one arithmetic MOp at width `w`,
+ * truncated to `w`. `y` is the second register for Add..ShrS, the
+ * immediate for AddI/AndI and the source width for Sext; Neg, Not and
+ * BNot ignore it. Division is total (support/arith.h). Both cores
+ * execute every ALU op here; the threaded core's handlers pass their
+ * op as a constant, so forced inlining leaves each handler with just
+ * its own arithmetic.
+ */
+[[gnu::always_inline]] inline uint64_t
+aluEval(backend::MOp op, uint64_t x, uint64_t y, uint8_t w)
+{
+    using backend::MOp;
+    const uint64_t mask = widthMask(w);
+    switch (op) {
+      case MOp::Add:
+      case MOp::AddI:
+        return (x + y) & mask;
+      case MOp::Sub:
+        return (x - y) & mask;
+      case MOp::Mul:
+        return (x * y) & mask;
+      case MOp::DivU:
+        return arith::udiv(x & mask, y & mask) & mask;
+      case MOp::DivS:
+        return static_cast<uint64_t>(
+                   arith::sdiv(signExtend(x, w), signExtend(y, w))) &
+               mask;
+      case MOp::RemU:
+        return arith::urem(x & mask, y & mask) & mask;
+      case MOp::RemS:
+        return static_cast<uint64_t>(
+                   arith::srem(signExtend(x, w), signExtend(y, w))) &
+               mask;
+      case MOp::And:
+      case MOp::AndI:
+        return (x & y) & mask;
+      case MOp::Or:
+        return (x | y) & mask;
+      case MOp::Xor:
+        return (x ^ y) & mask;
+      case MOp::Shl:
+        return (x << (y & 63)) & mask;
+      case MOp::ShrU:
+        return ((x & mask) >> (y & 63)) & mask;
+      case MOp::ShrS:
+        return static_cast<uint64_t>(signExtend(x, w) >> (y & 63)) & mask;
+      case MOp::Neg:
+        return (0 - x) & mask;
+      case MOp::Not:
+        return (x & mask) == 0 ? 1 : 0;
+      case MOp::BNot:
+        return ~x & mask;
+      case MOp::Sext:
+        return static_cast<uint64_t>(
+                   signExtend(x, static_cast<uint8_t>(y))) &
+               mask;
+      default:
+        return 0;  // not an ALU op
+    }
+}
+
+/** `a <c> b` with both operands read at width `w` (SetC, CmpBr). */
+[[gnu::always_inline]] inline bool
+evalCond(backend::MCond c, uint64_t a, uint64_t b, uint8_t w)
+{
+    using backend::MCond;
+    const uint64_t mask = widthMask(w);
+    const uint64_t ua = a & mask, ub = b & mask;
+    const int64_t sa = signExtend(a, w), sb = signExtend(b, w);
+    switch (c) {
+      case MCond::Eq: return ua == ub;
+      case MCond::Ne: return ua != ub;
+      case MCond::LtU: return ua < ub;
+      case MCond::LtS: return sa < sb;
+      case MCond::LeU: return ua <= ub;
+      case MCond::LeS: return sa <= sb;
+      case MCond::GtU: return ua > ub;
+      case MCond::GtS: return sa > sb;
+      case MCond::GeU: return ua >= ub;
+      case MCond::GeS: return sa >= sb;
+    }
+    return false;
 }
 
 /** One flattened instruction with its static facts precomputed. */

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "support/arith.h"
 #include "support/util.h"
 
 namespace stos::sim {
@@ -291,12 +290,6 @@ Machine::popFrame()
 }
 
 uint64_t
-Machine::maskFor(uint8_t w) const
-{
-    return widthMask(w);
-}
-
-uint64_t
 Machine::loadMem(uint32_t addr, uint8_t w) const
 {
     uint64_t v = 0;
@@ -312,34 +305,6 @@ Machine::storeMem(uint32_t addr, uint64_t v, uint8_t w)
     uint32_t n = w / 8;
     for (uint32_t i = 0; i < n; ++i)
         mem_[(addr + i) & 0xFFFF] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-bool
-Machine::evalCond(MCond c, uint64_t a, uint64_t b, uint8_t w) const
-{
-    uint64_t mask = maskFor(w);
-    uint64_t ua = a & mask, ub = b & mask;
-    auto sext = [&](uint64_t u) -> int64_t {
-        if (w >= 64)
-            return static_cast<int64_t>(u);
-        if (u >> (w - 1))
-            return static_cast<int64_t>(u | ~mask);
-        return static_cast<int64_t>(u);
-    };
-    int64_t sa = sext(ua), sb = sext(ub);
-    switch (c) {
-      case MCond::Eq: return ua == ub;
-      case MCond::Ne: return ua != ub;
-      case MCond::LtU: return ua < ub;
-      case MCond::LtS: return sa < sb;
-      case MCond::LeU: return ua <= ub;
-      case MCond::LeS: return sa <= sb;
-      case MCond::GtU: return ua > ub;
-      case MCond::GtS: return sa > sb;
-      case MCond::GeU: return ua >= ub;
-      case MCond::GeS: return sa >= sb;
-    }
-    return false;
 }
 
 void
@@ -495,7 +460,7 @@ Machine::step()
     ++fr.ip;
     ++instrs_;
     cycles_ += prog_.instrCycles(in);
-    uint64_t mask = maskFor(in.w);
+    uint64_t mask = widthMask(in.w);
     auto reg = [&](uint32_t r) -> uint64_t {
         return r < fr.regs.size() ? fr.regs[r] : 0;
     };
@@ -512,94 +477,17 @@ Machine::step()
       case MOp::Mov:
         setReg(in.rd, reg(in.ra));
         break;
-      case MOp::Add:
-        setReg(in.rd, reg(in.ra) + reg(in.rb));
+      case MOp::Add: case MOp::Sub: case MOp::Mul:
+      case MOp::DivU: case MOp::DivS: case MOp::RemU: case MOp::RemS:
+      case MOp::And: case MOp::Or: case MOp::Xor:
+      case MOp::Shl: case MOp::ShrU: case MOp::ShrS:
+      case MOp::Neg: case MOp::Not: case MOp::BNot:
+        setReg(in.rd, aluEval(in.op, reg(in.ra), reg(in.rb), in.w));
         break;
-      case MOp::Sub:
-        setReg(in.rd, reg(in.ra) - reg(in.rb));
+      case MOp::AddI: case MOp::AndI: case MOp::Sext:
+        setReg(in.rd, aluEval(in.op, reg(in.ra),
+                              static_cast<uint64_t>(in.imm), in.w));
         break;
-      case MOp::Mul:
-        setReg(in.rd, reg(in.ra) * reg(in.rb));
-        break;
-      case MOp::DivU:
-        setReg(in.rd,
-               arith::udiv(reg(in.ra) & mask, reg(in.rb) & mask));
-        break;
-      case MOp::DivS: {
-        int64_t a = static_cast<int64_t>(reg(in.ra) & mask);
-        int64_t b = static_cast<int64_t>(reg(in.rb) & mask);
-        if (in.w < 64) {
-            if (static_cast<uint64_t>(a) >> (in.w - 1))
-                a |= ~static_cast<int64_t>(mask);
-            if (static_cast<uint64_t>(b) >> (in.w - 1))
-                b |= ~static_cast<int64_t>(mask);
-        }
-        setReg(in.rd, static_cast<uint64_t>(arith::sdiv(a, b)));
-        break;
-      }
-      case MOp::RemU:
-        setReg(in.rd,
-               arith::urem(reg(in.ra) & mask, reg(in.rb) & mask));
-        break;
-      case MOp::RemS: {
-        int64_t a = static_cast<int64_t>(reg(in.ra) & mask);
-        int64_t b = static_cast<int64_t>(reg(in.rb) & mask);
-        if (in.w < 64) {
-            if (static_cast<uint64_t>(a) >> (in.w - 1))
-                a |= ~static_cast<int64_t>(mask);
-            if (static_cast<uint64_t>(b) >> (in.w - 1))
-                b |= ~static_cast<int64_t>(mask);
-        }
-        setReg(in.rd, static_cast<uint64_t>(arith::srem(a, b)));
-        break;
-      }
-      case MOp::And:
-        setReg(in.rd, reg(in.ra) & reg(in.rb));
-        break;
-      case MOp::Or:
-        setReg(in.rd, reg(in.ra) | reg(in.rb));
-        break;
-      case MOp::Xor:
-        setReg(in.rd, reg(in.ra) ^ reg(in.rb));
-        break;
-      case MOp::Shl:
-        setReg(in.rd, reg(in.ra) << (reg(in.rb) & 63));
-        break;
-      case MOp::ShrU:
-        setReg(in.rd, (reg(in.ra) & mask) >> (reg(in.rb) & 63));
-        break;
-      case MOp::ShrS: {
-        int64_t a = static_cast<int64_t>(reg(in.ra) & mask);
-        if (in.w < 64 && (static_cast<uint64_t>(a) >> (in.w - 1)))
-            a |= ~static_cast<int64_t>(mask);
-        setReg(in.rd, static_cast<uint64_t>(a >> (reg(in.rb) & 63)));
-        break;
-      }
-      case MOp::AddI:
-        setReg(in.rd, reg(in.ra) + static_cast<uint64_t>(in.imm));
-        break;
-      case MOp::AndI:
-        setReg(in.rd, reg(in.ra) & static_cast<uint64_t>(in.imm));
-        break;
-      case MOp::Neg:
-        setReg(in.rd, 0 - reg(in.ra));
-        break;
-      case MOp::Not:
-        setReg(in.rd, (reg(in.ra) & mask) == 0 ? 1 : 0);
-        break;
-      case MOp::BNot:
-        setReg(in.rd, ~reg(in.ra));
-        break;
-      case MOp::Sext: {
-        uint64_t v = reg(in.ra);
-        uint8_t from = static_cast<uint8_t>(in.imm);
-        uint64_t fmask = maskFor(from);
-        v &= fmask;
-        if (from < 64 && (v >> (from - 1)))
-            v |= ~fmask;
-        setReg(in.rd, v);
-        break;
-      }
       case MOp::SetC:
         setReg(in.rd,
                evalCond(in.cond, reg(in.ra), reg(in.rb), in.w) ? 1 : 0);

@@ -164,11 +164,8 @@ class Machine {
     /** Apply every scheduled fault due at the current cycle. */
     void applyFaultsDue();
     void applyFault(const FaultEvent &e);
-    uint64_t maskFor(uint8_t w) const;
     uint64_t loadMem(uint32_t addr, uint8_t w) const;
     void storeMem(uint32_t addr, uint64_t v, uint8_t w);
-    bool evalCond(backend::MCond c, uint64_t a, uint64_t b,
-                  uint8_t w) const;
 
     bool irqPending() const { return irqHead_ != pendingIrqs_.size(); }
     void drainDeviceEvents();

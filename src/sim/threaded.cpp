@@ -51,53 +51,9 @@
 
 #include <algorithm>
 
-#include "support/arith.h"
-
 namespace stos::sim {
 
 using namespace stos::backend;
-
-namespace {
-
-/**
- * One fused ALU sub-instruction (FLdiAlu / FAluMov). Bodies replicate
- * the unfused handlers exactly; the fusion pass admits only the
- * opcodes below (div/rem stay unfused for their total-arithmetic
- * special cases).
- */
-inline uint64_t
-aluEval(MOp op, uint64_t x, uint64_t y, uint8_t w)
-{
-    const uint64_t mask = widthMask(w);
-    switch (op) {
-      case MOp::Add:
-        return (x + y) & mask;
-      case MOp::Sub:
-        return (x - y) & mask;
-      case MOp::Mul:
-        return (x * y) & mask;
-      case MOp::And:
-        return (x & y) & mask;
-      case MOp::Or:
-        return (x | y) & mask;
-      case MOp::Xor:
-        return (x ^ y) & mask;
-      case MOp::Shl:
-        return (x << (y & 63)) & mask;
-      case MOp::ShrU:
-        return ((x & mask) >> (y & 63)) & mask;
-      case MOp::ShrS: {
-        int64_t a = static_cast<int64_t>(x & mask);
-        if (w < 64 && (static_cast<uint64_t>(a) >> (w - 1)))
-            a |= ~static_cast<int64_t>(mask);
-        return static_cast<uint64_t>(a >> (y & 63)) & mask;
-      }
-      default:
-        return 0;  // unreachable: fusion admits only the above
-    }
-}
-
-} // namespace
 
 void
 Machine::drainDeviceEvents()
@@ -262,6 +218,16 @@ Machine::runThreaded(uint64_t target)
         in = &code[ip];                                                \
         goto *table[static_cast<size_t>(in->op)];                      \
     } while (0)
+// One ALU instruction. The op is a constant at each use, so aluEval
+// inlines to just that op's arithmetic.
+#define ALU(name, y)                                                   \
+    OP(name)                                                           \
+    {                                                                  \
+        ACCT1();                                                       \
+        regs[in->rd] = aluEval(MOp::name, regs[in->ra], (y), in->w);   \
+        EXIT_CHEAP();                                                  \
+        NEXT();                                                        \
+    }
         static const void *const table[kNumMOps] = {
             &&L_Ldi,     &&L_Mov,     &&L_Add,     &&L_Sub,
             &&L_Mul,     &&L_DivU,    &&L_DivS,    &&L_RemU,
@@ -299,192 +265,25 @@ Machine::runThreaded(uint64_t target)
             EXIT_CHEAP();
             NEXT();
         }
-        OP(Add)
-        {
-            ACCT1();
-            regs[in->rd] =
-                (regs[in->ra] + regs[in->rb]) & widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(Sub)
-        {
-            ACCT1();
-            regs[in->rd] =
-                (regs[in->ra] - regs[in->rb]) & widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(Mul)
-        {
-            ACCT1();
-            regs[in->rd] =
-                (regs[in->ra] * regs[in->rb]) & widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(DivU)
-        {
-            ACCT1();
-            const uint64_t mask = widthMask(in->w);
-            regs[in->rd] = arith::udiv(regs[in->ra] & mask,
-                                       regs[in->rb] & mask) &
-                           mask;
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(DivS)
-        {
-            ACCT1();
-            const uint64_t mask = widthMask(in->w);
-            int64_t a = static_cast<int64_t>(regs[in->ra] & mask);
-            int64_t b = static_cast<int64_t>(regs[in->rb] & mask);
-            if (in->w < 64) {
-                if (static_cast<uint64_t>(a) >> (in->w - 1))
-                    a |= ~static_cast<int64_t>(mask);
-                if (static_cast<uint64_t>(b) >> (in->w - 1))
-                    b |= ~static_cast<int64_t>(mask);
-            }
-            regs[in->rd] =
-                static_cast<uint64_t>(arith::sdiv(a, b)) & mask;
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(RemU)
-        {
-            ACCT1();
-            const uint64_t mask = widthMask(in->w);
-            regs[in->rd] = arith::urem(regs[in->ra] & mask,
-                                       regs[in->rb] & mask) &
-                           mask;
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(RemS)
-        {
-            ACCT1();
-            const uint64_t mask = widthMask(in->w);
-            int64_t a = static_cast<int64_t>(regs[in->ra] & mask);
-            int64_t b = static_cast<int64_t>(regs[in->rb] & mask);
-            if (in->w < 64) {
-                if (static_cast<uint64_t>(a) >> (in->w - 1))
-                    a |= ~static_cast<int64_t>(mask);
-                if (static_cast<uint64_t>(b) >> (in->w - 1))
-                    b |= ~static_cast<int64_t>(mask);
-            }
-            regs[in->rd] =
-                static_cast<uint64_t>(arith::srem(a, b)) & mask;
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(And)
-        {
-            ACCT1();
-            regs[in->rd] =
-                (regs[in->ra] & regs[in->rb]) & widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(Or)
-        {
-            ACCT1();
-            regs[in->rd] =
-                (regs[in->ra] | regs[in->rb]) & widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(Xor)
-        {
-            ACCT1();
-            regs[in->rd] =
-                (regs[in->ra] ^ regs[in->rb]) & widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(Shl)
-        {
-            ACCT1();
-            regs[in->rd] = (regs[in->ra] << (regs[in->rb] & 63)) &
-                           widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(ShrU)
-        {
-            ACCT1();
-            const uint64_t mask = widthMask(in->w);
-            regs[in->rd] =
-                ((regs[in->ra] & mask) >> (regs[in->rb] & 63)) & mask;
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(ShrS)
-        {
-            ACCT1();
-            const uint64_t mask = widthMask(in->w);
-            int64_t a = static_cast<int64_t>(regs[in->ra] & mask);
-            if (in->w < 64 &&
-                (static_cast<uint64_t>(a) >> (in->w - 1)))
-                a |= ~static_cast<int64_t>(mask);
-            regs[in->rd] =
-                static_cast<uint64_t>(a >> (regs[in->rb] & 63)) & mask;
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(AddI)
-        {
-            ACCT1();
-            regs[in->rd] =
-                (regs[in->ra] +
-                 static_cast<uint64_t>(frp->df->imm(*in))) &
-                widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(AndI)
-        {
-            ACCT1();
-            regs[in->rd] =
-                (regs[in->ra] &
-                 static_cast<uint64_t>(frp->df->imm(*in))) &
-                widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(Neg)
-        {
-            ACCT1();
-            regs[in->rd] = (0 - regs[in->ra]) & widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(Not)
-        {
-            ACCT1();
-            regs[in->rd] =
-                (regs[in->ra] & widthMask(in->w)) == 0 ? 1 : 0;
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(BNot)
-        {
-            ACCT1();
-            regs[in->rd] = ~regs[in->ra] & widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
-        OP(Sext)
-        {
-            ACCT1();
-            uint8_t from = static_cast<uint8_t>(in->imm);
-            uint64_t fmask = widthMask(from);
-            uint64_t v = regs[in->ra] & fmask;
-            if (from < 64 && (v >> (from - 1)))
-                v |= ~fmask;
-            regs[in->rd] = v & widthMask(in->w);
-            EXIT_CHEAP();
-            NEXT();
-        }
+        ALU(Add, regs[in->rb])
+        ALU(Sub, regs[in->rb])
+        ALU(Mul, regs[in->rb])
+        ALU(DivU, regs[in->rb])
+        ALU(DivS, regs[in->rb])
+        ALU(RemU, regs[in->rb])
+        ALU(RemS, regs[in->rb])
+        ALU(And, regs[in->rb])
+        ALU(Or, regs[in->rb])
+        ALU(Xor, regs[in->rb])
+        ALU(Shl, regs[in->rb])
+        ALU(ShrU, regs[in->rb])
+        ALU(ShrS, regs[in->rb])
+        ALU(AddI, static_cast<uint64_t>(frp->df->imm(*in)))
+        ALU(AndI, static_cast<uint64_t>(frp->df->imm(*in)))
+        ALU(Neg, 0)
+        ALU(Not, 0)
+        ALU(BNot, 0)
+        ALU(Sext, static_cast<uint64_t>(in->imm))
         OP(SetC)
         {
             ACCT1();
@@ -979,6 +778,7 @@ Machine::runThreaded(uint64_t target)
     out_dead:;
 #undef OP
 #undef NEXT
+#undef ALU
 #undef ACCT1
 #undef ACCT2
 #undef SYNC

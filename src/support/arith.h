@@ -1,8 +1,9 @@
 /**
  * @file
- * Defined-semantics integer arithmetic shared by every execution
- * engine (IR interpreter, legacy and threaded simulator cores) and
- * by the optimizer's constant folder. TinyCIL division is total:
+ * Defined-semantics integer arithmetic under the two integer
+ * semantics modules: `ir/semantics.h` (the IR interpreter and both
+ * IR folders) and `sim::aluEval` in `sim/decoded.h` (both simulator
+ * cores). TinyCIL division is total:
  *
  *   x / 0  == 0          x % 0  == 0
  *   INT_MIN / -1 == INT_MIN (two's-complement wrap)
@@ -10,8 +11,11 @@
  *
  * This matches what the simulator cores have always produced for the
  * zero-divisor case and removes the host-UB `INT64_MIN / -1` overflow
- * from all of them. Any engine or fold that divides MUST go through
- * these helpers so the engines cannot drift apart again.
+ * from all of them. Apart from the frontend's source-level constant
+ * evaluator (initializers and sizes, in untyped 64-bit), those two
+ * modules are the only users: any other engine or fold of IR or
+ * machine code MUST compute through them, not through a copy of
+ * their rules, so the engines cannot drift apart again.
  */
 #ifndef STOS_SUPPORT_ARITH_H
 #define STOS_SUPPORT_ARITH_H

@@ -1,14 +1,21 @@
 /**
  * @file
  * Unit tests for the TinyCIL data structures: type interning, layout
- * (including fat-pointer sizes), builder, printer, and verifier.
+ * (including fat-pointer sizes), builder, printer, and verifier; and
+ * the integer semantics table (ir/semantics.h) checked against the
+ * simulator's ALU for every op instruction selection lowers.
  */
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "backend/backend.h"
 #include "ir/builder.h"
 #include "ir/module.h"
 #include "ir/printer.h"
+#include "ir/semantics.h"
 #include "ir/verifier.h"
+#include "sim/decoded.h"
 
 namespace stos::ir {
 namespace {
@@ -205,6 +212,113 @@ TEST(Module, DeadEntitiesAreHidden)
     EXPECT_NE(m.findGlobal("x"), nullptr);
     m.globalAt(id).dead = true;
     EXPECT_EQ(m.findGlobal("x"), nullptr);
+}
+
+TEST(Semantics, WidthRule)
+{
+    TypeTable tt;
+    auto bits = [&](TypeId t) { return sem::widthOf(tt, t).bits; };
+    EXPECT_EQ(bits(tt.boolTy()), 8);
+    EXPECT_FALSE(sem::widthOf(tt, tt.boolTy()).isSigned);
+    EXPECT_EQ(bits(tt.u8()), 8);
+    EXPECT_EQ(bits(tt.i32()), 32);
+    EXPECT_TRUE(sem::widthOf(tt, tt.i16()).isSigned);
+    EXPECT_EQ(bits(tt.ptrTy(tt.u8(), PtrKind::Seq)), 16);
+    EXPECT_EQ(bits(tt.fnPtrTy()), 16);
+    EXPECT_EQ(bits(tt.arrayTy(tt.u8(), 4)), 64);
+    EXPECT_EQ(sem::extend(0xFF, sem::widthOf(tt, tt.i8())), -1);
+    EXPECT_EQ(sem::extend(0xFF, sem::widthOf(tt, tt.u8())), 255);
+    EXPECT_EQ(sem::extend(0x1FF, sem::widthOf(tt, tt.boolTy())), 255);
+}
+
+/**
+ * Cross-level agreement: what the IR folds and interprets for an op
+ * must be what the machine op isel lowers it to computes, at every
+ * scalar type. The machine computes at the type's storage width;
+ * its registers hold values cut to that width (isel loads an
+ * immediate with a width-masked Ldi), while IR operands may carry
+ * stale high bits, as an immediate operand does.
+ */
+TEST(Semantics, IrFoldMatchesMachineAlu)
+{
+    Module m;
+    TypeTable &tt = m.types();
+    auto machineBits = [&](TypeId t) {
+        return static_cast<uint8_t>(8 * m.typeSize(t));
+    };
+    const std::vector<TypeId> types = {tt.u8(),  tt.i8(),  tt.u16(), tt.i16(),
+                                       tt.u32(), tt.i32(), tt.boolTy()};
+    const BinOp kBinOps[] = {
+        BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::DivU, BinOp::DivS,
+        BinOp::RemU, BinOp::RemS, BinOp::And, BinOp::Or, BinOp::Xor,
+        BinOp::Shl, BinOp::ShrU, BinOp::ShrS, BinOp::Eq, BinOp::Ne,
+        BinOp::LtU, BinOp::LtS, BinOp::LeU, BinOp::LeS, BinOp::GtU,
+        BinOp::GtS, BinOp::GeU, BinOp::GeS};
+    const UnOp kUnOps[] = {UnOp::Neg, UnOp::Not, UnOp::BNot};
+    const sem::Width boolW = sem::widthOf(tt, tt.boolTy());
+
+    std::mt19937_64 rng(20240601);
+    size_t checked = 0;
+    for (TypeId t : types) {
+        const sem::Width w = sem::widthOf(tt, t);
+        const uint8_t bits = machineBits(t);
+        const uint64_t mask = sim::widthMask(bits);
+        const uint64_t sign = 1ull << (bits - 1);
+        // 0, 1, all-ones, sign bit, INT_MAX, a stale-high-bits
+        // immediate and small shift counts; (sign, all-ones) is
+        // INT_MIN / -1 and (x, 0) a zero divisor.
+        std::vector<uint64_t> vals = {0,    1,        2,     mask,
+                                      sign, sign - 1, ~0ull, mask + 1,
+                                      7,    63};
+        std::vector<std::pair<uint64_t, uint64_t>> pairs;
+        for (uint64_t a : vals)
+            for (uint64_t b : vals)
+                pairs.push_back({a, b});
+        for (int i = 0; i < 3000; ++i)
+            pairs.push_back({rng(), rng() >> (rng() & 63)});
+
+        for (auto [a, b] : pairs) {
+            const uint64_t ma = a & mask, mb = b & mask;
+            for (BinOp op : kBinOps) {
+                uint64_t ir, mach;
+                if (binOpIsComparison(op)) {
+                    ir = sem::bin(op, a, b, w, boolW);
+                    mach = sim::evalCond(backend::condOf(op), ma, mb,
+                                         bits);
+                } else {
+                    ir = sem::bin(op, a, b, w, w);
+                    mach = sim::aluEval(backend::aluOpOf(op), ma, mb,
+                                        bits);
+                }
+                ASSERT_EQ(ir, mach)
+                    << binOpName(op) << " at " << int(bits)
+                    << (w.isSigned ? "s" : "u") << " a=" << a
+                    << " b=" << b;
+                ++checked;
+            }
+            for (UnOp op : kUnOps) {
+                ASSERT_EQ(sem::un(op, a, w),
+                          sim::aluEval(backend::aluOpOf(op), ma, 0, bits))
+                    << unOpName(op) << " at " << int(bits) << " a=" << a;
+                ++checked;
+            }
+            // Casts: isel sign-extends a narrower signed source (Sext)
+            // and otherwise moves the value at the target width (Mov).
+            for (TypeId to : types) {
+                const uint8_t toBits = machineBits(to);
+                uint64_t mach =
+                    w.isSigned && bits < toBits
+                        ? sim::aluEval(backend::MOp::Sext, ma, bits,
+                                       toBits)
+                        : ma & sim::widthMask(toBits);
+                ASSERT_EQ(sem::cast(a, w, sem::widthOf(tt, to)), mach)
+                    << "cast " << int(bits) << " -> " << int(toBits)
+                    << " a=" << a;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 500000u);
 }
 
 } // namespace
