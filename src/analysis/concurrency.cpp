@@ -11,9 +11,8 @@ namespace stos::analysis {
 using namespace stos::ir;
 
 ConcurrencyAnalysis::ConcurrencyAnalysis(const Module &m, const CallGraph &cg,
-                                         const PointsTo &pts,
-                                         ConcurrencyOptions opts)
-    : mod_(m), cg_(cg), pts_(pts), opts_(opts)
+                                         const PointsTo &pts)
+    : mod_(m), cg_(cg), pts_(pts)
 {
     funcCtx_.assign(m.funcs().size(), {});
     atomicNeedsSave_.assign(m.funcs().size(), true);
@@ -139,13 +138,8 @@ ConcurrencyAnalysis::collectAccesses()
                     continue;
                 if (!in.args[0].isVReg())
                     continue;
-                PtsSet targets;
-                if (opts_.followPointers) {
-                    targets = pts_.accessTargets(f.id, in.args[0].index);
-                } else if (auto exact =
-                               pts_.resolveExact(f.id, in.args[0].index)) {
-                    targets.insert(*exact);
-                }
+                PtsSet targets =
+                    pts_.accessTargets(f.id, in.args[0].index);
                 ++accessesClassified_;
                 for (const MemObj &obj : targets) {
                     if (obj.kind == MemObj::Universal) {
@@ -177,12 +171,8 @@ ConcurrencyAnalysis::collectAccesses()
         // (read-only shared data cannot race).
         if (!oi.ctx.multi() || !oi.anyNonAtomic || !oi.written)
             continue;
-        if (obj.kind == MemObj::GlobalObj) {
-            const Global &g = mod_.globalAt(obj.index);
-            if (g.attrs.norace && !opts_.suppressNorace)
-                continue;
+        if (obj.kind == MemObj::GlobalObj)
             racyGlobals_.insert(obj.index);
-        }
         racyObjects_.insert(obj);
     }
 }

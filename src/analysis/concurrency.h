@@ -48,30 +48,15 @@ struct ContextSet {
     }
 };
 
-struct ConcurrencyOptions {
-    /**
-     * Paper §2.2: CCured must ignore the programmer's `norace`
-     * annotations because they are unsound for safety. When false
-     * (nesC behaviour), norace variables are never reported racy.
-     */
-    bool suppressNorace = true;
-    /**
-     * Follow pointers via points-to when classifying accesses (our
-     * detector). When false, only direct global accesses count — the
-     * nesC approximation the paper improves on.
-     */
-    bool followPointers = true;
-};
-
 /**
  * Result of the race analysis: per-function contexts, per-object race
- * verdicts, and atomicity information for the optimizer.
+ * verdicts, and atomicity information for the optimizer. `norace`
+ * annotations are ignored: they are unsound for safety (§2.2).
  */
 class ConcurrencyAnalysis {
   public:
     ConcurrencyAnalysis(const ir::Module &m, const CallGraph &cg,
-                        const PointsTo &pts,
-                        ConcurrencyOptions opts = {});
+                        const PointsTo &pts);
 
     const ContextSet &contextsOf(uint32_t fn) const
     {
@@ -116,7 +101,6 @@ class ConcurrencyAnalysis {
     const ir::Module &mod_;
     const CallGraph &cg_;
     const PointsTo &pts_;
-    ConcurrencyOptions opts_;
     std::vector<ContextSet> funcCtx_;
     std::vector<bool> atomicNeedsSave_;
     std::vector<bool> calledInAtomic_;

@@ -4,8 +4,6 @@
  */
 #include "analysis/pointsto.h"
 
-#include "support/util.h"
-
 namespace stos::analysis {
 
 using namespace stos::ir;
@@ -83,9 +81,11 @@ PointsTo::build()
 
     pts_.assign(numKeys_, {});
     succ_.assign(numKeys_, {});
+    defs_.assign(funcs.size(), {});
 
-    struct DerefCons { uint32_t ptrKey; uint32_t valKey; bool isLoad; };
-    std::vector<DerefCons> derefs;
+    // Load/Store constraints, by the key of the pointer they go through.
+    struct DerefCons { uint32_t valKey; bool isLoad; };
+    std::vector<std::vector<DerefCons>> derefsOf(numKeys_);
 
     const TypeTable &tt = mod_.types();
     uint32_t universalKey = memKey(MemObj::universal());
@@ -94,6 +94,7 @@ PointsTo::build()
     for (const auto &f : funcs) {
         if (f.dead)
             continue;
+        defs_[f.id] = Defs(f);
         auto vkey = [&](uint32_t v) { return vregKey(f.id, v); };
         for (const auto &bb : f.blocks) {
             for (const auto &in : bb.instrs) {
@@ -131,16 +132,16 @@ PointsTo::build()
                     break;
                   case Opcode::Load:
                     if (tt.isPtr(in.type) && in.args[0].isVReg()) {
-                        derefs.push_back(
-                            {vkey(in.args[0].index), vkey(in.dst), true});
+                        derefsOf[vkey(in.args[0].index)].push_back(
+                            {vkey(in.dst), true});
                     }
                     break;
                   case Opcode::Store: {
                     if (!tt.isPtr(in.type))
                         break;
                     if (in.args[0].isVReg() && in.args[1].isVReg()) {
-                        derefs.push_back({vkey(in.args[0].index),
-                                          vkey(in.args[1].index), false});
+                        derefsOf[vkey(in.args[0].index)].push_back(
+                            {vkey(in.args[1].index), false});
                     }
                     break;
                   }
@@ -191,40 +192,54 @@ PointsTo::build()
         }
     }
 
-    // Fixpoint: propagate along inclusion edges and expand deref
-    // constraints into edges as pointer sets grow.
+    // Worklist over inclusion edges: a key is queued whenever its set
+    // grows, and processing it expands the deref constraints on it
+    // into edges before pushing its set along its out-edges. Andersen's
+    // least solution does not depend on the visit order.
     std::set<std::pair<uint32_t, uint32_t>> edgeSeen;
     for (uint32_t k = 0; k < numKeys_; ++k) {
         for (uint32_t s : succ_[k])
             edgeSeen.insert({k, s});
     }
-    bool changed = true;
-    int iterations = 0;
-    while (changed && iterations < 1000) {
-        changed = false;
-        ++iterations;
-        for (uint32_t k = 0; k < numKeys_; ++k) {
-            for (uint32_t s : succ_[k]) {
-                size_t before = pts_[s].size();
-                pts_[s].insert(pts_[k].begin(), pts_[k].end());
-                if (pts_[s].size() != before)
-                    changed = true;
-            }
+    std::vector<uint32_t> work;
+    std::vector<bool> queued(numKeys_, false);
+    auto flow = [&](uint32_t from, uint32_t to) {
+        size_t before = pts_[to].size();
+        pts_[to].insert(pts_[from].begin(), pts_[from].end());
+        if (pts_[to].size() != before && !queued[to]) {
+            queued[to] = true;
+            work.push_back(to);
         }
-        for (const auto &d : derefs) {
-            for (const MemObj &obj : pts_[d.ptrKey]) {
-                uint32_t mk = memKey(obj);
-                uint32_t from = d.isLoad ? mk : d.valKey;
-                uint32_t to = d.isLoad ? d.valKey : mk;
-                if (edgeSeen.insert({from, to}).second) {
-                    succ_[from].push_back(to);
-                    changed = true;
+    };
+    for (uint32_t k = 0; k < numKeys_; ++k) {
+        if (!pts_[k].empty()) {
+            queued[k] = true;
+            work.push_back(k);
+        }
+    }
+    while (!work.empty()) {
+        uint32_t k = work.back();
+        work.pop_back();
+        queued[k] = false;
+        if (!derefsOf[k].empty()) {
+            const PtsSet objs = pts_[k];
+            for (const auto &d : derefsOf[k]) {
+                for (const MemObj &obj : objs) {
+                    uint32_t mk = memKey(obj);
+                    uint32_t from = d.isLoad ? mk : d.valKey;
+                    uint32_t to = d.isLoad ? d.valKey : mk;
+                    if (edgeSeen.insert({from, to}).second) {
+                        succ_[from].push_back(to);
+                        flow(from, to);
+                    }
                 }
             }
         }
+        for (uint32_t s : succ_[k]) {
+            if (s != k)
+                flow(k, s);
+        }
     }
-    if (iterations >= 1000)
-        panic("points-to analysis failed to converge");
 }
 
 const PtsSet &
@@ -257,43 +272,12 @@ PointsTo::mayAlias(uint32_t fnA, uint32_t vregA, uint32_t fnB,
 std::optional<MemObj>
 PointsTo::resolveExact(uint32_t fn, uint32_t vreg) const
 {
-    const Function &f = mod_.funcAt(fn);
-    // Count definitions of each vreg once per query function (cheap
-    // relative to module sizes here).
-    std::vector<const Instr *> def(f.vregs.size(), nullptr);
-    std::vector<uint8_t> defCount(f.vregs.size(), 0);
-    for (const auto &bb : f.blocks) {
-        for (const auto &in : bb.instrs) {
-            if (in.hasDst() && in.dst < f.vregs.size()) {
-                if (defCount[in.dst] < 2)
-                    ++defCount[in.dst];
-                def[in.dst] = &in;
-            }
-        }
-    }
-    uint32_t cur = vreg;
-    for (int depth = 0; depth < 64; ++depth) {
-        if (cur >= f.vregs.size() || defCount[cur] != 1)
-            return std::nullopt;
-        const Instr *in = def[cur];
-        switch (in->op) {
-          case Opcode::AddrGlobal:
-            return MemObj::global(in->args[0].index);
-          case Opcode::AddrLocal:
-            return MemObj::local(fn, in->auxA);
-          case Opcode::Mov:
-          case Opcode::Cast:
-          case Opcode::Gep:
-          case Opcode::PtrAdd:
-            if (!in->args.empty() && in->args[0].isVReg()) {
-                cur = in->args[0].index;
-                continue;
-            }
-            return std::nullopt;
-          default:
-            return std::nullopt;
-        }
-    }
+    const Def *d = defs_.at(fn).chase(
+        vreg, {Opcode::Mov, Opcode::Cast, Opcode::Gep, Opcode::PtrAdd});
+    if (d && d->op == Opcode::AddrGlobal)
+        return MemObj::global(d->a.index);
+    if (d && d->op == Opcode::AddrLocal)
+        return MemObj::local(fn, d->auxA);
     return std::nullopt;
 }
 

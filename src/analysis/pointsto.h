@@ -17,6 +17,7 @@
 #include <set>
 #include <vector>
 
+#include "ir/defs.h"
 #include "ir/module.h"
 
 namespace stos::analysis {
@@ -66,8 +67,10 @@ class PointsTo {
 
     /**
      * Must-alias: if the vreg definitely points at one specific object
-     * (single reaching definition chain of Addr/Gep/PtrAdd-const),
-     * return it. Enables strong updates in the dataflow.
+     * (a single-definition chain through Mov/Cast/Gep/PtrAdd to an
+     * Addr), return it. Enables strong updates in the dataflow. The
+     * chains are those of the module as constructed; rewrites that
+     * define no vreg (inserted checks, atomics) leave them valid.
      */
     std::optional<MemObj> resolveExact(uint32_t fn, uint32_t vreg) const;
 
@@ -92,7 +95,7 @@ class PointsTo {
 
     std::vector<PtsSet> pts_;
     std::vector<std::vector<uint32_t>> succ_;  ///< inclusion edges
-    PtsSet empty_;
+    std::vector<ir::Defs> defs_;  ///< per function; empty when dead
 };
 
 } // namespace stos::analysis

@@ -13,6 +13,7 @@
 #include <map>
 
 #include "analysis/liveness.h"
+#include "ir/defs.h"
 #include "ir/semantics.h"
 #include "opt/inliner.h"
 #include "opt/passes.h"
@@ -26,41 +27,11 @@ namespace {
 
 /** Single-definition chase to an Addr root (for easy null checks). */
 bool
-rootIsAddr(const Function &f, uint32_t vreg)
+rootIsAddr(const Defs &defs, uint32_t vreg)
 {
-    std::vector<const Instr *> def(f.vregs.size(), nullptr);
-    std::vector<uint8_t> count(f.vregs.size(), 0);
-    for (const auto &bb : f.blocks) {
-        for (const auto &in : bb.instrs) {
-            if (in.hasDst()) {
-                if (count[in.dst] < 2)
-                    ++count[in.dst];
-                def[in.dst] = &in;
-            }
-        }
-    }
-    uint32_t cur = vreg;
-    for (int d = 0; d < 32; ++d) {
-        if (cur >= f.vregs.size() || count[cur] != 1 || !def[cur])
-            return false;
-        const Instr *in = def[cur];
-        switch (in->op) {
-          case Opcode::AddrGlobal:
-          case Opcode::AddrLocal:
-            return true;
-          case Opcode::Gep:
-          case Opcode::Mov:
-          case Opcode::Cast:
-            if (!in->args.empty() && in->args[0].isVReg()) {
-                cur = in->args[0].index;
-                continue;
-            }
-            return false;
-          default:
-            return false;
-        }
-    }
-    return false;
+    const Def *d =
+        defs.chase(vreg, {Opcode::Gep, Opcode::Mov, Opcode::Cast});
+    return d && (d->op == Opcode::AddrGlobal || d->op == Opcode::AddrLocal);
 }
 
 /** GCC's block-local folder handles these operators only. */
@@ -158,6 +129,9 @@ easyCheckElim(Module &m, Function &f, GccReport &rep)
 {
     (void)m;
     uint32_t removed = 0;
+    // The table copies what it reads, so it stays valid while the
+    // blocks below are replaced.
+    const Defs defs(f);
     for (auto &bb : f.blocks) {
         std::vector<std::pair<Opcode, uint32_t>> done;
         std::vector<Instr> out;
@@ -174,7 +148,7 @@ easyCheckElim(Module &m, Function &f, GccReport &rep)
                         dup = true;
                 }
                 bool easyNull = in.op == Opcode::ChkNull &&
-                                rootIsAddr(f, in.args[0].index);
+                                rootIsAddr(defs, in.args[0].index);
                 if (dup || easyNull) {
                     ++removed;
                     ++rep.checksRemoved;

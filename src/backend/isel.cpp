@@ -15,6 +15,7 @@
 #include <optional>
 
 #include "cfi/cfi.h"
+#include "ir/defs.h"
 #include "ir/semantics.h"
 #include "opt/passes.h"
 #include "safety/runtime.h"
@@ -113,6 +114,7 @@ class Selector {
         cur_.interruptVector = f.attrs.interruptVector;
         cur_.isTask = f.attrs.isTask;
         func_ = &f;
+        defs_ = Defs(f);
         nextReg_ = 0;
         irqSave_ = ~0u;
         regBase_.assign(f.vregs.size(), ~0u);
@@ -1037,42 +1039,16 @@ class Selector {
     bool
     loadsRom(uint32_t vreg) const
     {
-        // Cheap def chase over the current function.
-        const Function &f = *func_;
-        std::vector<const Instr *> def(f.vregs.size(), nullptr);
-        std::vector<uint8_t> count(f.vregs.size(), 0);
-        for (const auto &bb : f.blocks) {
-            for (const auto &in : bb.instrs) {
-                if (in.hasDst()) {
-                    if (count[in.dst] < 2)
-                        ++count[in.dst];
-                    def[in.dst] = &in;
-                }
-            }
-        }
-        uint32_t cur = vreg;
-        for (int d = 0; d < 32; ++d) {
-            if (cur >= f.vregs.size() || count[cur] != 1 || !def[cur])
-                return false;
-            const Instr *in = def[cur];
-            if (in->op == Opcode::AddrGlobal) {
-                return mod_.globalAt(in->args[0].index).section ==
-                       Section::Rom;
-            }
-            if ((in->op == Opcode::Gep || in->op == Opcode::PtrAdd ||
-                 in->op == Opcode::Mov || in->op == Opcode::Cast) &&
-                !in->args.empty() && in->args[0].isVReg()) {
-                cur = in->args[0].index;
-                continue;
-            }
-            return false;
-        }
-        return false;
+        const Def *d = defs_.chase(vreg, {Opcode::Gep, Opcode::PtrAdd,
+                                          Opcode::Mov, Opcode::Cast});
+        return d && d->op == Opcode::AddrGlobal &&
+               mod_.globalAt(d->a.index).section == Section::Rom;
     }
 
     const Module &mod_;
     MProgram &prog_;
     const Function *func_ = nullptr;
+    Defs defs_;  ///< of *func_
     MFunc cur_;
     MBlock *out_ = nullptr;
     std::vector<uint32_t> regBase_;

@@ -238,42 +238,23 @@ removeDeadStores(Module &m, const PointsTo &pts)
     for (auto &f : m.funcs()) {
         if (f.dead)
             continue;
-        // Decide first (resolveExact walks def chains through the
-        // current instruction lists), then rebuild the blocks.
-        std::vector<std::vector<bool>> drop(f.blocks.size());
-        for (auto &bb : f.blocks) {
-            drop[bb.id].assign(bb.instrs.size(), false);
-            for (size_t i = 0; i < bb.instrs.size(); ++i) {
-                const Instr &in = bb.instrs[i];
-                if (in.op != Opcode::Store || !in.args[0].isVReg())
-                    continue;
-                auto exact = pts.resolveExact(f.id, in.args[0].index);
-                if (!exact || exact->kind != MemObj::GlobalObj ||
-                    read[exact->index]) {
-                    continue;
-                }
-                // Sole target must be this global.
-                PtsSet t = pts.accessTargets(f.id, in.args[0].index);
-                bool sole = true;
-                for (const MemObj &o : t) {
-                    if (!(o == *exact))
-                        sole = false;
-                }
-                if (sole) {
-                    drop[bb.id][i] = true;
-                    ++removed;
-                }
+        // A store is dead when it can only write one unread global.
+        auto dead = [&](const Instr &in) {
+            if (in.op != Opcode::Store || !in.args[0].isVReg())
+                return false;
+            auto exact = pts.resolveExact(f.id, in.args[0].index);
+            if (!exact || exact->kind != MemObj::GlobalObj ||
+                read[exact->index]) {
+                return false;
             }
-        }
-        for (auto &bb : f.blocks) {
-            std::vector<Instr> out;
-            out.reserve(bb.instrs.size());
-            for (size_t i = 0; i < bb.instrs.size(); ++i) {
-                if (!drop[bb.id][i])
-                    out.push_back(std::move(bb.instrs[i]));
-            }
-            bb.instrs = std::move(out);
-        }
+            // Sole target must be this global.
+            PtsSet t = pts.accessTargets(f.id, in.args[0].index);
+            return std::all_of(t.begin(), t.end(), [&](const MemObj &o) {
+                return o == *exact;
+            });
+        };
+        for (auto &bb : f.blocks)
+            removed += static_cast<uint32_t>(std::erase_if(bb.instrs, dead));
     }
     return removed;
 }

@@ -10,6 +10,7 @@
 #include "analysis/callgraph.h"
 #include "analysis/pointsto.h"
 #include "cfi/cfi.h"
+#include "ir/defs.h"
 #include "safety/flid.h"
 #include "safety/hwrefactor.h"
 #include "safety/kinds.h"
@@ -82,39 +83,23 @@ class Transformer {
   private:
     //--- static access resolution ----------------------------------
 
-    void
-    buildDefs(const Function &f)
-    {
-        // Definitions are stored by value: instrumentation rewrites
-        // the instruction lists while def chains are still queried.
-        defs_.assign(f.vregs.size(), Instr{});
-        defCount_.assign(f.vregs.size(), 0);
-        for (const auto &bb : f.blocks) {
-            for (const auto &in : bb.instrs) {
-                if (in.hasDst()) {
-                    if (defCount_[in.dst] < 2)
-                        ++defCount_[in.dst];
-                    defs_[in.dst] = in;
-                }
-            }
-        }
-    }
-
     StaticAccess
-    resolveStatic(const Function &f, uint32_t addrVreg) const
+    resolveStatic(const Function &f, const Defs &defs,
+                  uint32_t addrVreg) const
     {
         StaticAccess sa;
         sa.direct = true;
         sa.constant = true;
         uint32_t cur = addrVreg;
-        for (int depth = 0; depth < 64; ++depth) {
+        // An acyclic chain visits each vreg at most once.
+        for (size_t step = 0; step <= f.vregs.size(); ++step) {
             sa.rootVreg = cur;
-            if (cur >= f.vregs.size() || defCount_[cur] != 1)
+            const Def *in = defs.single(cur);
+            if (!in)
                 return sa;
-            const Instr *in = &defs_[cur];
             switch (in->op) {
               case Opcode::AddrGlobal: {
-                const Global &g = mod_.globalAt(in->args[0].index);
+                const Global &g = mod_.globalAt(in->a.index);
                 sa.resolved = true;
                 sa.objectSize = mod_.typeSize(g.type);
                 return sa;
@@ -125,40 +110,38 @@ class Transformer {
                 return sa;
               case Opcode::Gep:
                 sa.offset += in->auxB;
-                if (in->args[0].isVReg()) {
-                    cur = in->args[0].index;
+                if (in->a.isVReg()) {
+                    cur = in->a.index;
                     continue;
                 }
                 return sa;
               case Opcode::PtrAdd: {
                 sa.direct = false;
                 std::optional<int64_t> idx;
-                if (in->args[1].isImm()) {
-                    idx = in->args[1].imm;
-                } else if (in->args[1].isVReg()) {
+                if (in->b.isImm()) {
+                    idx = in->b.imm;
+                } else if (in->b.isVReg()) {
                     // Chase a constant index through its definition
                     // (frontend lowering materializes literal indices
                     // into ConstI vregs).
-                    uint32_t iv = in->args[1].index;
-                    if (iv < defCount_.size() && defCount_[iv] == 1 &&
-                        defs_[iv].op == Opcode::ConstI) {
-                        idx = defs_[iv].args[0].imm;
-                    }
+                    const Def *id = defs.single(in->b.index);
+                    if (id && id->op == Opcode::ConstI)
+                        idx = id->a.imm;
                 }
                 if (idx)
                     sa.offset += *idx * static_cast<int64_t>(in->auxA);
                 else
                     sa.constant = false;
-                if (in->args[0].isVReg()) {
-                    cur = in->args[0].index;
+                if (in->a.isVReg()) {
+                    cur = in->a.index;
                     continue;
                 }
                 return sa;
               }
               case Opcode::Mov:
               case Opcode::Cast:
-                if (in->args[0].isVReg()) {
-                    cur = in->args[0].index;
+                if (in->a.isVReg()) {
+                    cur = in->a.index;
                     continue;
                 }
                 return sa;
@@ -166,6 +149,9 @@ class Transformer {
                 return sa;
             }
         }
+        // A cycle of single definitions has no root: check the
+        // address itself.
+        sa.rootVreg = addrVreg;
         return sa;
     }
 
@@ -285,7 +271,9 @@ class Transformer {
     instrumentFunction(Function &f, const PointsTo &pts,
                        const ConcurrencyAnalysis &conc)
     {
-        buildDefs(f);
+        // The table copies what it reads, so it stays valid while the
+        // blocks below are replaced.
+        const Defs defs(f);
         for (auto &bb : f.blocks) {
             std::vector<Instr> out;
             out.reserve(bb.instrs.size());
@@ -305,7 +293,7 @@ class Transformer {
                 if ((in.op == Opcode::Load || in.op == Opcode::Store) &&
                     in.args[0].isVReg()) {
                     uint32_t addr = in.args[0].index;
-                    StaticAccess sa = resolveStatic(f, addr);
+                    StaticAccess sa = resolveStatic(f, defs, addr);
                     uint32_t accessSize =
                         std::max(1u, mod_.typeSize(in.type));
                     bool skip = false;
@@ -434,8 +422,6 @@ class Transformer {
     const SafetyConfig &cfg_;
     const SourceManager *sm_;
     SafetyReport report_;
-    std::vector<Instr> defs_;
-    std::vector<uint8_t> defCount_;
     uint32_t errCounter_ = 0;
     uint32_t tagCounter_ = 0;
 };

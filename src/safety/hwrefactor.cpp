@@ -6,6 +6,8 @@
 
 #include <optional>
 
+#include "ir/defs.h"
+
 namespace stos::safety {
 
 using namespace stos::ir;
@@ -17,42 +19,15 @@ namespace {
  * return the address.
  */
 std::optional<uint32_t>
-constantAddress(const Function &f, uint32_t vreg)
+constantAddress(const Defs &defs, uint32_t vreg)
 {
-    // Single-definition chase, same discipline as resolveExact.
-    std::vector<const Instr *> def(f.vregs.size(), nullptr);
-    std::vector<uint8_t> count(f.vregs.size(), 0);
-    for (const auto &bb : f.blocks) {
-        for (const auto &in : bb.instrs) {
-            if (in.hasDst()) {
-                if (count[in.dst] < 2)
-                    ++count[in.dst];
-                def[in.dst] = &in;
-            }
-        }
+    const Def *d = defs.chase(vreg, {Opcode::Cast, Opcode::Mov});
+    if (!d || !d->a.isImm() ||
+        (d->op != Opcode::ConstI && d->op != Opcode::Cast &&
+         d->op != Opcode::Mov)) {
+        return std::nullopt;
     }
-    uint32_t cur = vreg;
-    for (int depth = 0; depth < 16; ++depth) {
-        if (cur >= f.vregs.size() || count[cur] != 1 || !def[cur])
-            return std::nullopt;
-        const Instr *in = def[cur];
-        switch (in->op) {
-          case Opcode::ConstI:
-            return static_cast<uint32_t>(in->args[0].imm) & 0xFFFF;
-          case Opcode::Cast:
-          case Opcode::Mov:
-            if (in->args[0].isVReg()) {
-                cur = in->args[0].index;
-                continue;
-            }
-            if (in->args[0].isImm())
-                return static_cast<uint32_t>(in->args[0].imm) & 0xFFFF;
-            return std::nullopt;
-          default:
-            return std::nullopt;
-        }
-    }
-    return std::nullopt;
+    return static_cast<uint32_t>(d->a.imm) & 0xFFFF;
 }
 
 } // namespace
@@ -64,13 +39,16 @@ refactorHardwareAccesses(Module &m)
     for (auto &f : m.funcs()) {
         if (f.dead)
             continue;
+        // Rewriting a Load into an HwRead keeps its destination, so
+        // the table stays exact across the rewrites below.
+        const Defs defs(f);
         for (auto &bb : f.blocks) {
             for (auto &in : bb.instrs) {
                 if (in.op != Opcode::Load && in.op != Opcode::Store)
                     continue;
                 if (!in.args[0].isVReg())
                     continue;
-                auto addr = constantAddress(f, in.args[0].index);
+                auto addr = constantAddress(defs, in.args[0].index);
                 if (!addr)
                     continue;
                 const HwReg *reg = m.findHwReg(*addr);

@@ -7,6 +7,7 @@
 #include <optional>
 #include <vector>
 
+#include "ir/defs.h"
 #include "support/util.h"
 
 namespace stos::safety {
@@ -157,21 +158,9 @@ class Solver {
     buildDefTables()
     {
         defs_.resize(mod_.funcs().size());
-        defCount_.resize(mod_.funcs().size());
         for (const auto &f : mod_.funcs()) {
-            if (f.dead)
-                continue;
-            defs_[f.id].assign(f.vregs.size(), nullptr);
-            defCount_[f.id].assign(f.vregs.size(), 0);
-            for (const auto &bb : f.blocks) {
-                for (const auto &in : bb.instrs) {
-                    if (in.hasDst()) {
-                        if (defCount_[f.id][in.dst] < 2)
-                            ++defCount_[f.id][in.dst];
-                        defs_[f.id][in.dst] = &in;
-                    }
-                }
-            }
+            if (!f.dead)
+                defs_[f.id] = Defs(f);
         }
     }
 
@@ -184,15 +173,14 @@ class Solver {
     resolveSlotNode(const Function &f, uint32_t addrVreg) const
     {
         uint32_t cur = addrVreg;
-        for (int depth = 0; depth < 64; ++depth) {
-            if (cur >= f.vregs.size() || defCount_[f.id][cur] != 1 ||
-                !defs_[f.id][cur]) {
+        // An acyclic chain visits each vreg at most once.
+        for (size_t step = 0; step <= f.vregs.size(); ++step) {
+            const Def *in = defs_[f.id].single(cur);
+            if (!in)
                 return std::nullopt;
-            }
-            const Instr *in = defs_[f.id][cur];
             switch (in->op) {
               case Opcode::AddrGlobal: {
-                auto it = globalNode_.find(in->args[0].index);
+                auto it = globalNode_.find(in->a.index);
                 return it == globalNode_.end()
                            ? std::nullopt
                            : std::optional<uint32_t>(it->second);
@@ -206,9 +194,9 @@ class Solver {
               case Opcode::Gep: {
                 // Field of *base: use the field's node if the base is a
                 // struct pointer.
-                if (!in->args[0].isVReg())
+                if (!in->a.isVReg())
                     return std::nullopt;
-                TypeId bt = f.vregs[in->args[0].index].type;
+                TypeId bt = f.vregs[in->a.index].type;
                 const Type &bty = mod_.types().get(bt);
                 if (bty.kind == TypeKind::Ptr) {
                     const Type &pt = mod_.types().get(bty.pointee);
@@ -220,14 +208,14 @@ class Solver {
                                    : std::optional<uint32_t>(it->second);
                     }
                 }
-                cur = in->args[0].index;
+                cur = in->a.index;
                 continue;
               }
               case Opcode::PtrAdd:
               case Opcode::Mov:
               case Opcode::Cast:
-                if (in->args[0].isVReg()) {
-                    cur = in->args[0].index;
+                if (in->a.isVReg()) {
+                    cur = in->a.index;
                     continue;
                 }
                 return std::nullopt;
@@ -613,8 +601,7 @@ class Solver {
     std::map<uint64_t, uint32_t> localNode_;
     std::map<uint32_t, uint32_t> globalNode_;
     std::map<uint64_t, uint32_t> fieldNode_;
-    std::vector<std::vector<const Instr *>> defs_;
-    std::vector<std::vector<uint8_t>> defCount_;
+    std::vector<Defs> defs_;  ///< per function; empty when dead
 };
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the TinyCIL data structures: type interning, layout
- * (including fat-pointer sizes), builder, printer, and verifier; and
- * the integer semantics table (ir/semantics.h) checked against the
- * simulator's ALU for every op instruction selection lowers.
+ * (including fat-pointer sizes), builder, printer, and verifier; the
+ * single-definition table (ir/defs.h); and the integer semantics
+ * table (ir/semantics.h) checked against the simulator's ALU for
+ * every op instruction selection lowers.
  */
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "backend/backend.h"
 #include "ir/builder.h"
+#include "ir/defs.h"
 #include "ir/module.h"
 #include "ir/printer.h"
 #include "ir/semantics.h"
@@ -212,6 +214,97 @@ TEST(Module, DeadEntitiesAreHidden)
     EXPECT_NE(m.findGlobal("x"), nullptr);
     m.globalAt(id).dead = true;
     EXPECT_EQ(m.findGlobal("x"), nullptr);
+}
+
+TEST(Defs, TwoDefinitionsHaveNoSingle)
+{
+    Module m;
+    Function f = makeReturn42(m);
+    f.addBlock("entry");
+    Builder b(m, f);
+    b.setBlock(0);
+    uint32_t once = b.constI(m.types().u16(), 1);
+    uint32_t twice = b.mov(m.types().u16(), Operand::vreg(once));
+    b.movTo(twice, Operand::immInt(2));
+    Defs defs(f);
+    ASSERT_NE(defs.single(once), nullptr);
+    EXPECT_EQ(defs.single(once)->op, Opcode::ConstI);
+    EXPECT_EQ(defs.single(twice), nullptr);
+    EXPECT_EQ(defs.chase(twice, {Opcode::Mov}), nullptr);
+    EXPECT_EQ(defs.single(kNoVReg), nullptr);
+}
+
+TEST(Defs, MovCycleHasNoRoot)
+{
+    Module m;
+    Function f = makeReturn42(m);
+    f.addBlock("entry");
+    Builder b(m, f);
+    b.setBlock(0);
+    uint32_t v1 = b.newVReg(m.types().u16());
+    uint32_t v2 = b.newVReg(m.types().u16());
+    b.movTo(v1, Operand::vreg(v2));
+    b.movTo(v2, Operand::vreg(v1));
+    Defs defs(f);
+    ASSERT_NE(defs.single(v1), nullptr);
+    EXPECT_EQ(defs.chase(v1, {Opcode::Mov}), nullptr);
+    EXPECT_EQ(defs.chase(v2, {Opcode::Mov, Opcode::Cast}), nullptr);
+}
+
+/** A 100-link Cast/Mov chain from a ConstI root; returns the tip. */
+uint32_t
+buildLongChain(Module &m, Function &f, uint32_t *root)
+{
+    Builder b(m, f);
+    b.setBlock(0);
+    TypeId p = m.types().ptrTy(m.types().u8());
+    *root = b.constI(m.types().u16(), 0x1234);
+    uint32_t cur = *root;
+    for (int i = 0; i < 100; ++i) {
+        cur = i % 2 ? b.mov(p, Operand::vreg(cur))
+                    : b.cast(p, Operand::vreg(cur));
+    }
+    return cur;
+}
+
+TEST(Defs, LongChainResolves)
+{
+    // The chase's only bound is the function's vreg count.
+    Module m;
+    Function f = makeReturn42(m);
+    f.addBlock("entry");
+    uint32_t root = 0;
+    uint32_t tip = buildLongChain(m, f, &root);
+    Defs defs(f);
+    const Def *d = defs.chase(tip, {Opcode::Cast, Opcode::Mov});
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d, defs.single(root));
+    EXPECT_EQ(d->op, Opcode::ConstI);
+    EXPECT_EQ(d->a.imm, 0x1234);
+    // A chase through Mov alone stops at the first Cast.
+    EXPECT_EQ(defs.chase(tip, {Opcode::Mov})->op, Opcode::Cast);
+}
+
+TEST(Defs, AnswersAfterBlocksAreReplaced)
+{
+    Module m;
+    Function f = makeReturn42(m);
+    f.addBlock("entry");
+    uint32_t root = 0;
+    uint32_t tip = buildLongChain(m, f, &root);
+    Defs defs(f);
+    // Rewrite the block as instrumentation does: build a new vector,
+    // moving every instruction out, then replace the old one.
+    std::vector<Instr> out;
+    for (auto &in : f.blocks[0].instrs)
+        out.push_back(std::move(in));
+    f.blocks[0].instrs = std::move(out);
+    f.blocks[0].instrs.clear();
+    f.blocks[0].instrs.shrink_to_fit();
+    const Def *d = defs.chase(tip, {Opcode::Cast, Opcode::Mov});
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->op, Opcode::ConstI);
+    EXPECT_EQ(d->a.imm, 0x1234);
 }
 
 TEST(Semantics, WidthRule)

@@ -709,7 +709,7 @@ TEST(Passes, AtomicOptimizationRemovesNested)
         "void main() { atomic { atomic { x = 2; } } }");
     analysis::CallGraph cg(m);
     analysis::PointsTo pts(m);
-    analysis::ConcurrencyAnalysis conc(m, cg, pts, {});
+    analysis::ConcurrencyAnalysis conc(m, cg, pts);
     AtomicOptReport rep = optimizeAtomics(m, conc);
     EXPECT_GE(rep.nestedRemoved, 1u);
     // Still balanced: run it.
@@ -725,7 +725,7 @@ TEST(Passes, AtomicsInsideHandlersRemoved)
         "void main() { x = 0; }");
     analysis::CallGraph cg(m);
     analysis::PointsTo pts(m);
-    analysis::ConcurrencyAnalysis conc(m, cg, pts, {});
+    analysis::ConcurrencyAnalysis conc(m, cg, pts);
     AtomicOptReport rep = optimizeAtomics(m, conc);
     EXPECT_GE(rep.handlerAtomicsRemoved, 1u);
     int atomicOps = 0;

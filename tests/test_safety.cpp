@@ -205,6 +205,36 @@ TEST(Checks, ConstantIndexSkippedOnlyWithOptimizer)
     EXPECT_GT(r1.checksInserted, r2.checksInserted);
 }
 
+TEST(Checks, NullCheckInAMovCycleGuardsTheAccessedPointer)
+{
+    // p and q are each defined once, by a Mov from the other: the
+    // def chain has no root, so the null check goes on the pointer
+    // the store writes through.
+    Module m = compile(
+        "u8 g;"
+        "void main() {"
+        "  u8* p; u8* q;"
+        "  for (u8 k = 0; k < 2; k++) { p = q; q = p; }"
+        "  if (g == 7) { *p = 1; }"
+        "}");
+    makeSafe(m);
+    int nullChecks = 0;
+    const Function *f = m.findFunc("main");
+    for (const auto &bb : f->blocks) {
+        for (size_t i = 0; i < bb.instrs.size(); ++i) {
+            const Instr &in = bb.instrs[i];
+            if (in.op != Opcode::ChkNull)
+                continue;
+            ++nullChecks;
+            ASSERT_LT(i + 1, bb.instrs.size());
+            EXPECT_EQ(bb.instrs[i + 1].op, Opcode::Store);
+            EXPECT_EQ(f->vregs[in.args[0].index].name, "p");
+            EXPECT_EQ(in.args[0], bb.instrs[i + 1].args[0]);
+        }
+    }
+    EXPECT_EQ(nullChecks, 1);
+}
+
 TEST(Checks, IndirectCallGetsFnPtrCheck)
 {
     Module m = compile(
