@@ -361,6 +361,80 @@ Machine::runUntilCycle(uint64_t target)
 }
 
 //---------------------------------------------------------------------
+// Run-loop preamble shared by both cores
+//---------------------------------------------------------------------
+
+bool
+Machine::readyToStep(uint64_t target)
+{
+    if (down_) {
+        // Rebooting: powered but not executing until downUntil_.
+        if (downUntil_ > target) {
+            downCycles_ += target - cycles_;
+            cycles_ = target;
+            return false;
+        }
+        downCycles_ += downUntil_ - cycles_;
+        cycles_ = downUntil_;
+        down_ = false;
+        boot();
+        return false;
+    }
+    applyFaultsDue();
+    if (down_)
+        return false;  // a crash fault rebooted us
+    if (wedged_) {
+        if (recovery_ == RecoveryPolicy::RebootOnWedge) {
+            startReboot();
+            return false;
+        }
+        // Spinning awake in the failure stub -- but a scheduled crash
+        // can still power-cycle a wedged mote, so only fast-forward to
+        // the next fault.
+        uint64_t stop = std::min(target, nextFaultAt());
+        wedgedCycles_ += stop - cycles_;
+        cycles_ = stop;
+        return false;
+    }
+    if (sleeping_) {
+        uint64_t next = std::min(dev_.nextEventAt(), nextFaultAt());
+        if (next == UINT64_MAX || next > target) {
+            sleepCycles_ += target - cycles_;
+            cycles_ = target;
+            return false;
+        }
+        if (next > cycles_) {
+            sleepCycles_ += next - cycles_;
+            cycles_ = next;
+        }
+        if (dev_.nextEventAt() > cycles_) {
+            // Only a fault is due: injecting state does not wake a
+            // sleeping CPU, so apply it and stay asleep.
+            applyFaultsDue();
+            return false;
+        }
+        sleeping_ = false;  // the event below wakes the core
+    }
+    // Device events and interrupts first.
+    drainDeviceEvents();
+    dispatchIrqs();
+    if (frames_.empty()) {
+        halted_ = true;
+        return false;
+    }
+    return true;
+}
+
+void
+Machine::drainDeviceEvents()
+{
+    irqScratch_.clear();
+    dev_.advanceTo(cycles_, irqScratch_);
+    for (int v : irqScratch_)
+        pendingIrqs_.push_back(v);
+}
+
+//---------------------------------------------------------------------
 // Legacy core (the reference interpreter, preserved verbatim)
 //---------------------------------------------------------------------
 
@@ -368,73 +442,8 @@ void
 Machine::runLegacy(uint64_t target)
 {
     while (cycles_ < target && !halted_) {
-        // The fault/recovery preamble below is kept textually
-        // identical in runThreaded: faults apply at the same
-        // instruction boundaries on both cores, which is what keeps
-        // faulted runs inside the equivalence contract.
-        if (down_) {
-            // Rebooting: powered but not executing until downUntil_.
-            if (downUntil_ > target) {
-                downCycles_ += target - cycles_;
-                cycles_ = target;
-                return;
-            }
-            downCycles_ += downUntil_ - cycles_;
-            cycles_ = downUntil_;
-            down_ = false;
-            boot();
-            continue;
-        }
-        applyFaultsDue();
-        if (down_)
-            continue;  // a crash fault rebooted us
-        if (wedged_) {
-            if (recovery_ == RecoveryPolicy::RebootOnWedge) {
-                startReboot();
-                continue;
-            }
-            // Spinning awake in the failure stub — but a scheduled
-            // crash can still power-cycle a wedged mote, so only
-            // fast-forward to the next fault.
-            uint64_t stop = std::min(target, nextFaultAt());
-            wedgedCycles_ += stop - cycles_;
-            cycles_ = stop;
-            if (cycles_ >= target)
-                return;
-            continue;
-        }
-        if (sleeping_) {
-            uint64_t next =
-                std::min(dev_.nextEventAt(), nextFaultAt());
-            if (next == UINT64_MAX || next > target) {
-                sleepCycles_ += target - cycles_;
-                cycles_ = target;
-                return;
-            }
-            if (next > cycles_) {
-                sleepCycles_ += next - cycles_;
-                cycles_ = next;
-            }
-            if (dev_.nextEventAt() <= cycles_) {
-                sleeping_ = false;  // the event below wakes the core
-            } else {
-                // Only a fault is due: injecting state does not wake
-                // a sleeping CPU, so apply it and stay asleep.
-                applyFaultsDue();
-                continue;
-            }
-        }
-        // Device events and interrupts first.
-        std::vector<int> irqs;
-        dev_.advanceTo(cycles_, irqs);
-        for (int v : irqs)
-            pendingIrqs_.push_back(v);
-        dispatchIrqs();
-        if (frames_.empty()) {
-            halted_ = true;
-            return;
-        }
-        step();
+        if (readyToStep(target))
+            step();
     }
 }
 

@@ -152,6 +152,14 @@ class Machine {
 
     void runLegacy(uint64_t target);
     void runThreaded(uint64_t target);
+    /**
+     * The preamble both cores run before executing at cycles_: finish
+     * a reboot, apply due faults, park a wedged or sleeping core, then
+     * deliver due device events and interrupts. False when the run
+     * loop must go round again instead (time moved, the core halted,
+     * or `target` was reached).
+     */
+    bool readyToStep(uint64_t target);
     void step();
     void dispatchIrqs();
     void enterFunction(uint32_t funcIdx, bool fromIrq);

@@ -17,8 +17,9 @@
  * counter — cycles, instructions, faults, CFI traps, the trap log, and
  * the UART log. The mechanisms:
  *
- *  - The fault/recovery preamble is textually identical to runLegacy,
- *    so faults land at the same instruction boundaries.
+ *  - Both cores run one fault/recovery/sleep preamble,
+ *    Machine::readyToStep, so faults land at the same instruction
+ *    boundaries.
  *  - Device events and interrupts are drained and dispatched once per
  *    event horizon — min(target, next device event, next fault) —
  *    instead of between every instruction. No device event or fault
@@ -56,78 +57,11 @@ namespace stos::sim {
 using namespace stos::backend;
 
 void
-Machine::drainDeviceEvents()
-{
-    irqScratch_.clear();
-    dev_.advanceTo(cycles_, irqScratch_);
-    for (int v : irqScratch_)
-        pendingIrqs_.push_back(v);
-}
-
-void
 Machine::runThreaded(uint64_t target)
 {
     while (cycles_ < target && !halted_) {
-        // Fault/recovery preamble: textually identical to runLegacy
-        // so faults land at the same instruction boundaries.
-        if (down_) {
-            // Rebooting: powered but not executing until downUntil_.
-            if (downUntil_ > target) {
-                downCycles_ += target - cycles_;
-                cycles_ = target;
-                return;
-            }
-            downCycles_ += downUntil_ - cycles_;
-            cycles_ = downUntil_;
-            down_ = false;
-            boot();
+        if (!readyToStep(target))
             continue;
-        }
-        applyFaultsDue();
-        if (down_)
-            continue;  // a crash fault rebooted us
-        if (wedged_) {
-            if (recovery_ == RecoveryPolicy::RebootOnWedge) {
-                startReboot();
-                continue;
-            }
-            // Spinning awake in the failure stub — but a scheduled
-            // crash can still power-cycle a wedged mote, so only
-            // fast-forward to the next fault.
-            uint64_t stop = std::min(target, nextFaultAt());
-            wedgedCycles_ += stop - cycles_;
-            cycles_ = stop;
-            if (cycles_ >= target)
-                return;
-            continue;
-        }
-        if (sleeping_) {
-            uint64_t next =
-                std::min(dev_.nextEventAt(), nextFaultAt());
-            if (next == UINT64_MAX || next > target) {
-                sleepCycles_ += target - cycles_;
-                cycles_ = target;
-                return;
-            }
-            if (next > cycles_) {
-                sleepCycles_ += next - cycles_;
-                cycles_ = next;
-            }
-            if (dev_.nextEventAt() <= cycles_) {
-                sleeping_ = false;  // the event below wakes the core
-            } else {
-                // Only a fault is due: injecting state does not wake
-                // a sleeping CPU, so apply it and stay asleep.
-                applyFaultsDue();
-                continue;
-            }
-        }
-        drainDeviceEvents();
-        dispatchIrqs();
-        if (frames_.empty()) {
-            halted_ = true;
-            return;
-        }
         // Event horizon: no device event (or scheduled fault) can
         // fire before this cycle. `hz` is the local copy every
         // handler's exit check compares against; it is forced to 0
