@@ -28,11 +28,17 @@ constexpr const char *kExt = ".art";
 std::string
 readWholeFile(const fs::path &p)
 {
-    std::ifstream in(p, std::ios::binary);
-    if (!in)
+    // One sized read: opened at the end, the stream's position is the
+    // file size.
+    std::ifstream in(p, std::ios::binary | std::ios::ate);
+    const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+    if (size <= 0 || !in.seekg(0))
         return {};
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    std::string data(static_cast<size_t>(size), '\0');
+    in.read(data.data(), size);
+    // A file cut short after the size was taken reads fewer bytes;
+    // the header check then rejects what did arrive.
+    data.resize(static_cast<size_t>(in.gcount()));
     return data;
 }
 
