@@ -78,7 +78,7 @@ template <typename T> struct PerStage {
  * change fails it until the version is bumped and the fixture
  * re-blessed.
  */
-inline constexpr uint32_t kStoreFormatVersion = 5;
+inline constexpr uint32_t kStoreFormatVersion = 6;
 
 /** Where an ArtifactStore lives (bench --cache-dir). */
 struct CacheOptions {
