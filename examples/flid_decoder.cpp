@@ -48,13 +48,13 @@ main(int argc, char **argv)
     const auto &app = tinyos::appByName("SenseToRfm");
     BuildResult r =
         buildApp(app, configFor(ConfigId::SafeFlid, app.platform));
-    std::string table = safety::serializeFlidTable(r.module);
+    std::string table = safety::serializeFlidTable(r.flidTable);
     printf("FLID table for %s (%zu entries, %zu bytes host-side, "
            "0 bytes device-side):\n\n%s\n",
-           app.name.c_str(), r.module.flidTable().size(), table.size(),
+           app.name.c_str(), r.flidTable.size(), table.size(),
            table.c_str());
     printf("Example decode of id 1: %s\n",
-           safety::decodeFlid(r.module, 1).c_str());
+           safety::decodeFlid(r.flidTable, 1).c_str());
     printf("\nSave the table and decode in the field with:\n"
            "  flid_decoder table.tsv <id>\n");
     return 0;

@@ -86,7 +86,7 @@ main()
         printf("safe run:    TRAPPED with FLID %u\n",
                safeMote.failedFlid());
         printf("decoded:     %s\n",
-               safety::decodeFlid(safeBuild.module,
+               safety::decodeFlid(safeBuild.flidTable,
                                   safeMote.failedFlid())
                    .c_str());
     } else {
@@ -96,6 +96,6 @@ main()
 
     printf("\nThe FLID table shipped with the firmware has %zu "
            "entries; the device itself stores none of the text.\n",
-           safeBuild.module.flidTable().size());
+           safeBuild.flidTable.size());
     return 0;
 }

@@ -113,7 +113,7 @@ main(int argc, char **argv)
     if (dot != std::string::npos)
         name = name.substr(0, dot);
 
-    BuildResult r;
+    FullBuild r;
     try {
         r = buildSource(name, ss.str(), configFor(id, platform));
     } catch (const std::exception &e) {
@@ -142,9 +142,9 @@ main(int argc, char **argv)
         printf("%s", ir::moduleToString(r.module).c_str());
     if (!flidOut.empty()) {
         std::ofstream out(flidOut);
-        out << safety::serializeFlidTable(r.module);
+        out << safety::serializeFlidTable(r.flidTable);
         printf("  flid table: %s (%zu entries)\n", flidOut.c_str(),
-               r.module.flidTable().size());
+               r.flidTable.size());
     }
     if (runSeconds > 0) {
         sim::Machine mote(r.image, static_cast<uint8_t>(nodeId));
@@ -158,7 +158,7 @@ main(int argc, char **argv)
             printf("  uart: %s\n", mote.devices().uartLog().c_str());
         if (mote.wedged() && mote.failedFlid()) {
             printf("  FAULT: flid %u — %s\n", mote.failedFlid(),
-                   safety::decodeFlid(r.module, mote.failedFlid())
+                   safety::decodeFlid(r.flidTable, mote.failedFlid())
                        .c_str());
             return 3;
         }

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "frontend/frontend.h"
+#include "ir/serialize.h"
 #include "ir/verifier.h"
 #include "support/util.h"
 
@@ -226,10 +227,10 @@ cxpropReportString(const opt::CxpropReport &rep)
                   rep.funcAnalysesSkipped, rep.blockVisits);
 }
 
-BuildResult
+FullBuild
 runBackendStage(OptProduct op, const PipelineConfig &cfg)
 {
-    BuildResult result;
+    FullBuild result;
     result.safetyReport = std::move(op.safetyReport);
     result.cxpropReport = op.report;
     backend::TargetInfo target = cfg.platform == "TelosB"
@@ -244,6 +245,10 @@ runBackendStage(OptProduct op, const PipelineConfig &cfg)
     result.ramBytes = result.image.ramDataBytes();
     result.romDataBytes = result.image.romDataBytes();
     result.survivingChecks = result.image.survivingCheckTags();
+    result.flidTable = result.module.flidTable();
+    support::BinWriter w;
+    ir::writeModule(w, result.module);
+    result.irDigest = support::fnv1a64(w.data());
     return result;
 }
 
@@ -284,7 +289,7 @@ backendFingerprint(const PipelineConfig &cfg)
                   cfg.backend.gcc.lateInline ? 1 : 0);
 }
 
-BuildResult
+FullBuild
 buildSource(const std::string &name, const std::string &src,
             const PipelineConfig &cfg)
 {
@@ -296,7 +301,7 @@ buildSource(const std::string &name, const std::string &src,
         cfg);
 }
 
-BuildResult
+FullBuild
 buildApp(const tinyos::AppInfo &app, const PipelineConfig &cfg)
 {
     return buildSource(app.name, app.source, cfg);

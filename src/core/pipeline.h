@@ -72,8 +72,15 @@ PipelineConfig configFor(ConfigId id, const std::string &platform);
 PipelineConfig configForStrategy(CheckStrategy s,
                                  const std::string &platform);
 
+/**
+ * One cell's build as a run reads it back: the linked image, the
+ * stage reports, the size figures and the host-side FLID table that
+ * decodes the image's failure ids. The final IR module is not part of
+ * it; `irDigest` stands for it. This is the one shape the artifact
+ * store persists and every matrix record holds, whether it was built
+ * in this process or loaded from disk.
+ */
 struct BuildResult {
-    ir::Module module;            ///< final optimized IR
     backend::MProgram image;      ///< linked firmware
     safety::SafetyReport safetyReport;
     opt::CxpropReport cxpropReport;
@@ -81,10 +88,24 @@ struct BuildResult {
     uint32_t ramBytes = 0;
     uint32_t romDataBytes = 0;
     uint32_t survivingChecks = 0;  ///< via the tag-string methodology
+    std::vector<ir::FlidEntry> flidTable;  ///< the final module's
+    /** FNV-1a of ir::writeModule(final module): equal digests mean
+     *  equal serialized modules, hence equal IR. */
+    uint64_t irDigest = 0;
 
     /** Artifact-store persistence (core/serialize.cpp). */
     void serialize(support::BinWriter &w) const;
     static BuildResult deserialize(support::BinReader &r);
+};
+
+/**
+ * A build made in this process together with its final IR module:
+ * what the backend stage and buildApp/buildSource return, for callers
+ * that print, interpret or inspect the IR. Matrix records and the
+ * store keep the BuildResult part only.
+ */
+struct FullBuild : BuildResult {
+    ir::Module module;  ///< final optimized IR
 };
 
 //---------------------------------------------------------------------
@@ -181,9 +202,9 @@ std::string cxpropReportString(const opt::CxpropReport &rep);
 /**
  * Backend stage: late opts, isel, link. Clones the shared input
  * module (the backend's late optimizations mutate it into the final
- * IR the BuildResult carries).
+ * IR the result carries) and digests the final module once.
  */
-BuildResult runBackendStage(OptProduct op, const PipelineConfig &cfg);
+FullBuild runBackendStage(OptProduct op, const PipelineConfig &cfg);
 
 /**
  * Stage-relevant fingerprints of a PipelineConfig: two configs with
@@ -200,12 +221,11 @@ std::string optFingerprint(const PipelineConfig &cfg);
 std::string backendFingerprint(const PipelineConfig &cfg);
 
 /** Run the full pipeline on one application. */
-BuildResult buildApp(const tinyos::AppInfo &app,
-                     const PipelineConfig &cfg);
+FullBuild buildApp(const tinyos::AppInfo &app, const PipelineConfig &cfg);
 
 /** Compile arbitrary TinyC source (library included) — for examples. */
-BuildResult buildSource(const std::string &name, const std::string &src,
-                        const PipelineConfig &cfg);
+FullBuild buildSource(const std::string &name, const std::string &src,
+                      const PipelineConfig &cfg);
 
 /** Execution statistics of one simulated network run (mote 0). */
 struct SimOutcome {

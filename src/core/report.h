@@ -180,7 +180,8 @@ class BuildDriver {
   public:
     /**
      * Deep equivalence of two build results (sizes, safety and cXprop
-     * reports, surviving checks, final IR text, linked image bytes).
+     * reports, surviving checks, final IR digest, FLID table, linked
+     * image bytes).
      * `why` gets the first difference when non-null.
      */
     static bool resultsEquivalent(const BuildResult &a,

@@ -6,8 +6,9 @@
  * encoders (ir/serialize.h, backend/serialize.h), the reports'
  * transfer() layouts and the source-manager pair below — the store
  * itself never learns per-type layout. StageCache persists only
- * BuildResult; the frontend, safety and opt pairs serve figbench's
- * replay, the round-trip tests and store_manifest.golden.
+ * BuildResult, which carries no IR module (its irDigest stands for
+ * it); the frontend, safety and opt pairs serve figbench's replay,
+ * the round-trip tests and store_manifest.golden.
  */
 #include "core/pipeline.h"
 
@@ -129,7 +130,7 @@ OptProduct::deserialize(BinReader &r)
 void
 BuildResult::serialize(BinWriter &w) const
 {
-    ir::writeModule(w, module);
+    w(irDigest, flidTable);
     backend::writeProgram(w, image);
     w(safetyReport, cxpropReport, codeBytes, ramBytes, romDataBytes,
       survivingChecks);
@@ -139,7 +140,7 @@ BuildResult
 BuildResult::deserialize(BinReader &r)
 {
     BuildResult br;
-    br.module = ir::readModule(r);
+    r(br.irDigest, br.flidTable);
     br.image = backend::readProgram(r);
     r(br.safetyReport, br.cxpropReport, br.codeBytes, br.ramBytes,
       br.romDataBytes, br.survivingChecks);

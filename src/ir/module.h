@@ -291,6 +291,8 @@ struct FlidEntry {
     uint32_t line = 0;
     std::string checkKind;
     std::string detail;
+
+    bool operator==(const FlidEntry &) const = default;
 };
 
 //---------------------------------------------------------------------

@@ -115,12 +115,6 @@ transfer(auto &a, HwReg &x)
     a(x.name, x.addr, x.bits);
 }
 
-void
-transfer(auto &a, FlidEntry &x)
-{
-    a(x.flid, x.file, x.line, x.checkKind, x.detail);
-}
-
 //---------------------------------------------------------------------
 // Module
 //---------------------------------------------------------------------

@@ -24,6 +24,13 @@ namespace stos::ir {
 void writeModule(support::BinWriter &w, const Module &m);
 Module readModule(support::BinReader &r);
 
+/** A FLID table entry's layout; the stored build carries the table. */
+void
+transfer(auto &a, FlidEntry &x)
+{
+    a(x.flid, x.file, x.line, x.checkKind, x.detail);
+}
+
 } // namespace stos::ir
 
 #endif

@@ -27,9 +27,9 @@ allocFlid(Module &m, const SourceManager *sm, stos::SourceLoc loc,
 }
 
 std::string
-decodeFlid(const Module &m, uint32_t flid)
+decodeFlid(const std::vector<FlidEntry> &table, uint32_t flid)
 {
-    for (const auto &e : m.flidTable()) {
+    for (const auto &e : table) {
         if (e.flid == flid) {
             std::string s = strfmt("%s:%u: %s check failed",
                                    e.file.c_str(), e.line,
@@ -43,11 +43,11 @@ decodeFlid(const Module &m, uint32_t flid)
 }
 
 std::string
-serializeFlidTable(const Module &m)
+serializeFlidTable(const std::vector<FlidEntry> &table)
 {
     std::ostringstream os;
     os << "# flid\tfile\tline\tkind\tdetail\n";
-    for (const auto &e : m.flidTable()) {
+    for (const auto &e : table) {
         os << e.flid << "\t" << e.file << "\t" << e.line << "\t"
            << e.checkKind << "\t" << e.detail << "\n";
     }

@@ -23,14 +23,18 @@ uint32_t allocFlid(ir::Module &m, const SourceManager *sm,
                    stos::SourceLoc loc, const std::string &checkKind,
                    const std::string &detail = "");
 
-/** Host-side decompression: id -> "file:line: kind" message. */
-std::string decodeFlid(const ir::Module &m, uint32_t flid);
+/**
+ * Host-side decompression: id -> "file:line: kind" message, read from
+ * a FLID table (a module's, a build's, or a parsed one).
+ */
+std::string decodeFlid(const std::vector<ir::FlidEntry> &table,
+                       uint32_t flid);
 
 /**
  * Serialize / parse the table (the artifact a deployment would keep
  * next to the firmware image so field failures can be decoded).
  */
-std::string serializeFlidTable(const ir::Module &m);
+std::string serializeFlidTable(const std::vector<ir::FlidEntry> &table);
 std::vector<ir::FlidEntry> parseFlidTable(const std::string &text);
 
 } // namespace stos::safety

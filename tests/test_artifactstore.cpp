@@ -1,7 +1,8 @@
 /**
  * @file
  * ArtifactStore tests: serialization round-trips are byte-identical
- * for every stage product across the whole app corpus, every
+ * for every stage product across the whole app corpus, the stored
+ * build's IR digest determines the final module's printed IR, every
  * truncated payload fails to decode with TruncatedData, the store's
  * load/store contract (hits, misses, stats), every corruption mode
  * (truncation, version-stamp mismatch, key mismatch, a hash-valid
@@ -20,6 +21,8 @@
 
 #include "core/experiment.h"
 #include "core/stagecache.h"
+#include "ir/printer.h"
+#include "ir/serialize.h"
 #include "support/binio.h"
 
 namespace stos {
@@ -80,6 +83,38 @@ TEST(ArtifactSerialization, RoundTripsByteIdenticallyForEveryApp)
                                  app.name + "/opt");
         expectRoundTripIdentical(*cache.build(app, cfg),
                                  app.name + "/backend");
+    }
+}
+
+TEST(ArtifactSerialization, IrDigestStandsForTheFinalIr)
+{
+    // The stored build keeps only a digest of the serialized final
+    // module, and the equivalence gates compare that digest where
+    // they used to compare printed IR. That is no weaker as long as
+    // the serialized bytes determine the printed IR: reading them
+    // back must print the very module that was written. The slim
+    // build itself must round-trip to an equivalent build.
+    for (const auto &app : allApps()) {
+        const FullBuild full = buildApp(
+            app, configFor(ConfigId::SafeFlidInlineCxpropCfi,
+                           app.platform));
+        BinWriter w;
+        ir::writeModule(w, full.module);
+        EXPECT_EQ(support::fnv1a64(w.data()), full.irDigest) << app.name;
+        BinReader r(w.data());
+        EXPECT_EQ(ir::moduleToString(ir::readModule(r)),
+                  ir::moduleToString(full.module))
+            << app.name;
+
+        const BuildResult &slim = full;
+        expectRoundTripIdentical(slim, app.name + "/slim build");
+        BinWriter bw;
+        slim.serialize(bw);
+        BinReader br(bw.data());
+        std::string why;
+        EXPECT_TRUE(BuildDriver::resultsEquivalent(
+            BuildResult::deserialize(br), slim, &why))
+            << app.name << ": " << why;
     }
 }
 
@@ -369,16 +404,15 @@ TEST(ArtifactStore, HashValidArtifactWithABadCountIsAMiss)
     BuildReport cold = build();
     ASSERT_TRUE(cold.allOk());
 
-    // The payload opens with the module name (u64 length + bytes);
-    // the TypeTable's u64 element count follows it.
+    // The payload opens with the IR digest (u64); the FLID table's
+    // u64 element count follows it.
     const std::string key = StageCache::buildKey(
         app, configFor(ConfigId::Baseline, app.platform));
     {
         ArtifactStore store(CacheOptions{dir.str()});
         std::string blob;
         ASSERT_TRUE(store.load(Stage::Backend, key, &blob));
-        BinReader r(blob);
-        const size_t countAt = 8 + r.str().size();
+        const size_t countAt = 8;
         ASSERT_LE(countAt + 8, blob.size());
         blob.replace(countAt, 8, 8, '\x7f');
         store.store(Stage::Backend, key, blob);  // re-hashed: valid

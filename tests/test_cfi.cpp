@@ -48,7 +48,7 @@ expectSame(const MoteSnapshot &a, const MoteSnapshot &b,
 }
 
 /** Build one attack app under one column. */
-BuildResult
+FullBuild
 buildAttack(const std::string &name, ConfigId cfg)
 {
     const auto &app = tinyos::attackAppByName(name);
@@ -132,7 +132,7 @@ TEST(CfiColumns, OverheadMatrixSharesOneSafetyRunPerFingerprint)
 
 TEST(CfiPass, LabelsChecksAndReturnSitesAreReported)
 {
-    BuildResult b =
+    FullBuild b =
         buildAttack("AttackFnptrDispatch", ConfigId::SafeFlidCfi);
     const auto &rep = b.safetyReport;
     EXPECT_GE(rep.cfiClasses, 1u);
@@ -143,7 +143,7 @@ TEST(CfiPass, LabelsChecksAndReturnSitesAreReported)
     EXPECT_NE(ir::moduleToString(b.module).find("__cfi_labels"),
               std::string::npos);
 
-    BuildResult plain =
+    FullBuild plain =
         buildAttack("AttackFnptrDispatch", ConfigId::SafeFlid);
     EXPECT_EQ(plain.safetyReport.cfiClasses, 0u);
     EXPECT_EQ(plain.safetyReport.cfiForwardChecks, 0u);
@@ -222,8 +222,8 @@ u16 main() {
 }
 )TC";
     for (ConfigId id : cfiConfigs()) {
-        BuildResult b = buildSource("bounded_dispatch", kBounded,
-                                    configFor(id, "Mica2"));
+        FullBuild b = buildSource("bounded_dispatch", kBounded,
+                                  configFor(id, "Mica2"));
         std::string label = configName(id);
 
         ir::Module m = b.module.clone();

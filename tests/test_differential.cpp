@@ -273,8 +273,9 @@ INSTANTIATE_TEST_SUITE_P(
  * the Experiment facade: the interpreter run of the final IR and the
  * machine run of the linked image must emit identical UART streams,
  * and every configuration must match the unsafe baseline's output.
- * This widens the three hand-picked modes above to the full
- * evaluation matrix.
+ * Matrix records carry no IR, so each cell's final module comes from
+ * buildSource, whose IR digest must match the record's. This widens
+ * the three hand-picked modes above to the full evaluation matrix.
  */
 TEST(DifferentialMatrix, AllFigure3ConfigsAgree)
 {
@@ -284,8 +285,10 @@ TEST(DifferentialMatrix, AllFigure3ConfigsAgree)
     exp.options().simulate = false;
     for (const Kernel &k : kKernels)
         exp.addApp({k.name, "Mica2", k.src, {}, "kernel", {}});
-    exp.addConfig(ConfigId::Baseline);
-    exp.addConfigs(figure3Configs());
+    std::vector<ConfigId> configs = {ConfigId::Baseline};
+    configs.insert(configs.end(), figure3Configs().begin(),
+                   figure3Configs().end());
+    exp.addConfigs(configs);
     BuildReport rep = exp.run().builds;
     ASSERT_TRUE(rep.allOk());
     ASSERT_EQ(rep.records.size(),
@@ -297,8 +300,11 @@ TEST(DifferentialMatrix, AllFigure3ConfigsAgree)
         Outcome ref;
         for (size_t c = 0; c < rep.numConfigs; ++c) {
             const BuildRecord &rec = rep.at(a, c);
-            Module m = rec.result->module.clone();
-            Outcome iOut = runInterp(m);
+            FullBuild full = buildSource(kKernels[a].name, kKernels[a].src,
+                                         configFor(configs[c], "Mica2"));
+            ASSERT_EQ(full.irDigest, rec.result->irDigest)
+                << rec.app << " under " << rec.config;
+            Outcome iOut = runInterp(full.module);
             Outcome mOut = runImage(rec.result->image);
             EXPECT_EQ(iOut.uart, mOut.uart)
                 << rec.app << " under " << rec.config

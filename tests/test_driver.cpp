@@ -152,6 +152,9 @@ TEST(BuildEquivalence, EveryReportFieldAndTheImageAreCompared)
          [](BuildResult &r) { ++r.safetyReport.cfiForwardChecks; }},
         {"cfiReturnSites",
          [](BuildResult &r) { ++r.safetyReport.cfiReturnSites; }},
+        {"irDigest", [](BuildResult &r) { ++r.irDigest; }},
+        {"flidTable line",
+         [](BuildResult &r) { ++r.flidTable.at(0).line; }},
         {"image immediate",
          [](BuildResult &r) {
              r.image.funcs.at(r.image.entry).blocks.at(0).instrs.at(0)

@@ -4,8 +4,9 @@
  * frontend and their printed module text must match the checked-in
  * fixtures under tests/golden/. A frozen whole-matrix manifest pins
  * the behaviour of the whole toolchain: for every corpus app under
- * every matrix column it records hashes of the final IR text and of
- * the linked image, the code/RAM/ROM sizes and the surviving check
+ * every matrix column it records the build's IR digest (the hash of
+ * the serialized final module), the hash of the linked image, the
+ * code/RAM/ROM sizes and the surviving check
  * branches. A frozen simulator manifest pins the simulator the same
  * way: every cell of that matrix simulated for 3 s on the default
  * core, with its cycle and instruction counters, halt/wedge state,
@@ -232,8 +233,7 @@ matrixManifest()
         out += strfmt(
             "%s\t%s\t%016llx\t%016llx\t%u\t%u\t%u\t%u\n",
             r.app.c_str(), r.config.c_str(),
-            static_cast<unsigned long long>(
-                support::fnv1a64(moduleToString(b.module))),
+            static_cast<unsigned long long>(b.irDigest),
             static_cast<unsigned long long>(support::fnv1a64(w.data())),
             b.codeBytes, b.ramBytes, b.romDataBytes,
             b.image.survivingCheckBranches());

@@ -166,7 +166,7 @@ TEST(Pipeline, SafetyCatchesOutOfBoundsWrite)
     EXPECT_TRUE(ms.wedged()) << "bounds check should have fired";
     EXPECT_NE(ms.failedFlid(), 0u);
     // The FLID decodes to a real source location.
-    std::string msg = safety::decodeFlid(safe.module, ms.failedFlid());
+    std::string msg = safety::decodeFlid(safe.flidTable, ms.failedFlid());
     EXPECT_NE(msg.find("buggy.tc"), std::string::npos) << msg;
 
     PipelineConfig unsafeCfg = configFor(ConfigId::Baseline, "Mica2");

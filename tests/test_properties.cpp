@@ -63,7 +63,7 @@ TEST_P(EveryApp, BuildsUnderAllConfigurations)
     BuildResult base =
         buildApp(app, configFor(ConfigId::Baseline, app.platform));
     for (ConfigId id : figure3Configs()) {
-        BuildResult r = buildApp(app, configFor(id, app.platform));
+        FullBuild r = buildApp(app, configFor(id, app.platform));
         auto problems = ir::verifyModule(r.module);
         EXPECT_TRUE(problems.empty())
             << configName(id) << ": "

@@ -327,7 +327,7 @@ u16 main() {
     auto r = in.run("main");
     EXPECT_EQ(r.reason, StopReason::SafetyFault);
     EXPECT_NE(r.flid, 0u);
-    std::string msg = decodeFlid(m, r.flid);
+    std::string msg = decodeFlid(m.flidTable(), r.flid);
     EXPECT_NE(msg.find("t.tc"), std::string::npos);
 }
 
@@ -394,7 +394,7 @@ TEST(Flid, SerializeParseRoundTrip)
 {
     Module m = compile("u8 b[4]; u8 i; void main() { b[i] = 1; }");
     makeSafe(m);
-    std::string text = serializeFlidTable(m);
+    std::string text = serializeFlidTable(m.flidTable());
     auto entries = parseFlidTable(text);
     ASSERT_EQ(entries.size(), m.flidTable().size());
     for (size_t i = 0; i < entries.size(); ++i) {

@@ -275,8 +275,8 @@ TEST(SimEquivalence, WidthSweepArithmeticAgreesAcrossAllEngines)
 {
     for (ConfigId cfg : {ConfigId::Baseline, ConfigId::SafeFlid,
                          ConfigId::SafeFlidInlineCxprop}) {
-        BuildResult build = buildSource("arith_sweep", kArithSweep,
-                                        configFor(cfg, "Mica2"));
+        FullBuild build = buildSource("arith_sweep", kArithSweep,
+                                      configFor(cfg, "Mica2"));
         std::string label = std::string("arith_sweep / ") +
                             configName(cfg);
 
@@ -319,7 +319,7 @@ TEST(SimEquivalence, DivByZeroProducesZeroOnEveryEngine)
         "  stos_uart_put_u16((u16)(123 % z));"
         "  return 0;"
         "}";
-    BuildResult build = buildSource(
+    FullBuild build = buildSource(
         "div0", kDiv0, configFor(ConfigId::Baseline, "Mica2"));
 
     ir::Module m = build.module.clone();

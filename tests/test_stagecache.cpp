@@ -8,7 +8,8 @@
  * changing SafetyConfig must), companion entries aliasing the
  * matrix's Baseline cells, and on the full Figure-3 matrix: cached vs
  * cold byte-identity, the cXprop skip-ratio floor, a store holding
- * only builds, and a warm and a truncated-artifact run over it.
+ * only builds, and a warm and a truncated-artifact run over it; a
+ * build served from the store decodes a trap's FLID like a cold one.
  */
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 
 #include "core/experiment.h"
 #include "core/stagecache.h"
+#include "safety/flid.h"
 
 namespace stos {
 namespace {
@@ -419,6 +421,54 @@ TEST(StageCache, Figure3CachedMatchesColdByteForByte)
               (std::array<size_t, 4>{1, 1, 1, 1}));
     EXPECT_TRUE(Experiment::reportsEquivalent(cold, rebuilt, &why))
         << why;
+    fs::remove_all(dir);
+}
+
+TEST(StageCache, WarmBuildDecodesATrapLikeAColdBuild)
+{
+    // The stored build carries the FLID table, so a build served from
+    // the store decodes a trap's FLID to the source location a cold
+    // buildApp of the same cell names.
+    const AppInfo app{"buggy", "Mica2", R"TC(
+        u8 buf[4];
+        u8 idx;
+        task void smash() {
+            u8 i = 0;
+            while (i <= idx) {     // idx reaches 4: off by one
+                buf[i] = 7;
+                i = (u8)(i + 1);
+            }
+            if (idx < 4) { idx = (u8)(idx + 1); }
+            post smash;
+        }
+        interrupt(TIMER0) void on_t() { post smash; }
+        void main() {
+            stos_timer0_start(64);
+            stos_run_scheduler();
+        }
+    )TC", {}, "test", {}};
+    const PipelineConfig cfg = configFor(ConfigId::SafeFlid, app.platform);
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("stos-stagecache-flid-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    ArtifactStore store(CacheOptions{dir.string()});
+    StageCache(&store).build(app, cfg);
+    StageCache warmCache(&store);
+    auto warm = warmCache.build(app, cfg);
+    ASSERT_EQ(warmCache.stats().backend.diskHits, 1u);
+
+    sim::Machine mote(warm->image, 1);
+    mote.boot();
+    mote.runUntilCycle(4'000'000);
+    ASSERT_TRUE(mote.wedged()) << "the bounds check should have fired";
+    const uint32_t flid = mote.failedFlid();
+    ASSERT_NE(flid, 0u);
+
+    const FullBuild cold = buildApp(app, cfg);
+    const std::string msg = safety::decodeFlid(warm->flidTable, flid);
+    EXPECT_EQ(msg, safety::decodeFlid(cold.flidTable, flid));
+    EXPECT_EQ(msg.rfind("buggy.tc:", 0), 0u) << msg;
     fs::remove_all(dir);
 }
 
