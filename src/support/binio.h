@@ -79,16 +79,8 @@ checkScalarWidth()
 class BinWriter {
   public:
     void u8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-    void u32(uint32_t v)
-    {
-        u16(static_cast<uint16_t>(v));
-        u16(static_cast<uint16_t>(v >> 16));
-    }
-    void u64(uint64_t v)
-    {
-        u32(static_cast<uint32_t>(v));
-        u32(static_cast<uint32_t>(v >> 32));
-    }
+    void u32(uint32_t v) { le(v); }
+    void u64(uint64_t v) { le(v); }
     void str(std::string_view s)
     {
         u64(s.size());
@@ -109,10 +101,13 @@ class BinWriter {
     const std::string &data() const { return buf_; }
 
   private:
-    void u16(uint16_t v)
+    /** `v`'s bytes, least significant first, appended in one call. */
+    template <typename U> void le(U v)
     {
-        u8(static_cast<uint8_t>(v));
-        u8(static_cast<uint8_t>(v >> 8));
+        char b[sizeof(U)];
+        for (size_t i = 0; i < sizeof(U); ++i)
+            b[i] = static_cast<char>(v >> (8 * i));
+        buf_.append(b, sizeof b);
     }
 
     template <typename T> void put(const T &v)
