@@ -88,9 +88,9 @@ struct BuildResult {
     uint32_t ramBytes = 0;
     uint32_t romDataBytes = 0;
     uint32_t survivingChecks = 0;  ///< via the tag-string methodology
-    std::vector<ir::FlidEntry> flidTable;  ///< the final module's
-    /** FNV-1a of ir::writeModule(final module): equal digests mean
-     *  equal serialized modules, hence equal IR. */
+    std::vector<ir::FlidEntry> flidTable;  ///< decodes image FLIDs
+    /** FNV-1a of ir::writeModule(final module); the equivalence gates
+     *  compare it in place of the IR (README, artifact store). */
     uint64_t irDigest = 0;
 
     /** Artifact-store persistence (core/serialize.cpp). */
